@@ -70,16 +70,18 @@ from .interferometer import (
 from .optics import (
     FunctionBasis,
     LabBasis,
-    apply_polarizer,
+    apply,
     beamsplitter_combine,
     beamsplitter_split,
+    chain_power,
     polarizer_axis,
+    polarizer_matrix,
     reduce_polarizer_angle,
     rotate_function_basis,
     rotate_lab_basis,
     stripping_angle,
     stripping_angle_orthogonal,
-    waveplate,
+    waveplate_matrix,
 )
 
 __version__ = "0.1.0"

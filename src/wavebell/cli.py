@@ -8,13 +8,17 @@ chsh      run the full Bell protocol and report the CHSH value
 validate  cross-check the three computation paths and the hidden-variable
           bound, exiting nonzero when any tolerance is breached
 
+Every command takes --seed and --n; source, scan and chsh also take --dop,
+--intensity and --format; scan, chsh and validate take the --noise-* flags.
+
 Angles are radians; pass degrees with an explicit suffix, e.g. ``22.5deg``.
 A JSON config file may supply any option (key = long option name with
-dashes as underscores); explicit flags override file values, and the
+dashes as underscores, ``fmt`` for --format); its values pass through the
+same converters as the flags, explicit flags override file values, and the
 effective configuration is echoed into every output.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 validation
-failure.
+Exit codes: 0 success, 1 usage or configuration error (one
+``wavebell: error:`` line on stderr), 2 validation failure.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,89 +67,106 @@ def parse_angle(text: str) -> float:
     t = str(text).strip().lower()
     try:
         if t.endswith("deg"):
-            return math.radians(float(t[:-3]))
-        if t.endswith("rad"):
-            return float(t[:-3])
-        return float(t)
+            value = math.radians(float(t[:-3]))
+        elif t.endswith("rad"):
+            value = float(t[:-3])
+        else:
+            value = float(t)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid angle: {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid angle: {text!r}")
+    return value
+
+
+def _angle_list(text: str) -> list[float]:
+    return [parse_angle(tok) for tok in str(text).split(",") if tok.strip()]
+
+
+def _checked_text(parse):
+    # check a value when the arguments are read, but keep the text so the
+    # config echo shows it as given
+    def check(text: str) -> str:
+        parse(text)
+        return text
+
+    return check
+
+
+def _int_at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
+
+
+def _positive_angle(text: str) -> float:
+    value = parse_angle(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
     # usage errors exit 1 (argparse default is 2, reserved here for
-    # validation failures)
+    # validation failures) with one line on stderr
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"wavebell: error: {message}\n")
 
 
-def _add_common(sub: argparse.ArgumentParser, defaults: dict) -> None:
-    sub.add_argument("--config", type=Path, help="JSON config file")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--n", type=int, help=f"realization count (default {defaults['n']})")
-    sub.add_argument("--dop", type=float, help="requested degree of polarization")
-    sub.add_argument("--intensity", type=float)
-    sub.add_argument("--noise-extinction", type=float, help="polarizer leakage power fraction")
-    sub.add_argument("--noise-detector", type=float, help="detector noise std / source intensity")
-    sub.add_argument("--noise-phase", type=float, help="auxiliary-arm phase jitter std (rad)")
-    sub.add_argument("--out", type=Path, help="output path (stdout if omitted)")
-    sub.add_argument("--format", choices=("csv", "json"), dest="fmt")
+# Every option once: config key -> (flag, argparse keywords).
+_OPTIONS = {
+    "seed": ("--seed", {"type": _int_at_least(0)}),
+    "n": ("--n", {"type": _int_at_least(2), "help": f"realization count (default {_DEFAULT_N})"}),
+    "dop": ("--dop", {"type": float, "help": "requested degree of polarization"}),
+    "intensity": ("--intensity", {"type": float}),
+    "noise_extinction": ("--noise-extinction",
+                         {"type": float, "help": "polarizer leakage power fraction"}),
+    "noise_detector": ("--noise-detector",
+                       {"type": float, "help": "detector noise std / source intensity"}),
+    "noise_phase": ("--noise-phase",
+                    {"type": float, "help": "auxiliary-arm phase jitter std (rad)"}),
+    "out": ("--out", {"type": Path, "help": "output path (stdout if omitted)"}),
+    "fmt": ("--format", {"choices": ("csv", "json")}),
+    "b_list": ("--b-list", {"type": _checked_text(_angle_list),
+                            "help": "comma-separated function-space angles"}),
+    "a_start": ("--a-start", {"type": parse_angle}),
+    "a_stop": ("--a-stop", {"type": parse_angle, "help": "exclusive grid end"}),
+    "a_step": ("--a-step", {"type": _positive_angle}),
+    "settings": ("--settings", {"type": _checked_text(parse_angle), "nargs": 4,
+                                "metavar": ("A", "A_PRIME", "B", "B_PRIME"),
+                                "help": "explicit angle settings"}),
+    "optimize": ("--optimize", {"action": "store_true", "default": None,
+                                "help": "search for the CHSH-maximizing angles (default)"}),
+    "resamples": ("--resamples", {"type": int, "help": "bootstrap resamples (0 = none)"}),
+    "tuples": ("--tuples", {"type": int, "help": "random tuples per agreement check"}),
+    "lhv_samples": ("--lhv-samples", {"type": _int_at_least(1),
+                                      "help": "Monte-Carlo samples per LHV correlation"}),
+}
+# --optimize and --settings exclude each other
+_EXCLUSIVE = ("optimize", "settings")
 
+_BEAM = {"seed": 0, "n": _DEFAULT_N, "dop": 0.125, "intensity": 1.0}
+_NOISE = {"noise_extinction": 0.0, "noise_detector": 0.0, "noise_phase": 0.0}
 
+# Each command's options with their defaults, in config-echo order.
 _DEFAULTS: dict[str, dict] = {
-    "source": {
-        "seed": 0,
-        "n": _DEFAULT_N,
-        "dop": 0.125,
-        "intensity": 1.0,
-        "noise_extinction": 0.0,
-        "noise_detector": 0.0,
-        "noise_phase": 0.0,
-        "out": None,
-        "fmt": "json",
-    },
+    "source": {**_BEAM, "out": None, "fmt": "json"},
     "scan": {
-        "seed": 0,
-        "n": _DEFAULT_N,
-        "dop": 0.0,
-        "intensity": 1.0,
-        "noise_extinction": 0.0,
-        "noise_detector": 0.0,
-        "noise_phase": 0.0,
-        "out": None,
-        "fmt": "csv",
-        "b_list": _DEFAULT_B_LIST,
-        "a_start": 0.0,
-        "a_stop": math.pi,
-        "a_step": math.pi / 90.0,
-        "resamples": 16,
+        **_BEAM, "dop": 0.0, **_NOISE, "out": None, "fmt": "csv",
+        "b_list": _DEFAULT_B_LIST, "a_start": 0.0, "a_stop": math.pi,
+        "a_step": math.pi / 90.0, "resamples": 16,
     },
     "chsh": {
-        "seed": 0,
-        "n": _DEFAULT_N,
-        "dop": 0.125,
-        "intensity": 1.0,
-        "noise_extinction": 0.0,
-        "noise_detector": 0.0,
-        "noise_phase": 0.0,
-        "out": None,
-        "fmt": "json",
-        "settings": None,
-        "optimize": False,
-        "resamples": 16,
+        **_BEAM, **_NOISE, "out": None, "fmt": "json",
+        "settings": None, "optimize": False, "resamples": 16,
     },
     "validate": {
-        "seed": 0,
-        "n": _DEFAULT_N,
-        "dop": 0.125,
-        "intensity": 1.0,
-        "noise_extinction": 0.0,
-        "noise_detector": 0.0,
-        "noise_phase": 0.0,
-        "out": None,
-        "fmt": "json",
-        "tuples": 20,
-        "lhv_samples": 100_000,
+        "seed": 0, "n": _DEFAULT_N, **_NOISE, "out": None,
+        "tuples": 20, "lhv_samples": 100_000,
     },
 }
 
@@ -153,33 +174,42 @@ _DEFAULTS: dict[str, dict] = {
 def build_parser() -> _Parser:
     parser = _Parser(prog="wavebell", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("source", help="synthesize and characterize a source beam")
-    _add_common(p, _DEFAULTS["source"])
-
-    p = subs.add_parser("scan", help="measure correlation curves over an angle grid")
-    _add_common(p, _DEFAULTS["scan"])
-    p.add_argument("--b-list", type=str, help="comma-separated function-space angles")
-    p.add_argument("--a-start", type=parse_angle)
-    p.add_argument("--a-stop", type=parse_angle, help="exclusive grid end")
-    p.add_argument("--a-step", type=parse_angle)
-    p.add_argument("--resamples", type=int, help="bootstrap resamples per point (0 = none)")
-
-    p = subs.add_parser("chsh", help="run the Bell protocol and report the CHSH value")
-    _add_common(p, _DEFAULTS["chsh"])
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--optimize", action="store_true", default=None,
-                       help="search for the CHSH-maximizing angles (default)")
-    group.add_argument("--settings", nargs=4, metavar=("A", "A_PRIME", "B", "B_PRIME"),
-                       help="explicit angle settings")
-    p.add_argument("--resamples", type=int, help="bootstrap resamples (0 = none)")
-
-    p = subs.add_parser("validate", help="run the internal consistency and bound suite")
-    _add_common(p, _DEFAULTS["validate"])
-    p.add_argument("--tuples", type=int, help="random tuples per agreement check")
-    p.add_argument("--lhv-samples", type=int, help="Monte-Carlo samples per LHV correlation")
-
+    for command, defaults in _DEFAULTS.items():
+        p = subs.add_parser(command, help=_COMMANDS[command].__doc__)
+        p.add_argument("--config", type=Path, help="JSON config file")
+        group = p.add_mutually_exclusive_group()
+        for key in defaults:
+            flag, spec = _OPTIONS[key]
+            (group if key in _EXCLUSIVE else p).add_argument(flag, dest=key, **spec)
     return parser
+
+
+def _convert(spec: dict, value):
+    if isinstance(value, (dict, list)):
+        raise ValueError("expected a single value")
+    converted = spec.get("type", str)(str(value))
+    if "choices" in spec and converted not in spec["choices"]:
+        raise ValueError(f"expected one of {', '.join(spec['choices'])}")
+    return converted
+
+
+def _from_config(key: str, value, default):
+    """Pass a config-file value through the converter of its flag."""
+    if value is None and default is None:
+        return None
+    flag, spec = _OPTIONS[key]
+    try:
+        if spec.get("action") == "store_true":
+            if not isinstance(value, bool):
+                raise ValueError("expected true or false")
+            return value
+        if "nargs" in spec:
+            if not (isinstance(value, list) and len(value) == spec["nargs"]):
+                raise ValueError(f"expected a list of {spec['nargs']} values")
+            return [_convert(spec, v) for v in value]
+        return _convert(spec, value)
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise WavebellError(f"config key {key!r} ({flag}): {exc}") from None
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -196,7 +226,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         unknown = sorted(set(loaded) - set(cfg))
         if unknown:
             raise WavebellError(f"unknown config keys for '{command}': {', '.join(unknown)}")
-        cfg.update(loaded)
+        for key, value in loaded.items():
+            cfg[key] = _from_config(key, value, cfg[key])
     for key in cfg:
         value = getattr(args, key, None)
         if value is not None:
@@ -244,6 +275,7 @@ def _flatten_complex_pairs(prefix: str, pairs) -> tuple[list[str], list[float]]:
 
 
 def cmd_source(cfg: dict) -> int:
+    """synthesize and characterize a source beam"""
     ens = synthesize_partially_polarized(
         cfg["dop"], cfg["intensity"], cfg["n"], cfg["seed"]
     )
@@ -270,15 +302,15 @@ def _scan_curves(cfg: dict):
     k1, k2 = kappa_from_dop(dop(tomography(ens)))
     sd = replace(schmidt(ens), kappa1=k1, kappa2=k2)
     a_grid = np.arange(cfg["a_start"], cfg["a_stop"] - 1e-12, cfg["a_step"])
-    b_values = [parse_angle(tok) for tok in str(cfg["b_list"]).split(",") if tok.strip()]
     noise = _noise(cfg)
-    for i, b in enumerate(b_values):
+    for i, b in enumerate(_angle_list(cfg["b_list"])):
         yield i, scan_correlation(
             ens, sd, b, a_grid, noise=noise, seed=(cfg["seed"], i), resamples=cfg["resamples"]
         )
 
 
 def cmd_scan(cfg: dict) -> int:
+    """measure correlation curves over an angle grid"""
     if cfg["fmt"] == "csv":
         if cfg["out"] is None:
             raise WavebellError("scan with csv output needs --out DIRECTORY")
@@ -309,6 +341,7 @@ def cmd_scan(cfg: dict) -> int:
 
 
 def cmd_chsh(cfg: dict) -> int:
+    """run the Bell protocol and report the CHSH value"""
     settings = None
     if cfg["settings"] is not None and not cfg["optimize"]:
         values = [parse_angle(v) for v in cfg["settings"]]
@@ -324,7 +357,7 @@ def cmd_chsh(cfg: dict) -> int:
     )
     report = run_bell_protocol(protocol)
     if cfg["fmt"] == "json":
-        payload = report.to_json_dict()
+        payload = asdict(report)
         payload["config"] = _echo(cfg)
         _write_text(cfg, json.dumps(payload, indent=2))
     else:
@@ -418,6 +451,7 @@ def _validate_checks(cfg: dict):
 
 
 def cmd_validate(cfg: dict) -> int:
+    """run the internal consistency and bound suite"""
     results = []
     for name, ok, detail in _validate_checks(cfg):
         results.append({"check": name, "pass": bool(ok), "detail": detail})
@@ -446,7 +480,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return _COMMANDS[args.command](cfg)
-    except WavebellError as exc:
+    except (WavebellError, OSError) as exc:
         print(f"wavebell: error: {exc}", file=sys.stderr)
         return 1
 

@@ -368,16 +368,17 @@ def tomography(ensemble: FieldEnsemble) -> StokesVector:
     horizontal/vertical projections for the circular pair.  On noiseless
     elements this reproduces the direct moment computation exactly.
     """
-    from . import optics
+    from .optics import apply, polarizer_matrix as pol, waveplate_matrix
 
     rt2 = math.sqrt(2.0)
-    i_h = intensity(optics.apply_polarizer(ensemble, np.array([1.0, 0.0])))
-    i_v = intensity(optics.apply_polarizer(ensemble, np.array([0.0, 1.0])))
-    i_d = intensity(optics.apply_polarizer(ensemble, np.array([1.0, 1.0]) / rt2))
-    i_a = intensity(optics.apply_polarizer(ensemble, np.array([1.0, -1.0]) / rt2))
-    circ = optics.waveplate(ensemble, "quarter", math.pi / 4.0)
-    i_r = intensity(optics.apply_polarizer(circ, np.array([1.0, 0.0])))
-    i_l = intensity(optics.apply_polarizer(circ, np.array([0.0, 1.0])))
+    h, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    i_h = intensity(apply(pol(h), ensemble))
+    i_v = intensity(apply(pol(v), ensemble))
+    i_d = intensity(apply(pol(np.array([1.0, 1.0]) / rt2), ensemble))
+    i_a = intensity(apply(pol(np.array([1.0, -1.0]) / rt2), ensemble))
+    circ = apply(waveplate_matrix("quarter", math.pi / 4.0), ensemble)
+    i_r = intensity(apply(pol(h), circ))
+    i_l = intensity(apply(pol(v), circ))
     return StokesVector(s0=i_h + i_v, s1=i_h - i_v, s2=i_d - i_a, s3=i_r - i_l)
 
 

@@ -1,4 +1,10 @@
-"""Optical elements acting on field ensembles.
+"""Optical elements as 2x2 Jones matrices.
+
+Every element is a constructor returning its Jones matrix; a chain of
+elements is the matrix product, applied to an ensemble with :func:`apply`
+or turned into an ensemble-mean power with :func:`chain_power`.  The beam
+splitter functions act on plain arrays, so the same function splits an
+(n, 2) realization array or a 2x2 chain matrix.
 
 Basis rotations in lab (polarization) space and in the N-dimensional
 function space share one convention: rotating by angle t maps
@@ -26,14 +32,17 @@ __all__ = [
     "rotate_function_basis",
     "polarizer_axis",
     "polarizer_matrix",
-    "apply_polarizer",
+    "waveplate_matrix",
+    "apply",
+    "chain_power",
     "reduce_polarizer_angle",
     "stripping_angle",
     "stripping_angle_orthogonal",
     "beamsplitter_split",
     "beamsplitter_combine",
-    "waveplate",
 ]
+
+_RT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,19 +130,6 @@ def polarizer_matrix(axis: np.ndarray, extinction_ratio: float = 0.0) -> np.ndar
     return m
 
 
-def apply_polarizer(
-    ensemble: FieldEnsemble, axis: np.ndarray, extinction_ratio: float = 0.0
-) -> FieldEnsemble:
-    """Project every realization onto a polarizer transmission axis.
-
-    E -> axis <axis|E>.  A nonzero ``extinction_ratio`` epsilon lets the
-    blocked orthogonal component leak through with amplitude sqrt(epsilon),
-    modelling an imperfect polarizer (epsilon is the leaked power fraction).
-    """
-    m = polarizer_matrix(axis, extinction_ratio)
-    return FieldEnsemble(ensemble.realizations @ m.T, seed=None)
-
-
 def reduce_polarizer_angle(angle: float) -> float:
     """Reduce an axis angle to the principal interval (-pi/2, pi/2]."""
     r = math.remainder(angle, math.pi)
@@ -182,31 +178,26 @@ def stripping_angle_orthogonal(kappa1: float, kappa2: float, b: float) -> float:
     return reduce_polarizer_angle(s)
 
 
-def beamsplitter_split(ensemble: FieldEnsemble) -> tuple[FieldEnsemble, FieldEnsemble]:
-    """50:50 split into (transmitted, reflected) = (E/sqrt2, iE/sqrt2)."""
-    rt2 = math.sqrt(2.0)
-    test = FieldEnsemble(ensemble.realizations / rt2, seed=None)
-    aux = FieldEnsemble(1j * ensemble.realizations / rt2, seed=None)
-    return test, aux
+def beamsplitter_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """50:50 split into (transmitted, reflected) = (x/sqrt2, i x/sqrt2)."""
+    return x / _RT2, 1j * x / _RT2
 
 
-def beamsplitter_combine(aux: FieldEnsemble, test: FieldEnsemble) -> FieldEnsemble:
+def beamsplitter_combine(aux: np.ndarray, test: np.ndarray) -> np.ndarray:
     """Recombine two beams on a 50:50 splitter: out = (aux + i test)/sqrt2."""
-    if aux.n != test.n:
-        raise DomainError("cannot combine ensembles with different realization counts")
-    return FieldEnsemble(
-        (aux.realizations + 1j * test.realizations) / math.sqrt(2.0), seed=None
-    )
+    if aux.shape != test.shape:
+        raise DomainError(f"cannot combine beams of shapes {aux.shape} and {test.shape}")
+    return (aux + 1j * test) / _RT2
 
 
 _RETARDANCE = {"half": math.pi, "quarter": math.pi / 2.0}
 
 
-def waveplate(ensemble: FieldEnsemble, kind: str, fast_axis_angle: float) -> FieldEnsemble:
-    """Apply a half- or quarter-wave retarder with the given fast axis.
+def waveplate_matrix(kind: str, fast_axis_angle: float) -> np.ndarray:
+    """Jones matrix of a half- or quarter-wave retarder with the given fast axis.
 
-    Jones matrix R(t) diag(exp(-i d/2), exp(+i d/2)) R(-t) with d = pi for
-    ``half`` and pi/2 for ``quarter``; unitary, so intensity is conserved.
+    R(t) diag(exp(-i d/2), exp(+i d/2)) R(-t) with d = pi for ``half`` and
+    pi/2 for ``quarter``; unitary, so intensity is conserved.
     """
     if kind not in _RETARDANCE:
         raise DomainError(f"waveplate kind must be 'half' or 'quarter', got {kind!r}")
@@ -214,5 +205,15 @@ def waveplate(ensemble: FieldEnsemble, kind: str, fast_axis_angle: float) -> Fie
     c, s = math.cos(fast_axis_angle), math.sin(fast_axis_angle)
     rot = np.array([[c, -s], [s, c]], dtype=np.complex128)
     ret = np.diag([np.exp(-0.5j * d), np.exp(0.5j * d)])
-    m = rot @ ret @ rot.conj().T
+    return rot @ ret @ rot.conj().T
+
+
+def apply(m: np.ndarray, ensemble: FieldEnsemble) -> FieldEnsemble:
+    """Pass every realization through the Jones matrix ``m``: E -> m E."""
     return FieldEnsemble(ensemble.realizations @ m.T, seed=None)
+
+
+def chain_power(m: np.ndarray, moments: np.ndarray) -> float:
+    """Ensemble-mean power behind the Jones matrix ``m``, from the sample
+    second moments J_pq = <Ep* Eq>: mean ||m E||^2 = sum_pq (m+ m)_pq J_pq."""
+    return float(np.sum((m.conj().T @ m) * moments).real)

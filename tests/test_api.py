@@ -1,0 +1,26 @@
+import importlib
+
+import pytest
+
+import wavebell
+
+MODULES = ["ensemble", "optics", "bell", "interferometer"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve(name):
+    module = importlib.import_module(f"wavebell.{name}")
+    missing = [export for export in module.__all__ if not hasattr(module, export)]
+    assert not missing, f"wavebell.{name}.__all__ lists missing names {missing}"
+
+
+def test_package_names_resolve_to_module_exports():
+    # everything the package re-exports from a layer module is a listed,
+    # existing export of that module
+    for name, value in vars(wavebell).items():
+        home = getattr(value, "__module__", "")
+        if name.startswith("_") or home.removeprefix("wavebell.") not in MODULES:
+            continue
+        module = importlib.import_module(home)
+        assert name in module.__all__, f"wavebell.{name} is not in {home}.__all__"
+        assert getattr(module, name) is value

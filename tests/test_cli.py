@@ -303,6 +303,62 @@ class TestConfigFile:
         assert payload["chsh"] > 2.5  # optimized, not the all-zero settings
 
 
+def _write_config(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+BAD_INPUTS = {
+    "negative-seed": lambda tmp: ["chsh", "--seed", "-1"],
+    "zero-a-step": lambda tmp: ["scan", "--a-step", "0"],
+    "zero-lhv-samples": lambda tmp: ["validate", "--lhv-samples", "0"],
+    "out-in-missing-dir": lambda tmp: ["chsh", "--n", "2000", "--resamples", "0",
+                                       "--out", str(tmp / "missing" / "dir" / "x.json")],
+    "bad-b-list-token": lambda tmp: ["scan", "--b-list", "0,foo"],
+    "bad-settings-token": lambda tmp: ["chsh", "--settings", "0", "0", "0", "foo"],
+    "leak-above-one": lambda tmp: ["chsh", "--n", "2000", "--noise-extinction", "2"],
+    "config-non-integer-n": lambda tmp: ["source", "--config", _write_config(tmp, {"n": "lots"})],
+    "config-float-n": lambda tmp: ["source", "--config", _write_config(tmp, {"n": 1.5})],
+    "config-bad-b-list": lambda tmp: ["scan", "--config", _write_config(tmp, {"b_list": "0,foo"})],
+    "config-three-settings": lambda tmp: ["chsh", "--config",
+                                          _write_config(tmp, {"settings": [0, 0, 0]})],
+    "config-bad-format": lambda tmp: ["chsh", "--config", _write_config(tmp, {"fmt": "xml"})],
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_1_with_one_line(tmp_path, case):
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavebell.cli", *BAD_INPUTS[case](tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("wavebell: error:"), proc.stderr
+
+
+def test_config_values_use_flag_converters(tmp_path):
+    # a config string converts exactly as the same text given as a flag
+    out_cfg, out_flags = tmp_path / "cfg.json", tmp_path / "flags.json"
+    cfg = _write_config(tmp_path, {"n": "3000", "dop": "0.2", "seed": 4})
+    assert run_cli(["source", "--config", cfg, "--out", str(out_cfg)]) == 0
+    assert run_cli(["source", "--n", "3000", "--dop", "0.2", "--seed", "4",
+                    "--out", str(out_flags)]) == 0
+    assert out_cfg.read_bytes() == out_flags.read_bytes()
+    assert json.loads(out_cfg.read_text())["config"]["n"] == 3000
+
+
+def test_removed_options_are_rejected(capsys):
+    for argv in (["source", "--noise-phase", "0.1"], ["validate", "--dop", "0.5"],
+                 ["validate", "--format", "csv"], ["validate", "--intensity", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["chsh", "--settings", "1", "2"])

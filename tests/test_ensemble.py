@@ -207,9 +207,9 @@ class TestSchmidt:
         e = synthesize_partially_polarized(d, float(rng.uniform(0.5, 3.0)), 3000, seed)
         # give some ensembles circular/diagonal content
         if seed % 2:
-            from wavebell import waveplate
+            from wavebell import apply, waveplate_matrix
 
-            e = waveplate(e, "quarter", float(rng.uniform(0, math.pi)))
+            e = apply(waveplate_matrix("quarter", float(rng.uniform(0, math.pi))), e)
         sd = schmidt(e)
         assert sd.kappa1**2 + sd.kappa2**2 == pytest.approx(1.0, abs=1e-12)
         measured_dop = dop(stokes(coherence_matrix(e)))
@@ -240,10 +240,10 @@ class TestTomography:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_moment_computation(self, seed):
-        from wavebell import waveplate
+        from wavebell import apply, waveplate_matrix
 
         e = synthesize_partially_polarized(0.6, 1.3, 2000, seed)
-        e = waveplate(e, "quarter", 0.3 + 0.2 * seed)  # inject S3 content
+        e = apply(waveplate_matrix("quarter", 0.3 + 0.2 * seed), e)  # inject S3 content
         direct = stokes(coherence_matrix(e))
         operational = tomography(e)
         for name in ("s0", "s1", "s2", "s3"):

@@ -13,7 +13,7 @@ from wavebell import (
     NoiseModel,
     ProtocolConfig,
     StrippedBeamError,
-    apply_polarizer,
+    apply,
     beamsplitter_combine,
     beamsplitter_split,
     bootstrap_error,
@@ -33,7 +33,7 @@ from wavebell import (
     synthesize_schmidt_form,
 )
 from wavebell.interferometer import CURVE_CSV_HEADER
-from wavebell.optics import LabBasis, polarizer_axis
+from wavebell.optics import LabBasis, polarizer_axis, polarizer_matrix
 
 XY = LabBasis(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
@@ -47,8 +47,9 @@ class TestMeasureIntensities:
         e = synthesize_partially_polarized(0.3, 1.4, 2000, 1)
         sd = schmidt(e)
         t = measure_intensities(e, 0.5, 0.9, basis=basis_of(sd))
-        half, _ = beamsplitter_split(e)
-        expected = intensity(apply_polarizer(half, polarizer_axis(basis_of(sd), 0.5)))
+        half, _ = beamsplitter_split(e.realizations)
+        pol = polarizer_matrix(polarizer_axis(basis_of(sd), 0.5))
+        expected = intensity(apply(pol, FieldEnsemble(half)))
         assert t.i_test == pytest.approx(expected, abs=1e-12)
 
     def test_dark_input(self):
@@ -71,14 +72,11 @@ class TestMeasureIntensities:
         a, s, eps = 0.4, 1.1, 0.03
         noise = NoiseModel(extinction_ratio=eps)
         t = measure_intensities(e, a, s, noise=noise, basis=basis)
-        test, aux = beamsplitter_split(e)
-        test_a = apply_polarizer(test, polarizer_axis(basis, a), eps)
-        aux_sa = apply_polarizer(
-            apply_polarizer(aux, polarizer_axis(basis, s), eps),
-            polarizer_axis(basis, a),
-            eps,
-        )
-        out = beamsplitter_combine(aux_sa, test_a)
+        pol_a, pol_s = (polarizer_matrix(polarizer_axis(basis, x), eps) for x in (a, s))
+        test, aux = (FieldEnsemble(x) for x in beamsplitter_split(e.realizations))
+        test_a = apply(pol_a, test)
+        aux_sa = apply(pol_a, apply(pol_s, aux))
+        out = FieldEnsemble(beamsplitter_combine(aux_sa.realizations, test_a.realizations))
         assert t.i_total == pytest.approx(intensity(out), abs=1e-12)
         assert t.i_test == pytest.approx(intensity(test_a), abs=1e-12)
         assert t.i_aux == pytest.approx(intensity(aux_sa), abs=1e-12)
@@ -89,14 +87,13 @@ class TestMeasureIntensities:
         basis = basis_of(sd)
         sigma, seed = 0.4, 17
         t = measure_intensities(e, 0.3, 0.8, NoiseModel(phase_jitter=sigma), seed, basis)
-        test, aux = beamsplitter_split(e)
-        test_a = apply_polarizer(test, polarizer_axis(basis, 0.3))
-        aux_sa = apply_polarizer(
-            apply_polarizer(aux, polarizer_axis(basis, 0.8)), polarizer_axis(basis, 0.3)
-        )
+        pol_a, pol_s = (polarizer_matrix(polarizer_axis(basis, x)) for x in (0.3, 0.8))
+        test, aux = (FieldEnsemble(x) for x in beamsplitter_split(e.realizations))
+        test_a = apply(pol_a, test)
+        aux_sa = apply(pol_a, apply(pol_s, aux))
         phases = np.random.default_rng(seed).normal(0.0, sigma, e.n)
-        jittered = FieldEnsemble(aux_sa.realizations * np.exp(1j * phases)[:, None])
-        out = beamsplitter_combine(jittered, test_a)
+        jittered = aux_sa.realizations * np.exp(1j * phases)[:, None]
+        out = FieldEnsemble(beamsplitter_combine(jittered, test_a.realizations))
         assert t.i_total == pytest.approx(intensity(out), abs=1e-12)
 
     def test_jitter_washout(self):
@@ -355,6 +352,12 @@ class TestScanCorrelation:
         assert row[0] == pytest.approx(0.1)
         assert row[1] == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("resamples", [5, -1])
+    def test_resample_floor(self, resamples):
+        e = synthesize_partially_polarized(0.125, 1.0, 100, 15)
+        with pytest.raises(DomainError):
+            scan_correlation(e, schmidt(e), 0.0, np.array([0.1]), resamples=resamples)
+
     def test_empty_grid_rejected(self):
         e = synthesize_partially_polarized(0.125, 1.0, 100, 15)
         sd = schmidt(e)
@@ -456,3 +459,10 @@ def test_noise_model_validation():
         NoiseModel(detector_noise=float("nan"))
     assert NoiseModel().is_ideal
     assert not NoiseModel(phase_jitter=0.1).is_ideal
+
+
+def test_noise_model_rejects_leak_above_one():
+    # extinction_ratio is a leaked power fraction
+    assert NoiseModel(extinction_ratio=1.0).extinction_ratio == 1.0
+    with pytest.raises(DomainError):
+        NoiseModel(extinction_ratio=2.0)

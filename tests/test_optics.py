@@ -7,9 +7,10 @@ from wavebell import (
     DegenerateFieldError,
     DomainError,
     FieldEnsemble,
-    apply_polarizer,
+    apply,
     beamsplitter_combine,
     beamsplitter_split,
+    chain_power,
     intensity,
     kappa_from_dop,
     reduce_polarizer_angle,
@@ -22,10 +23,10 @@ from wavebell import (
     stripping_angle_orthogonal,
     synthesize_partially_polarized,
     synthesize_schmidt_form,
-    waveplate,
+    waveplate_matrix,
 )
 from wavebell.ensemble import inner
-from wavebell.optics import FunctionBasis, LabBasis, polarizer_axis
+from wavebell.optics import FunctionBasis, LabBasis, polarizer_axis, polarizer_matrix
 
 XY = LabBasis(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
@@ -35,6 +36,11 @@ def random_lab_basis(seed):
     v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, _ = np.linalg.qr(v)
     return LabBasis(q[:, 0], q[:, 1])
+
+
+def power(x):
+    """Mean power of an (n, 2) realization array."""
+    return intensity(FieldEnsemble(x))
 
 
 class TestRotations:
@@ -81,47 +87,67 @@ class TestRotations:
 class TestPolarizer:
     def test_aligned_axis_passes(self):
         e = FieldEnsemble(np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex))
-        out = apply_polarizer(e, np.array([1.0, 0.0]))
+        out = apply(polarizer_matrix(np.array([1.0, 0.0])), e)
         assert np.allclose(out.realizations, e.realizations)
 
     def test_crossed_axis_blocks(self):
         e = FieldEnsemble(np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex))
-        out = apply_polarizer(e, np.array([0.0, 1.0]))
+        out = apply(polarizer_matrix(np.array([0.0, 1.0])), e)
         assert intensity(out) == pytest.approx(0.0, abs=1e-30)
 
     def test_malus_average_on_unpolarized(self):
         n = 40_000
         e = synthesize_partially_polarized(0.0, 1.0, n, 9)
         axis = np.array([math.cos(0.7), math.sin(0.7)])
-        ratio = intensity(apply_polarizer(e, axis)) / intensity(e)
+        ratio = intensity(apply(polarizer_matrix(axis), e)) / intensity(e)
         assert abs(ratio - 0.5) < 3.0 / math.sqrt(n)
 
     def test_non_unit_axis_rejected(self):
-        e = synthesize_partially_polarized(0.0, 1.0, 16, 0)
         with pytest.raises(DomainError):
-            apply_polarizer(e, np.array([1.0, 1.0]))
+            polarizer_matrix(np.array([1.0, 1.0]))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
         theta, phi = rng.uniform(0, math.pi, 2)
         axis = np.array([math.cos(theta), math.sin(theta) * np.exp(1j * phi)])
+        m = polarizer_matrix(axis)
+        assert np.abs(m @ m - m).max() < 1e-12
+        assert np.abs(m - m.conj().T).max() < 1e-15
         e = synthesize_partially_polarized(0.5, 1.0, 500, seed)
-        once = apply_polarizer(e, axis)
-        twice = apply_polarizer(once, axis)
+        once = apply(m, e)
+        twice = apply(m, once)
         assert np.abs(twice.realizations - once.realizations).max() < 1e-12
 
     def test_linear_in_field(self):
         e = synthesize_partially_polarized(0.5, 1.0, 200, 4)
-        axis = np.array([0.6, 0.8])
-        scaled = apply_polarizer(FieldEnsemble(2.5 * e.realizations), axis)
-        ref = apply_polarizer(e, axis)
+        m = polarizer_matrix(np.array([0.6, 0.8]))
+        scaled = apply(m, FieldEnsemble(2.5 * e.realizations))
+        ref = apply(m, e)
         assert np.abs(scaled.realizations - 2.5 * ref.realizations).max() < 1e-12
 
     def test_extinction_leakage(self):
         e = FieldEnsemble(np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex))
-        out = apply_polarizer(e, np.array([1.0, 0.0]), extinction_ratio=0.04)
+        out = apply(polarizer_matrix(np.array([1.0, 0.0]), extinction_ratio=0.04), e)
         assert intensity(out) == pytest.approx(0.04, abs=1e-15)
+
+
+class TestChain:
+    def test_apply_composes_as_matrix_product(self):
+        e = synthesize_partially_polarized(0.4, 1.0, 300, 15)
+        m1 = polarizer_matrix(np.array([0.6, 0.8j]), 0.01)
+        m2 = waveplate_matrix("quarter", 0.3)
+        stepwise = apply(m2, apply(m1, e))
+        assert np.abs(apply(m2 @ m1, e).realizations - stepwise.realizations).max() < 1e-12
+
+    def test_chain_power_matches_fields(self):
+        e = synthesize_partially_polarized(0.3, 1.7, 1000, 16)
+        _, m = beamsplitter_split(
+            polarizer_matrix(np.array([0.8, 0.6])) @ waveplate_matrix("half", 0.2)
+        )
+        assert chain_power(m, e.second_moments) == pytest.approx(
+            intensity(apply(m, e)), abs=1e-12
+        )
 
 
 class TestStrippingAngle:
@@ -187,7 +213,7 @@ class TestStrippingAction:
         sd = schmidt(field)
         fb = rotate_function_basis(FunctionBasis(sd.f1, sd.f2), b)
         s = stripping_angle(sd.kappa1, sd.kappa2, b)
-        out = apply_polarizer(field, polarizer_axis(LabBasis(sd.u1, sd.u2), s))
+        out = apply(polarizer_matrix(polarizer_axis(LabBasis(sd.u1, sd.u2), s)), field)
         assert strip_overlap(out, fb.g2, sd.intensity) < 1e-10
 
     @pytest.mark.parametrize("seed,d,b", [(3, 0.125, 0.6), (4, 0.5, -1.1), (5, 0.9, 0.2)])
@@ -197,7 +223,7 @@ class TestStrippingAction:
         sd = schmidt(field)
         fb = rotate_function_basis(FunctionBasis(sd.f1, sd.f2), b)
         sp = stripping_angle_orthogonal(sd.kappa1, sd.kappa2, b)
-        out = apply_polarizer(field, polarizer_axis(LabBasis(sd.u1, sd.u2), sp))
+        out = apply(polarizer_matrix(polarizer_axis(LabBasis(sd.u1, sd.u2), sp)), field)
         assert strip_overlap(out, fb.g1, sd.intensity) < 1e-12
 
     def test_sampled_ensemble_strip(self):
@@ -206,83 +232,90 @@ class TestStrippingAction:
         b = 0.9
         fb = rotate_function_basis(FunctionBasis(sd.f1, sd.f2), b)
         s = stripping_angle(sd.kappa1, sd.kappa2, b)
-        out = apply_polarizer(e, polarizer_axis(LabBasis(sd.u1, sd.u2), s))
+        out = apply(polarizer_matrix(polarizer_axis(LabBasis(sd.u1, sd.u2), s)), e)
         assert strip_overlap(out, fb.g2, sd.intensity) < 1e-10
 
 
 class TestBeamsplitters:
     def test_split_conserves_intensity(self):
         e = synthesize_partially_polarized(0.3, 1.7, 1000, 7)
-        test, aux = beamsplitter_split(e)
-        assert intensity(test) + intensity(aux) == pytest.approx(
-            intensity(e), abs=1e-12
-        )
+        test, aux = beamsplitter_split(e.realizations)
+        assert power(test) + power(aux) == pytest.approx(intensity(e), abs=1e-12)
 
     def test_split_outputs_proportional(self):
+        # transmit 1/sqrt2, reflect i/sqrt2
         e = synthesize_partially_polarized(0.3, 1.0, 100, 8)
-        test, aux = beamsplitter_split(e)
-        assert np.abs(aux.realizations - 1j * test.realizations).max() < 1e-15
+        test, aux = beamsplitter_split(e.realizations)
+        assert np.abs(test - e.realizations / math.sqrt(2)).max() < 1e-15
+        assert np.abs(aux - 1j * test).max() < 1e-15
 
     def test_double_split(self):
         e = synthesize_partially_polarized(0.0, 1.0, 100, 9)
-        t1, _ = beamsplitter_split(e)
+        t1, _ = beamsplitter_split(e.realizations)
         t2, _ = beamsplitter_split(t1)
-        assert intensity(t2) == pytest.approx(intensity(e) / 4.0, abs=1e-12)
+        assert power(t2) == pytest.approx(intensity(e) / 4.0, abs=1e-12)
 
     def test_combine_dark_aux(self):
         e = synthesize_partially_polarized(0.2, 1.0, 100, 10)
-        dark = FieldEnsemble(np.zeros_like(e.realizations))
-        out = beamsplitter_combine(dark, e)
-        assert intensity(out) == pytest.approx(intensity(e) / 2.0, abs=1e-12)
-        assert np.abs(out.realizations - 1j * e.realizations / math.sqrt(2)).max() < 1e-15
+        out = beamsplitter_combine(np.zeros_like(e.realizations), e.realizations)
+        assert power(out) == pytest.approx(intensity(e) / 2.0, abs=1e-12)
+        assert np.abs(out - 1j * e.realizations / math.sqrt(2)).max() < 1e-15
 
     def test_split_then_combine_reconstructs(self):
+        # combine = (aux + i test)/sqrt2
         e = synthesize_partially_polarized(0.4, 1.0, 100, 11)
-        test, aux = beamsplitter_split(e)
+        test, aux = beamsplitter_split(e.realizations)
         out = beamsplitter_combine(aux, test)
-        assert intensity(out) == pytest.approx(intensity(e), abs=1e-12)
-        assert np.abs(out.realizations - 1j * e.realizations).max() < 1e-12
+        assert power(out) == pytest.approx(intensity(e), abs=1e-12)
+        assert np.abs(out - 1j * e.realizations).max() < 1e-12
 
     def test_combine_bound(self):
-        a = synthesize_partially_polarized(0.1, 1.0, 500, 12)
-        b = synthesize_partially_polarized(0.7, 0.5, 500, 13)
+        a = synthesize_partially_polarized(0.1, 1.0, 500, 12).realizations
+        b = synthesize_partially_polarized(0.7, 0.5, 500, 13).realizations
         out = beamsplitter_combine(a, b)
-        assert intensity(out) <= intensity(a) + intensity(b) + 1e-12
+        assert power(out) <= power(a) + power(b) + 1e-12
 
     def test_mismatched_counts(self):
-        a = synthesize_partially_polarized(0.1, 1.0, 100, 1)
-        b = synthesize_partially_polarized(0.1, 1.0, 101, 1)
+        a = synthesize_partially_polarized(0.1, 1.0, 100, 1).realizations
+        b = synthesize_partially_polarized(0.1, 1.0, 101, 1).realizations
         with pytest.raises(DomainError):
             beamsplitter_combine(a, b)
+
+    def test_split_acts_on_chain_matrices(self):
+        # the same split serves a 2x2 chain matrix and the realizations
+        e = synthesize_partially_polarized(0.3, 1.0, 200, 14)
+        m = polarizer_matrix(np.array([0.6, 0.8]))
+        for chain, arm in zip(beamsplitter_split(m), beamsplitter_split(e.realizations)):
+            assert np.abs(apply(chain, e).realizations - arm @ m.T).max() < 1e-15
 
 
 class TestWaveplates:
     def test_hwp_at_zero_preserves_x(self):
         e = FieldEnsemble(np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex))
-        out = waveplate(e, "half", 0.0)
+        out = apply(waveplate_matrix("half", 0.0), e)
         s = stokes(coherence_matrix(out))
         assert s.s1 == pytest.approx(s.s0, abs=1e-12)
 
     def test_hwp_rotates_x_to_diagonal(self):
         e = FieldEnsemble(np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex))
-        out = waveplate(e, "half", math.pi / 8.0)
+        out = apply(waveplate_matrix("half", math.pi / 8.0), e)
         s = stokes(coherence_matrix(out))
         assert s.s2 == pytest.approx(s.s0, abs=1e-12)
         assert s.s1 == pytest.approx(0.0, abs=1e-12)
 
     def test_qwp_makes_circular(self):
         e = FieldEnsemble(np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex))
-        out = waveplate(e, "quarter", math.pi / 4.0)
+        out = apply(waveplate_matrix("quarter", math.pi / 4.0), e)
         s = stokes(coherence_matrix(out))
         assert abs(s.s3) == pytest.approx(s.s0, abs=1e-12)
 
     def test_unitarity(self):
         e = synthesize_partially_polarized(0.4, 1.3, 500, 14)
         for kind in ("half", "quarter"):
-            out = waveplate(e, kind, 0.7)
-            assert intensity(out) == pytest.approx(intensity(e), abs=1e-12)
+            m = waveplate_matrix(kind, 0.7)
+            assert np.abs(m.conj().T @ m - np.eye(2)).max() < 1e-15
+            assert intensity(apply(m, e)) == pytest.approx(intensity(e), abs=1e-12)
 
     def test_bad_kind(self):
-        e = synthesize_partially_polarized(0.4, 1.0, 16, 0)
         with pytest.raises(DomainError):
-            waveplate(e, "third", 0.0)
+            waveplate_matrix("third", 0.0)
