@@ -14,8 +14,10 @@ from .bell import (
     SHIPPED_LHV_MODELS,
     chsh,
     chsh_closed_form_max,
+    chsh_sum,
     correlation,
     correlation_closed_form,
+    correlation_sum,
     cosine_response_model,
     joint_probability_direct,
     joint_probability_kappa,
@@ -36,9 +38,11 @@ from .ensemble import (
     intensity,
     kappa_from_dop,
     load_ensemble_csv,
+    measured_schmidt,
     polarization_report,
     save_ensemble_csv,
     schmidt,
+    schmidt_functions,
     stokes,
     synthesize_partially_polarized,
     synthesize_schmidt_form,

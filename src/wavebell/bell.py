@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensemble import SchmidtDecomposition, inner
+from .ensemble import SchmidtDecomposition, inner, schmidt_functions
 from .errors import DomainError, ModelContractError
 from .optics import FunctionBasis, LabBasis, rotate_function_basis, rotate_lab_basis
 
@@ -29,9 +29,11 @@ __all__ = [
     "joint_probability_direct",
     "joint_probability_projected",
     "correlation",
+    "correlation_sum",
     "correlation_closed_form",
     "marginal_A",
     "chsh",
+    "chsh_sum",
     "chsh_closed_form_max",
     "max_chsh",
     "lhv_correlation",
@@ -113,7 +115,7 @@ def joint_probability_projected(
     if k not in (1, 2) or l not in (1, 2):
         raise DomainError(f"outcome indices k, l must each be 1 or 2, got ({k}, {l})")
     lab = rotate_lab_basis(LabBasis(sd.u1, sd.u2), a)
-    fun = rotate_function_basis(FunctionBasis(sd.f1, sd.f2), b)
+    fun = rotate_function_basis(FunctionBasis(*schmidt_functions(ensemble, sd)), b)
     u = lab.v1 if k == 1 else lab.v2
     f = fun.g1 if l == 1 else fun.g2
     amp_seq = ensemble.realizations @ u.conj()
@@ -121,13 +123,15 @@ def joint_probability_projected(
     return abs(amp) ** 2
 
 
+def correlation_sum(p):
+    """P11 - P12 - P21 + P22 of rows (p11, p12, p21, p22); a (4, m) array works."""
+    return p[0] - p[1] - p[2] + p[3]
+
+
 def correlation(sd: SchmidtDecomposition, a: float, b: float) -> float:
     """Joint correlation C(a, b) = P11 - P12 - P21 + P22, in [-1, 1]."""
-    return (
-        joint_probability_direct(sd, a, b, 1, 1)
-        - joint_probability_direct(sd, a, b, 1, 2)
-        - joint_probability_direct(sd, a, b, 2, 1)
-        + joint_probability_direct(sd, a, b, 2, 2)
+    return correlation_sum(
+        [joint_probability_direct(sd, a, b, k, l) for k in (1, 2) for l in (1, 2)]
     )
 
 
@@ -153,14 +157,14 @@ def marginal_A(sd: SchmidtDecomposition, a: float) -> float:
     return p1 - p2
 
 
+def chsh_sum(c):
+    """C0 - C1 + C2 + C3 of rows in :meth:`AngleSettings.pairs` order; a (4, m) array works."""
+    return c[0] - c[1] + c[2] + c[3]
+
+
 def chsh(sd: SchmidtDecomposition, settings: AngleSettings) -> float:
     """CHSH combination C(a,b) - C(a,b') + C(a',b) + C(a',b')."""
-    return (
-        correlation(sd, settings.a, settings.b)
-        - correlation(sd, settings.a, settings.b_prime)
-        + correlation(sd, settings.a_prime, settings.b)
-        + correlation(sd, settings.a_prime, settings.b_prime)
-    )
+    return chsh_sum([correlation(sd, a, b) for a, b in settings.pairs()])
 
 
 def chsh_closed_form_max(kappa1: float, kappa2: float) -> float:
@@ -227,9 +231,7 @@ def max_chsh(kappa1: float, kappa2: float) -> tuple[float, AngleSettings]:
         def corr(a, b):
             return math.cos(2 * a) * math.cos(2 * b) + k1k2 * math.sin(2 * a) * math.sin(2 * b)
 
-        return (
-            corr(s.a, s.b) - corr(s.a, s.b_prime) + corr(s.a_prime, s.b) + corr(s.a_prime, s.b_prime)
-        )
+        return chsh_sum([corr(a, b) for a, b in s.pairs()])
 
     best = value(x)
     for _ in range(100):
@@ -296,7 +298,7 @@ def lhv_chsh(model: LhvModel, settings: AngleSettings, n_samples: int, seed: int
         lhv_correlation(model, a, b, n_samples, (seed, i))
         for i, (a, b) in enumerate(settings.pairs())
     ]
-    return c[0] - c[1] + c[2] + c[3]
+    return chsh_sum(c)
 
 
 def cosine_response_model() -> LhvModel:

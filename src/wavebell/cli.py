@@ -27,7 +27,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +41,12 @@ from .bell import (
     lhv_chsh,
 )
 from .ensemble import (
-    dop,
     kappa_from_dop,
+    measured_schmidt,
     polarization_report,
     schmidt,
     synthesize_partially_polarized,
     synthesize_schmidt_form,
-    tomography,
 )
 from .errors import WavebellError
 from .interferometer import (
@@ -80,7 +79,10 @@ def parse_angle(text: str) -> float:
 
 
 def _angle_list(text: str) -> list[float]:
-    return [parse_angle(tok) for tok in str(text).split(",") if tok.strip()]
+    angles = [parse_angle(tok) for tok in str(text).split(",") if tok.strip()]
+    if not angles:
+        raise argparse.ArgumentTypeError(f"no angles in {text!r}")
+    return angles
 
 
 def _checked_text(parse):
@@ -299,9 +301,11 @@ def _scan_curves(cfg: dict):
     ens = synthesize_partially_polarized(
         cfg["dop"], cfg["intensity"], cfg["n"], cfg["seed"]
     )
-    k1, k2 = kappa_from_dop(dop(tomography(ens)))
-    sd = replace(schmidt(ens), kappa1=k1, kappa2=k2)
-    a_grid = np.arange(cfg["a_start"], cfg["a_stop"] - 1e-12, cfg["a_step"])
+    _, sd = measured_schmidt(ens)
+    try:
+        a_grid = np.arange(cfg["a_start"], cfg["a_stop"] - 1e-12, cfg["a_step"])
+    except MemoryError as exc:
+        raise WavebellError(f"angle grid too large: {exc}") from None
     noise = _noise(cfg)
     for i, b in enumerate(_angle_list(cfg["b_list"])):
         yield i, scan_correlation(

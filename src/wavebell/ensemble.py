@@ -31,6 +31,8 @@ __all__ = [
     "dop",
     "kappa_from_dop",
     "schmidt",
+    "schmidt_functions",
+    "measured_schmidt",
     "tomography",
     "polarization_report",
     "save_ensemble_csv",
@@ -122,16 +124,13 @@ class SchmidtDecomposition:
     The intensity-normalized field decomposes as
     kappa1 * u1 (x) f1 + kappa2 * u2 (x) f2 with kappa1 >= kappa2 >= 0,
     kappa1^2 + kappa2^2 = 1.  u1, u2 are orthonormal polarization (lab-space)
-    vectors; f1, f2 are orthonormal N-component function-space vectors under
-    the (1/N)-weighted inner product.
+    vectors; :func:`schmidt_functions` gives the function-space vectors f1, f2.
     """
 
     kappa1: float
     kappa2: float
     u1: np.ndarray
     u2: np.ndarray
-    f1: np.ndarray
-    f2: np.ndarray
     intensity: float
 
     def __post_init__(self):
@@ -139,12 +138,10 @@ class SchmidtDecomposition:
             raise DomainError("require kappa1 >= kappa2 >= 0")
         if abs(self.kappa1**2 + self.kappa2**2 - 1.0) > 1e-12:
             raise DomainError("kappa1^2 + kappa2^2 must equal 1")
-        for name in ("u1", "u2", "f1", "f2"):
+        for name in ("u1", "u2"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.complex128))
         if abs(np.vdot(self.u1, self.u2)) > 1e-12:
             raise DomainError("u1, u2 must be orthogonal")
-        if abs(inner(self.f1, self.f2)) > 1e-10:
-            raise DomainError("f1, f2 must be orthogonal within 1e-10")
 
     @property
     def dop(self) -> float:
@@ -302,10 +299,8 @@ def schmidt(ensemble: FieldEnsemble) -> SchmidtDecomposition:
     """Schmidt decomposition of an ensemble across lab and function space.
 
     Diagonalizes the sample coherence matrix; u1, u2 are its eigenvectors in
-    descending-eigenvalue order with kappa_i = sqrt(lambda_i / I), and f_i is
-    the normalized sequence of per-realization amplitudes along u_i.  The
-    empirical eigenbasis makes f1, f2 exactly uncorrelated in the sample, so
-    |<f1|f2>| vanishes at float accuracy.
+    descending-eigenvalue order with kappa_i = sqrt(lambda_i / I).  Works on
+    the cached 2x2 second moments only, so the result does not grow with N.
 
     For a nearly unpolarized field (DOP < 1e-12) the eigenbasis is arbitrary;
     (1, 0), (0, 1) is used as a deterministic tie-break.
@@ -315,7 +310,6 @@ def schmidt(ensemble: FieldEnsemble) -> SchmidtDecomposition:
     DegenerateFieldError
         If the ensemble carries no power.
     """
-    r = ensemble.realizations
     total = intensity(ensemble)
     if total <= 0.0:
         raise DegenerateFieldError("zero-intensity ensemble has no Schmidt form")
@@ -337,12 +331,17 @@ def schmidt(ensemble: FieldEnsemble) -> SchmidtDecomposition:
 
     kappa1 = math.sqrt(lam[0] / total)
     kappa2 = math.sqrt(lam[1] / total)
+    return SchmidtDecomposition(kappa1=kappa1, kappa2=kappa2, u1=u1, u2=u2, intensity=total)
 
-    c1 = r @ u1.conj()
-    c2 = r @ u2.conj()
-    f1 = c1 / (math.sqrt(total) * kappa1)
-    if kappa2 > 0.0:
-        f2 = c2 / (math.sqrt(total) * kappa2)
+
+def schmidt_functions(ensemble: FieldEnsemble, sd: SchmidtDecomposition) -> tuple:
+    """Function-space vectors (f1, f2) of ``ensemble`` given ``sd = schmidt(ensemble)``:
+    the per-realization amplitudes along u_i over sqrt(I) kappa_i, orthonormal
+    under the (1/N) inner product to float accuracy in the basis of :func:`schmidt`."""
+    r = ensemble.realizations
+    f1 = (r @ sd.u1.conj()) / (math.sqrt(sd.intensity) * sd.kappa1)
+    if sd.kappa2 > 0.0:
+        f2 = (r @ sd.u2.conj()) / (math.sqrt(sd.intensity) * sd.kappa2)
     else:
         # Fully polarized field: the second function-space direction never
         # appears in the data, so pick any unit vector orthogonal to f1.
@@ -355,9 +354,17 @@ def schmidt(ensemble: FieldEnsemble) -> SchmidtDecomposition:
             f2[1] = math.sqrt(n)
             f2 = f2 - inner(f1, f2) * f1
         f2 = f2 / math.sqrt(inner(f2, f2).real)
-    return SchmidtDecomposition(
-        kappa1=kappa1, kappa2=kappa2, u1=u1, u2=u2, f1=f1, f2=f2, intensity=total
-    )
+    return f1, f2
+
+
+def measured_schmidt(ensemble: FieldEnsemble) -> tuple[StokesVector, SchmidtDecomposition]:
+    """Calibrate a source as the experiment does: Schmidt weights from the
+    tomography DOP, lab basis (u1, u2) from the sample eigenvectors of
+    :func:`schmidt`.  Returns the tomography estimate and that decomposition."""
+    s = tomography(ensemble)
+    k1, k2 = kappa_from_dop(dop(s))
+    sd = schmidt(ensemble)
+    return s, SchmidtDecomposition(kappa1=k1, kappa2=k2, u1=sd.u1, u2=sd.u2, intensity=sd.intensity)
 
 
 def tomography(ensemble: FieldEnsemble) -> StokesVector:
@@ -392,18 +399,15 @@ def polarization_report(ensemble: FieldEnsemble) -> dict:
     Keys: s0, s1, s2, s3, dop, kappa1, kappa2, u1, u2.  Complex vectors are
     encoded as [[re, im], [re, im]] pairs.
     """
-    s = tomography(ensemble)
-    d = dop(s)
-    k1, k2 = kappa_from_dop(d)
-    sd = schmidt(ensemble)
+    s, sd = measured_schmidt(ensemble)
     return {
         "s0": s.s0,
         "s1": s.s1,
         "s2": s.s2,
         "s3": s.s3,
-        "dop": d,
-        "kappa1": k1,
-        "kappa2": k2,
+        "dop": dop(s),
+        "kappa1": sd.kappa1,
+        "kappa2": sd.kappa2,
         "u1": _complex_pairs(sd.u1),
         "u2": _complex_pairs(sd.u2),
     }

@@ -25,21 +25,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bell import AngleSettings, joint_probability_kappa, max_chsh
+from .bell import AngleSettings, chsh_sum, correlation_sum, joint_probability_kappa, max_chsh
 from .ensemble import (
     FieldEnsemble,
     SchmidtDecomposition,
     dop,
     intensity,
-    kappa_from_dop,
-    schmidt,
+    measured_schmidt,
     synthesize_partially_polarized,
-    tomography,
 )
 from .errors import DomainError, ExtractionError, StrippedBeamError
 from .optics import (
@@ -143,15 +141,16 @@ def measure_intensities(
     s: float,
     noise: NoiseModel = NoiseModel(),
     seed=0,
-    basis: LabBasis | None = None,
+    *,
+    basis: LabBasis,
 ) -> IntensityTriple:
     """Simulate one shutter sequence of the two-arm measurement.
 
     Splits the input beam, applies polarizer ``a`` to the test arm and
     polarizers ``s`` then ``a`` to the auxiliary arm, recombines, and
     returns the three detector intensities.  Polarizer angles are measured
-    relative to ``basis`` (the ensemble's Schmidt basis when omitted).
-    Deterministic for a given ``seed``.
+    relative to ``basis`` (normally the ensemble's Schmidt basis).
+    Deterministic for a given ``seed``; phase jitter is drawn before detector noise.
 
     Each arm is a chain of linear elements, so the chain is composed into a
     single Jones matrix before touching the realizations; an ensemble-mean
@@ -160,9 +159,6 @@ def measure_intensities(
     exactly.  Phase jitter varies per realization, so that case falls back
     to the per-realization fields.
     """
-    if basis is None:
-        sd = schmidt(ensemble)
-        basis = LabBasis(sd.u1, sd.u2)
     source_intensity = intensity(ensemble)
 
     eps = noise.extinction_ratio
@@ -171,7 +167,8 @@ def measure_intensities(
     test_chain, _ = beamsplitter_split(pol_a)         # split transmit, polarizer a
     _, aux_chain = beamsplitter_split(pol_a @ pol_s)  # split reflect, polarizers s then a
 
-    rng = np.random.default_rng(seed)
+    if noise.phase_jitter > 0.0 or noise.detector_noise > 0.0:
+        rng = np.random.default_rng(seed)
     if noise.phase_jitter > 0.0:
         test_arm = apply(test_chain, ensemble).realizations
         aux_arm = apply(aux_chain, ensemble).realizations
@@ -287,7 +284,7 @@ def measure_correlation(
         for k in (1, 2)
         for l in (1, 2)
     ]
-    return p[0] - p[1] - p[2] + p[3], (p[0], p[1], p[2], p[3])
+    return correlation_sum(p), tuple(p)
 
 
 @dataclass(frozen=True)
@@ -370,14 +367,6 @@ def _measure_pairs(
     )
 
 
-def _correlations(ps: np.ndarray) -> np.ndarray:
-    return ps[:, 0] - ps[:, 1] - ps[:, 2] + ps[:, 3]
-
-
-def _chsh(c: np.ndarray) -> float:
-    return float(c[0] - c[1] + c[2] + c[3])
-
-
 def scan_correlation(
     ensemble: FieldEnsemble,
     sd: SchmidtDecomposition,
@@ -400,7 +389,7 @@ def scan_correlation(
     pairs = [(float(a), b) for a in a_grid]
 
     def correlations(e: FieldEnsemble, run_idx: int) -> np.ndarray:
-        return _correlations(_measure_pairs(e, sd, pairs, noise, base, run_idx))
+        return correlation_sum(_measure_pairs(e, sd, pairs, noise, base, run_idx).T)
 
     ps = _measure_pairs(ensemble, sd, pairs, noise, base, 0)
     if resamples:
@@ -414,7 +403,7 @@ def scan_correlation(
         p12=ps[:, 1],
         p21=ps[:, 2],
         p22=ps[:, 3],
-        c=_correlations(ps),
+        c=correlation_sum(ps.T),
         c_err=c_err,
     )
 
@@ -494,8 +483,9 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
     source = synthesize_partially_polarized(
         config.dop, config.intensity, config.n, config.seed
     )
-    dop_est = dop(tomography(source))
-    k1, k2 = kappa_from_dop(dop_est)
+    stokes_est, sd = measured_schmidt(source)
+    dop_est = dop(stokes_est)
+    k1, k2 = sd.kappa1, sd.kappa2
 
     if config.settings is None:
         _, settings = max_chsh(k1, k2)
@@ -514,18 +504,17 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
         )
     else:
         method = "interferometer"
-        sd = replace(schmidt(source), kappa1=k1, kappa2=k2)
         base = (config.seed,)
 
         def chsh_and_correlations(e: FieldEnsemble, run_idx: int) -> list[float]:
-            c = _correlations(_measure_pairs(e, sd, pairs, config.noise, base, run_idx))
-            return [_chsh(c), *c]
+            c = correlation_sum(_measure_pairs(e, sd, pairs, config.noise, base, run_idx).T)
+            return [chsh_sum(c), *c]
 
         ps = _measure_pairs(source, sd, pairs, config.noise, base, 0)
         if config.resamples:
             errs = _bootstrap_std(source, chsh_and_correlations, config.resamples, base)
 
-    c = _correlations(ps)
+    c = correlation_sum(ps.T)
     results = tuple(
         SettingResult(alpha, beta, *map(float, p), c=float(c_i), c_err=float(err))
         for (alpha, beta), p, c_i, err in zip(pairs, ps, c, errs[1:])
@@ -538,7 +527,7 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
         seed=config.seed,
         noise=config.noise,
         settings=settings,
-        chsh=_chsh(c),
+        chsh=float(chsh_sum(c)),
         chsh_err=float(errs[0]),
         probabilities=results,
         method=method,

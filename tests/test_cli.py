@@ -324,6 +324,12 @@ BAD_INPUTS = {
     "config-three-settings": lambda tmp: ["chsh", "--config",
                                           _write_config(tmp, {"settings": [0, 0, 0]})],
     "config-bad-format": lambda tmp: ["chsh", "--config", _write_config(tmp, {"fmt": "xml"})],
+    "empty-b-list": lambda tmp: ["scan", "--b-list", ",", "--out", str(tmp / "scan")],
+    "config-empty-b-list": lambda tmp: ["scan", "--out", str(tmp / "scan"), "--config",
+                                        _write_config(tmp, {"b_list": ","})],
+    # a 1e18-point grid: the allocation fails at once, touching no memory
+    "unallocatable-a-grid": lambda tmp: ["scan", "--n", "2000", "--format", "json",
+                                         "--a-stop", "1e9", "--a-step", "1e-9"],
 }
 
 

@@ -14,9 +14,11 @@ from wavebell import (
     intensity,
     kappa_from_dop,
     load_ensemble_csv,
+    measured_schmidt,
     polarization_report,
     save_ensemble_csv,
     schmidt,
+    schmidt_functions,
     stokes,
     synthesize_partially_polarized,
     synthesize_schmidt_form,
@@ -215,11 +217,33 @@ class TestSchmidt:
         measured_dop = dop(stokes(coherence_matrix(e)))
         assert sd.kappa1**2 - sd.kappa2**2 == pytest.approx(measured_dop, abs=1e-10)
         assert abs(np.vdot(sd.u1, sd.u2)) < 1e-12
-        assert abs(inner(sd.f1, sd.f2)) < 1e-10
+        f1, f2 = schmidt_functions(e, sd)
+        assert abs(inner(f1, f2)) < 1e-10
         recon = math.sqrt(sd.intensity) * (
-            sd.kappa1 * np.outer(sd.f1, sd.u1) + sd.kappa2 * np.outer(sd.f2, sd.u2)
+            sd.kappa1 * np.outer(f1, sd.u1) + sd.kappa2 * np.outer(f2, sd.u2)
         )
         assert np.abs(recon - e.realizations).max() < 1e-10
+
+    def test_record_does_not_grow_with_n(self):
+        e = synthesize_partially_polarized(0.3, 1.0, 4000, 2)
+        sd = schmidt(e)
+        arrays = [v for v in vars(sd).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(e.n not in v.shape for v in arrays)
+
+    def test_fully_polarized_functions_complete_the_basis(self):
+        from wavebell import joint_probability_direct, joint_probability_projected
+        from wavebell.optics import FunctionBasis
+
+        e = synthesize_partially_polarized(1.0, 1.0, 500, 3)
+        sd = schmidt(e)
+        assert sd.kappa2 == 0.0
+        FunctionBasis(*schmidt_functions(e, sd))
+        for a, b in [(0.0, 0.0), (0.4, -1.2), (2.1, 0.7)]:
+            for k in (1, 2):
+                for l in (1, 2):
+                    assert joint_probability_projected(e, sd, a, b, k, l) == pytest.approx(
+                        joint_probability_direct(sd, a, b, k, l), abs=1e-12
+                    )
 
     def test_schmidt_form_synthesis_exact(self):
         k1, k2 = kappa_from_dop(0.37)
@@ -284,3 +308,17 @@ def test_polarization_report_fields():
     assert list(report) == ["s0", "s1", "s2", "s3", "dop", "kappa1", "kappa2", "u1", "u2"]
     assert report["kappa1"] == pytest.approx(0.75, abs=0.05)
     assert np.asarray(report["u1"]).shape == (2, 2)
+
+
+def test_measured_schmidt_is_the_calibration_rule():
+    # weights from the tomography DOP, basis from the sample eigenvectors
+    e = synthesize_partially_polarized(0.2, 1.5, 5000, 14)
+    s, sd = measured_schmidt(e)
+    assert s == tomography(e)
+    assert (sd.kappa1, sd.kappa2) == kappa_from_dop(dop(tomography(e)))
+    eig = schmidt(e)
+    assert np.array_equal(sd.u1, eig.u1) and np.array_equal(sd.u2, eig.u2)
+    assert sd.intensity == eig.intensity
+    report = polarization_report(e)
+    assert (report["kappa1"], report["kappa2"]) == (sd.kappa1, sd.kappa2)
+    assert report["dop"] == dop(s)

@@ -26,6 +26,7 @@ from wavebell import (
     measure_correlation,
     measure_intensities,
     measure_joint_probability,
+    measured_schmidt,
     run_bell_protocol,
     scan_correlation,
     schmidt,
@@ -86,7 +87,7 @@ class TestMeasureIntensities:
         sd = schmidt(e)
         basis = basis_of(sd)
         sigma, seed = 0.4, 17
-        t = measure_intensities(e, 0.3, 0.8, NoiseModel(phase_jitter=sigma), seed, basis)
+        t = measure_intensities(e, 0.3, 0.8, NoiseModel(phase_jitter=sigma), seed, basis=basis)
         pol_a, pol_s = (polarizer_matrix(polarizer_axis(basis, x)) for x in (0.3, 0.8))
         test, aux = (FieldEnsemble(x) for x in beamsplitter_split(e.realizations))
         test_a = apply(pol_a, test)
@@ -401,6 +402,14 @@ class TestRunBellProtocol:
         assert rep.chsh == pytest.approx(2.817356917396161, abs=0.02)
         assert rep.chsh_err >= 0.0
         assert rep.method == "interferometer"
+
+    @pytest.mark.parametrize("dop", [0.125, 1.0])
+    def test_kappa_is_the_measured_calibration(self, dop):
+        cfg = ProtocolConfig(dop=dop, n=3000, seed=37, resamples=0)
+        rep = run_bell_protocol(cfg)
+        source = synthesize_partially_polarized(cfg.dop, cfg.intensity, cfg.n, cfg.seed)
+        _, sd = measured_schmidt(source)
+        assert (rep.kappa1, rep.kappa2) == (sd.kappa1, sd.kappa2)
 
     def test_fully_polarized_fallback(self):
         rep = run_bell_protocol(ProtocolConfig(dop=1.0, n=1000, seed=34, resamples=0))
