@@ -59,6 +59,8 @@ from .interferometer import (
 
 _DEFAULT_N = 100_000
 _DEFAULT_B_LIST = ",".join(f"{i * math.pi / 12.0!r}" for i in range(12))
+# Largest scan grid: 111 times the default 90 points.
+_MAX_A_POINTS = 10_000
 
 
 def parse_angle(text: str) -> float:
@@ -297,15 +299,23 @@ def cmd_source(cfg: dict) -> int:
     return 0
 
 
-def _scan_curves(cfg: dict):
+def _a_grid(cfg: dict) -> np.ndarray:
+    # np.arange gives ceil((stop - start) / step) points; bound that count
+    # before allocating, so a tiny step fails at once instead of running for hours
+    points = (cfg["a_stop"] - cfg["a_start"]) / cfg["a_step"]
+    if points > _MAX_A_POINTS:
+        raise WavebellError(
+            f"the a grid would have {points:.6g} points, more than the limit of {_MAX_A_POINTS}; "
+            "raise --a-step or narrow --a-start/--a-stop"
+        )
+    return np.arange(cfg["a_start"], cfg["a_stop"] - 1e-12, cfg["a_step"])
+
+
+def _scan_curves(cfg: dict, a_grid: np.ndarray):
     ens = synthesize_partially_polarized(
         cfg["dop"], cfg["intensity"], cfg["n"], cfg["seed"]
     )
     _, sd = measured_schmidt(ens)
-    try:
-        a_grid = np.arange(cfg["a_start"], cfg["a_stop"] - 1e-12, cfg["a_step"])
-    except MemoryError as exc:
-        raise WavebellError(f"angle grid too large: {exc}") from None
     noise = _noise(cfg)
     for i, b in enumerate(_angle_list(cfg["b_list"])):
         yield i, scan_correlation(
@@ -315,19 +325,20 @@ def _scan_curves(cfg: dict):
 
 def cmd_scan(cfg: dict) -> int:
     """measure correlation curves over an angle grid"""
+    a_grid = _a_grid(cfg)
     if cfg["fmt"] == "csv":
         if cfg["out"] is None:
             raise WavebellError("scan with csv output needs --out DIRECTORY")
         outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
-        for i, curve in _scan_curves(cfg):
+        for i, curve in _scan_curves(cfg, a_grid):
             curve.to_csv(outdir / f"curve_{i:02d}.csv")
         (outdir / "scan_config.json").write_text(
             json.dumps({"config": _echo(cfg)}, indent=2) + "\n", encoding="utf-8"
         )
     else:
         curves = []
-        for i, curve in _scan_curves(cfg):
+        for i, curve in _scan_curves(cfg, a_grid):
             curves.append(
                 {
                     "b_rad": curve.b,

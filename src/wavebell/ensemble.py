@@ -372,20 +372,22 @@ def tomography(ensemble: FieldEnsemble) -> StokesVector:
 
     Classic polarimetry sequence: horizontal/vertical, diagonal/antidiagonal
     polarizer projections, then a quarter-wave plate at pi/4 followed by
-    horizontal/vertical projections for the circular pair.  On noiseless
-    elements this reproduces the direct moment computation exactly.
+    horizontal/vertical projections for the circular pair.  Each reading is
+    the mean power behind its element chain, a quadratic form in the cached
+    second moments J, so no projected copy of the realizations is made.  On
+    noiseless elements this reproduces the direct moment computation to
+    rounding.
     """
-    from .optics import apply, polarizer_matrix as pol, waveplate_matrix
+    from .optics import chain_power, polarizer_matrix as pol, waveplate_matrix
 
     rt2 = math.sqrt(2.0)
-    h, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    i_h = intensity(apply(pol(h), ensemble))
-    i_v = intensity(apply(pol(v), ensemble))
-    i_d = intensity(apply(pol(np.array([1.0, 1.0]) / rt2), ensemble))
-    i_a = intensity(apply(pol(np.array([1.0, -1.0]) / rt2), ensemble))
-    circ = apply(waveplate_matrix("quarter", math.pi / 4.0), ensemble)
-    i_r = intensity(apply(pol(h), circ))
-    i_l = intensity(apply(pol(v), circ))
+    h, v = pol(np.array([1.0, 0.0])), pol(np.array([0.0, 1.0]))
+    d, a = pol(np.array([1.0, 1.0]) / rt2), pol(np.array([1.0, -1.0]) / rt2)
+    qwp = waveplate_matrix("quarter", math.pi / 4.0)
+    j = ensemble.second_moments
+    i_h, i_v, i_d, i_a, i_r, i_l = (
+        chain_power(m, j) for m in (h, v, d, a, h @ qwp, v @ qwp)
+    )
     return StokesVector(s0=i_h + i_v, s1=i_h - i_v, s2=i_d - i_a, s3=i_r - i_l)
 
 

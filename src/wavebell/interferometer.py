@@ -42,7 +42,6 @@ from .ensemble import (
 from .errors import DomainError, ExtractionError, StrippedBeamError
 from .optics import (
     LabBasis,
-    apply,
     beamsplitter_combine,
     beamsplitter_split,
     chain_power,
@@ -131,10 +130,6 @@ class IntensityTriple:
                 raise DomainError(f"{name} must be finite and >= 0, got {v}")
 
 
-def _mean_power(fields: np.ndarray) -> float:
-    return float(np.sum(fields.real**2 + fields.imag**2) / fields.shape[0])
-
-
 def measure_intensities(
     ensemble: FieldEnsemble,
     a: float,
@@ -154,10 +149,13 @@ def measure_intensities(
 
     Each arm is a chain of linear elements, so the chain is composed into a
     single Jones matrix before touching the realizations; an ensemble-mean
-    power is then a quadratic form in the cached sample second moments.
-    Both shortcuts reproduce the element-by-element field computation
-    exactly.  Phase jitter varies per realization, so that case falls back
-    to the per-realization fields.
+    power is then a quadratic form in the cached sample second moments J.
+    Both shortcuts reproduce the element-by-element field computation to
+    rounding.  Phase jitter varies per realization, so only the
+    interference term of the both-arms-open reading changes: it is a
+    quadratic form in the phase-weighted moments
+    K_pq = (1/N) sum_n exp(-i phi_n) conj(Ep_n) Eq_n, computed in one pass
+    over the realizations.  The arm readings stay quadratic forms in J.
     """
     source_intensity = intensity(ensemble)
 
@@ -167,27 +165,29 @@ def measure_intensities(
     test_chain, _ = beamsplitter_split(pol_a)         # split transmit, polarizer a
     _, aux_chain = beamsplitter_split(pol_a @ pol_s)  # split reflect, polarizers s then a
 
+    moments = ensemble.second_moments
+    # shuttered readings: each arm alone, at half power behind the recombiner
+    test_reading = chain_power(test_chain, moments) / 2.0
+    aux_reading = chain_power(aux_chain, moments) / 2.0
     if noise.phase_jitter > 0.0 or noise.detector_noise > 0.0:
         rng = np.random.default_rng(seed)
     if noise.phase_jitter > 0.0:
-        test_arm = apply(test_chain, ensemble).realizations
-        aux_arm = apply(aux_chain, ensemble).realizations
+        # The output field is out_aux exp(i phi) E + out_test E, with each
+        # arm's share of the recombiner output; its mean power is the two
+        # shuttered readings plus the interference term in K.
+        zero = np.zeros((2, 2))
+        out_aux = beamsplitter_combine(aux_chain, zero)
+        out_test = beamsplitter_combine(zero, test_chain)
         phases = rng.normal(0.0, noise.phase_jitter, ensemble.n)
-        aux_arm = aux_arm * np.exp(1j * phases)[:, None]
-        combined = beamsplitter_combine(aux_arm, test_arm)
-        readings = np.array(
-            [_mean_power(combined), _mean_power(test_arm) / 2.0, _mean_power(aux_arm) / 2.0]
-        )
+        r = ensemble.realizations
+        weighted = r.conj()
+        weighted *= np.exp(-1j * phases)[:, None]
+        k = weighted.T @ r / ensemble.n
+        cross = float(np.sum((out_aux.conj().T @ out_test) * k).real)
+        total = test_reading + aux_reading + 2.0 * cross
     else:
-        moments = ensemble.second_moments
-        out_chain = beamsplitter_combine(aux_chain, test_chain)
-        readings = np.array(
-            [
-                chain_power(out_chain, moments),
-                chain_power(test_chain, moments) / 2.0,
-                chain_power(aux_chain, moments) / 2.0,
-            ]
-        )
+        total = chain_power(beamsplitter_combine(aux_chain, test_chain), moments)
+    readings = np.array([total, test_reading, aux_reading])
     if noise.detector_noise > 0.0:
         readings += rng.normal(0.0, noise.detector_noise * source_intensity, 3)
         readings = np.maximum(readings, 0.0)
@@ -323,11 +323,20 @@ def _check_resamples(resamples: int) -> None:
         raise DomainError(f"use at least 10 bootstrap resamples, got {resamples}")
 
 
+@dataclass(frozen=True, eq=False)
+class _ResampledMoments:
+    """A bootstrap resample seen only through its second moments; stands in
+    for the resampled ensemble of a statistic that reads nothing else."""
+
+    second_moments: np.ndarray
+
+
 def _bootstrap_std(
     ensemble: FieldEnsemble,
     statistic: Callable[[FieldEnsemble, int], float | np.ndarray],
     resamples: int,
     base: tuple,
+    reads_fields: bool,
 ) -> np.ndarray:
     """Standard deviation of ``statistic`` over bootstrap resamples.
 
@@ -335,16 +344,35 @@ def _bootstrap_std(
     ``base + (_BOOT_TAG,)`` and calls ``statistic(ensemble_r, r + 1)``; the
     second argument keys the resample's measurement-noise streams, with 0
     left to the unresampled run.
+
+    With ``reads_fields`` the statistic gets the gathered realizations
+    ``FieldEnsemble(realizations[idx])``.  Otherwise it reads only
+    ``second_moments``, which for a resample are ``counts @ Q / n``: the
+    realization counts of the draw times the per-realization
+    (|Ex|^2, |Ey|^2, Re Ex* Ey, Im Ex* Ey), built once.  No copy of the
+    realizations is made then.
     """
     _check_resamples(resamples)
     rng = np.random.default_rng(base + (_BOOT_TAG,))
+    n = ensemble.n
+    if not reads_fields:
+        x, y = ensemble.realizations.T
+        xy = x.conj() * y
+        q = np.column_stack([x.real**2 + x.imag**2, y.real**2 + y.imag**2, xy.real, xy.imag])
+        del xy
     values = []
     for r in range(resamples):
-        idx = rng.integers(0, ensemble.n, ensemble.n)
-        # kept in a variable so each copy is freed only after the next one
-        # exists: with glibc's heap reuse this kept the peak RSS of repeated
-        # n=1e6 runs ~15 MB lower (Linux, numpy 2.4)
-        resampled = FieldEnsemble(ensemble.realizations[idx])
+        idx = rng.integers(0, n, n)
+        if reads_fields:
+            # kept in a variable so each copy is freed only after the next one
+            # exists: with glibc's heap reuse this kept the peak RSS of repeated
+            # n=1e6 runs ~15 MB lower (Linux, numpy 2.4)
+            resampled = FieldEnsemble(ensemble.realizations[idx])
+        else:
+            jxx, jyy, re_xy, im_xy = np.bincount(idx, minlength=n) @ q / n
+            resampled = _ResampledMoments(
+                np.array([[jxx, re_xy + 1j * im_xy], [re_xy - 1j * im_xy, jyy]])
+            )
         values.append(statistic(resampled, r + 1))
     return np.std(np.asarray(values, dtype=float), axis=0, ddof=1)
 
@@ -393,7 +421,9 @@ def scan_correlation(
 
     ps = _measure_pairs(ensemble, sd, pairs, noise, base, 0)
     if resamples:
-        c_err = _bootstrap_std(ensemble, correlations, resamples, base)
+        c_err = _bootstrap_std(
+            ensemble, correlations, resamples, base, reads_fields=noise.phase_jitter > 0.0
+        )
     else:
         c_err = np.zeros(a_grid.size)
     return CorrelationCurve(
@@ -512,7 +542,10 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
 
         ps = _measure_pairs(source, sd, pairs, config.noise, base, 0)
         if config.resamples:
-            errs = _bootstrap_std(source, chsh_and_correlations, config.resamples, base)
+            errs = _bootstrap_std(
+                source, chsh_and_correlations, config.resamples, base,
+                reads_fields=config.noise.phase_jitter > 0.0,
+            )
 
     c = correlation_sum(ps.T)
     results = tuple(
@@ -545,7 +578,10 @@ def bootstrap_error(
     Resamples realizations with replacement, re-runs ``pipeline`` on each
     resampled ensemble, and returns the standard deviation across resamples
     (elementwise for array-valued pipelines).  Deterministic given ``seed``.
+    ``pipeline`` may read anything of the ensemble, so each resample is a
+    gathered copy of the realizations; the protocol's own bootstrap passes
+    resample moments instead wherever its statistic reads only those.
     """
     base = seed if isinstance(seed, tuple) else (seed,)
-    out = _bootstrap_std(ensemble, lambda e, _: pipeline(e), resamples, base)
+    out = _bootstrap_std(ensemble, lambda e, _: pipeline(e), resamples, base, reads_fields=True)
     return float(out) if out.ndim == 0 else out

@@ -327,9 +327,12 @@ BAD_INPUTS = {
     "empty-b-list": lambda tmp: ["scan", "--b-list", ",", "--out", str(tmp / "scan")],
     "config-empty-b-list": lambda tmp: ["scan", "--out", str(tmp / "scan"), "--config",
                                         _write_config(tmp, {"b_list": ","})],
-    # a 1e18-point grid: the allocation fails at once, touching no memory
+    # grids above the point cap: 1e18 points (unallocatable) and 3.1e6 points
+    # (allocatable, but about 12.6M scalar measurements)
     "unallocatable-a-grid": lambda tmp: ["scan", "--n", "2000", "--format", "json",
                                          "--a-stop", "1e9", "--a-step", "1e-9"],
+    "huge-a-grid": lambda tmp: ["scan", "--n", "2000", "--resamples", "0", "--format", "json",
+                                "--b-list", "0", "--a-step", "1e-6"],
 }
 
 
@@ -337,7 +340,7 @@ BAD_INPUTS = {
 def test_bad_input_exits_1_with_one_line(tmp_path, case):
     proc = subprocess.run(
         [sys.executable, "-m", "wavebell.cli", *BAD_INPUTS[case](tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr

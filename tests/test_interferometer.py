@@ -452,6 +452,80 @@ class TestRunBellProtocol:
             ProtocolConfig(dop=0.1, n=100, seed=0, resamples=5)
 
 
+def gathered_bootstrap_std(source, correlations, resamples, base):
+    """Reference bootstrap: resample r gathers FieldEnsemble(realizations[idx])
+    with idx drawn from the index stream base + (715,), and its measurement
+    noise streams are keyed by run r + 1."""
+    rng = np.random.default_rng(base + (715,))
+    values = []
+    for r in range(resamples):
+        idx = rng.integers(0, source.n, source.n)
+        values.append(correlations(FieldEnsemble(source.realizations[idx]), r + 1))
+    return np.std(np.asarray(values), axis=0, ddof=1)
+
+
+def protocol_reference(cfg, rep):
+    """Gathered-copy bootstrap errors of a run_bell_protocol report:
+    (chsh_err, [c_err per setting])."""
+    source = synthesize_partially_polarized(cfg.dop, cfg.intensity, cfg.n, cfg.seed)
+    _, sd = measured_schmidt(source)
+    pairs = rep.settings.pairs()
+
+    def chsh_and_correlations(e, run):
+        c = [measure_correlation(e, sd, a, b, cfg.noise, (cfg.seed, run, i))[0]
+             for i, (a, b) in enumerate(pairs)]
+        return [c[0] - c[1] + c[2] + c[3], *c]
+
+    errs = gathered_bootstrap_std(source, chsh_and_correlations, cfg.resamples, (cfg.seed,))
+    return errs[0], errs[1:]
+
+
+IDEAL_AND_MOMENT_NOISE = [
+    NoiseModel(),
+    NoiseModel(extinction_ratio=1e-3),
+    NoiseModel(detector_noise=1e-3),
+]
+
+
+class TestResampleCounts:
+    """Statistics that read only the second moments are bootstrapped from
+    resample counts; they must agree with gathering each resample's fields."""
+
+    @pytest.mark.parametrize("noise", IDEAL_AND_MOMENT_NOISE)
+    def test_protocol_errors_match_gathered_copies(self, noise):
+        cfg = ProtocolConfig(dop=0.125, n=2000, seed=38, noise=noise, resamples=12)
+        rep = run_bell_protocol(cfg)
+        chsh_err, c_err = protocol_reference(cfg, rep)
+        assert rep.chsh_err == pytest.approx(chsh_err, rel=1e-10, abs=0.0)
+        assert [p.c_err for p in rep.probabilities] == pytest.approx(c_err, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("noise", IDEAL_AND_MOMENT_NOISE)
+    def test_scan_errors_match_gathered_copies(self, noise):
+        e = synthesize_partially_polarized(0.125, 1.0, 2000, 39)
+        _, sd = measured_schmidt(e)
+        # b = 0 crosses polarizer and stripping axes, so the fallback runs too
+        b, grid, base = 0.0, np.linspace(0.0, math.pi, 7, endpoint=False), (39, 2)
+        curve = scan_correlation(e, sd, b, grid, noise=noise, seed=base, resamples=11)
+
+        def correlations(resampled, run):
+            return [measure_correlation(resampled, sd, a, b, noise, base + (run, i))[0]
+                    for i, a in enumerate(grid)]
+
+        expected = gathered_bootstrap_std(e, correlations, 11, base)
+        # at a = 0, C = 1 in every resample: c_err there is rounding noise
+        assert curve.c_err[1:] == pytest.approx(expected[1:], rel=1e-10, abs=0.0)
+        assert curve.c_err[0] == pytest.approx(expected[0], abs=1e-14)
+
+    def test_jitter_resamples_gather_fields(self):
+        cfg = ProtocolConfig(dop=0.125, n=2000, seed=40,
+                             noise=NoiseModel(phase_jitter=0.1), resamples=10)
+        rep = run_bell_protocol(cfg)
+        chsh_err, c_err = protocol_reference(cfg, rep)
+        assert rep.chsh_err == pytest.approx(chsh_err, rel=1e-12, abs=0.0)
+        assert [p.c_err for p in rep.probabilities] == pytest.approx(c_err, rel=1e-12, abs=0.0)
+        assert run_bell_protocol(cfg) == rep
+
+
 def test_measure_correlation_consistency():
     e = synthesize_partially_polarized(0.125, 1.0, 5000, 41)
     sd = schmidt(e)
