@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -52,6 +53,7 @@ from .errors import WavebellError
 from .interferometer import (
     NoiseModel,
     ProtocolConfig,
+    measure_correlation,
     measure_joint_probability,
     run_bell_protocol,
     scan_correlation,
@@ -115,6 +117,12 @@ def _positive_angle(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative angle token (-45deg, -1e-1, -.5rad) is a value, not an option
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?(deg|rad)?$", re.I)
+
     # usage errors exit 1 (argparse default is 2, reserved here for
     # validation failures) with one line on stderr
     def error(self, message):
@@ -308,7 +316,10 @@ def _a_grid(cfg: dict) -> np.ndarray:
             f"the a grid would have {points:.6g} points, more than the limit of {_MAX_A_POINTS}; "
             "raise --a-step or narrow --a-start/--a-stop"
         )
-    return np.arange(cfg["a_start"], cfg["a_stop"] - 1e-12, cfg["a_step"])
+    grid = np.arange(cfg["a_start"], cfg["a_stop"] - 1e-12, cfg["a_step"])
+    if grid.size == 0:
+        raise WavebellError("the a grid from --a-start to --a-stop (exclusive) has no points")
+    return grid
 
 
 def _scan_curves(cfg: dict, a_grid: np.ndarray):
@@ -429,11 +440,7 @@ def _validate_checks(cfg: dict):
     # 3: the four measured probabilities at one setting sum to 1.
     field = synthesize_partially_polarized(0.125, 1.0, n, cfg["seed"] + 17)
     sd = schmidt(field)
-    total = sum(
-        measure_joint_probability(field, sd, 0.37, 0.81, k, l, noise, (cfg["seed"], 3, k, l))
-        for k in (1, 2)
-        for l in (1, 2)
-    )
+    total = sum(measure_correlation(field, sd, 0.37, 0.81, noise, (cfg["seed"], 3))[1])
     yield ("probability-completeness-measured", abs(total - 1.0) <= tol,
            f"|sum - 1| = {abs(total - 1.0):.3e} (tol {tol:.3e})")
 

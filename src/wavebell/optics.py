@@ -105,28 +105,28 @@ def rotate_function_basis(basis: FunctionBasis, b: float) -> FunctionBasis:
     return FunctionBasis(c * basis.g1 - s * basis.g2, s * basis.g1 + c * basis.g2)
 
 
-def polarizer_axis(basis: LabBasis, angle: float) -> np.ndarray:
-    """Transmission axis of a polarizer at ``angle`` relative to ``basis``."""
-    return rotate_lab_basis(basis, angle).v1
-
-
-def _orthogonal_axis(axis: np.ndarray) -> np.ndarray:
-    return np.array([-axis[1].conjugate(), axis[0].conjugate()], dtype=np.complex128)
+def polarizer_axis(basis: LabBasis, angle: float | np.ndarray) -> np.ndarray:
+    """Transmission axis of a polarizer at ``angle`` relative to ``basis``: the
+    first vector of the basis rotated by ``angle``.  An array of angles gives
+    one axis per angle, shape ``angle.shape + (2,)``."""
+    angle = np.asarray(angle, dtype=float)[..., None]
+    return np.cos(angle) * basis.v1 - np.sin(angle) * basis.v2
 
 
 def polarizer_matrix(axis: np.ndarray, extinction_ratio: float = 0.0) -> np.ndarray:
     """2x2 Jones matrix of a polarizer: projector onto ``axis`` plus, for an
     imperfect element, sqrt(extinction_ratio) times the projector onto the
-    blocked axis (extinction_ratio is the leaked power fraction)."""
+    blocked axis (extinction_ratio is the leaked power fraction).  A stack
+    of axes, shape (..., 2), gives a stack of matrices, shape (..., 2, 2)."""
     axis = np.asarray(axis, dtype=np.complex128)
-    if axis.shape != (2,) or abs(np.vdot(axis, axis) - 1.0) > 1e-9:
+    if axis.shape[-1:] != (2,) or np.any(np.abs(np.sum(axis.conj() * axis, axis=-1) - 1.0) > 1e-9):
         raise DomainError("polarizer axis must be a 2-component unit vector")
     if extinction_ratio < 0.0 or not math.isfinite(extinction_ratio):
         raise DomainError("extinction ratio must be finite and >= 0")
-    m = np.outer(axis, axis.conj())
+    m = axis[..., :, None] * axis.conj()[..., None, :]
     if extinction_ratio > 0.0:
-        perp = _orthogonal_axis(axis)
-        m = m + math.sqrt(extinction_ratio) * np.outer(perp, perp.conj())
+        perp = np.stack([-axis[..., 1].conj(), axis[..., 0].conj()], axis=-1)
+        m = m + math.sqrt(extinction_ratio) * (perp[..., :, None] * perp.conj()[..., None, :])
     return m
 
 
@@ -213,7 +213,17 @@ def apply(m: np.ndarray, ensemble: FieldEnsemble) -> FieldEnsemble:
     return FieldEnsemble(ensemble.realizations @ m.T, seed=None)
 
 
-def chain_power(m: np.ndarray, moments: np.ndarray) -> float:
+def chain_power(m: np.ndarray, moments: np.ndarray) -> float | np.ndarray:
     """Ensemble-mean power behind the Jones matrix ``m``, from the sample
-    second moments J_pq = <Ep* Eq>: mean ||m E||^2 = sum_pq (m+ m)_pq J_pq."""
-    return float(np.sum((m.conj().T @ m) * moments).real)
+    second moments J_pq = <Ep* Eq>: mean ||m E||^2 = sum_pq (m+ m)_pq J_pq.
+
+    Stacks of chains (..., 2, 2) and of moment matrices broadcast against
+    each other and give an array of powers; one chain and one J give a float.
+    """
+    power = _entry_sum((m.conj().swapaxes(-1, -2) @ m) * moments).real
+    return float(power) if power.ndim == 0 else power
+
+
+def _entry_sum(x: np.ndarray) -> np.ndarray:
+    # sum of the trailing 2x2 entries in the order np.sum takes for one 2x2
+    return (x[..., 0, 0] + x[..., 0, 1]) + (x[..., 1, 0] + x[..., 1, 1])

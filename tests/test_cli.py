@@ -333,6 +333,8 @@ BAD_INPUTS = {
                                          "--a-stop", "1e9", "--a-step", "1e-9"],
     "huge-a-grid": lambda tmp: ["scan", "--n", "2000", "--resamples", "0", "--format", "json",
                                 "--b-list", "0", "--a-step", "1e-6"],
+    "empty-a-grid": lambda tmp: ["scan", "--a-start=-30deg", "--a-stop", "-1",
+                                 "--out", str(tmp / "scan")],
 }
 
 
@@ -346,6 +348,37 @@ def test_bad_input_exits_1_with_one_line(tmp_path, case):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("wavebell: error:"), proc.stderr
+
+
+@pytest.mark.parametrize("a_start, a_stop", [("1", "1"), ("-30deg", "-1")])
+def test_empty_a_grid_names_the_flags(capsys, a_start, a_stop):
+    # rejected before the source is synthesized, naming the flags to change
+    assert main(["scan", f"--a-start={a_start}", "--a-stop", a_stop, "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert err == "wavebell: error: the a grid from --a-start to --a-stop (exclusive) has no points\n"
+
+
+def _json_output(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("value", ["-30deg", "-1e-1", "-.5RAD"])
+def test_negative_angle_token_reads_like_equals_form(tmp_path, value):
+    scan = ["scan", "--n", "2000", "--resamples", "0", "--b-list", "0", "--a-stop", "0",
+            "--format", "json"]
+    separate = _json_output(tmp_path, [*scan, "--a-start", value])
+    assert separate == _json_output(tmp_path, [*scan, f"--a-start={value}"])
+
+
+def test_negative_settings_token_reads_like_config_value(tmp_path):
+    # --settings takes four tokens, so its --flag=value form is the config key
+    settings = ["0", "-45deg", "22.5deg", "67.5deg"]
+    chsh = ["chsh", "--n", "2000", "--resamples", "0"]
+    separate = _json_output(tmp_path, [*chsh, "--settings", *settings])
+    cfg = _write_config(tmp_path, {"settings": settings})
+    assert separate == _json_output(tmp_path, [*chsh, "--config", cfg])
 
 
 def test_config_values_use_flag_converters(tmp_path):

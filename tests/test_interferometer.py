@@ -235,6 +235,26 @@ class TestTriplePathAgreement:
         measured = measure_joint_probability(field, sd, a, b, 1, 1)
         assert measured == pytest.approx(oracle, abs=1e-12)
 
+    def test_crossed_polarizer_recovery_under_detector_noise(self):
+        # the recovery reads the other stripping angle under the same draws:
+        # P_kl = i_test / I - P_kl' from two shutter sequences with one seed
+        from wavebell.optics import stripping_angle, stripping_angle_orthogonal
+
+        k1, k2 = kappa_from_dop(0.62)
+        field = synthesize_schmidt_form(k1, k2, n=512, seed=77)
+        sd = schmidt(field)
+        b, noise, seed = 0.6, NoiseModel(detector_noise=1e-3), (5, 1)
+        a = stripping_angle(sd.kappa1, sd.kappa2, b) - math.pi / 2.0
+        crossed = measure_intensities(field, a, stripping_angle(sd.kappa1, sd.kappa2, b),
+                                      noise, seed, basis=basis_of(sd))
+        assert crossed.i_aux == 0.0  # the aux reading's draw is negative and clamps
+        s_other = stripping_angle_orthogonal(sd.kappa1, sd.kappa2, b)
+        t = measure_intensities(field, a, s_other, noise, seed, basis=basis_of(sd))
+        beam = intensity(field) / 2.0
+        expected = t.i_test / beam - extract_probability(t, beam)
+        assert 0.0 < expected < 1.0
+        assert measure_joint_probability(field, sd, a, b, 1, 1, noise, seed) == expected
+
     def test_crossed_polarizer_recovery_at_quarter_turn(self):
         # b = pi/2 puts the stripping polarizer at pi/2, crossed with a = 0
         e = synthesize_partially_polarized(0.125, 1.0, 5000, 78)
@@ -499,7 +519,9 @@ class TestResampleCounts:
         assert rep.chsh_err == pytest.approx(chsh_err, rel=1e-10, abs=0.0)
         assert [p.c_err for p in rep.probabilities] == pytest.approx(c_err, rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("noise", IDEAL_AND_MOMENT_NOISE)
+    @pytest.mark.parametrize(
+        "noise", [*IDEAL_AND_MOMENT_NOISE, NoiseModel(phase_jitter=0.1, detector_noise=1e-3)]
+    )
     def test_scan_errors_match_gathered_copies(self, noise):
         e = synthesize_partially_polarized(0.125, 1.0, 2000, 39)
         _, sd = measured_schmidt(e)

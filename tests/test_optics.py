@@ -151,6 +151,41 @@ class TestChain:
         )
 
 
+class TestBroadcasting:
+    """An array of angles, axes or chains gives what a stack of single calls gives."""
+
+    def test_axes_and_matrices_of_an_angle_grid(self):
+        basis = random_lab_basis(21)
+        angles = np.random.default_rng(21).uniform(-math.pi, math.pi, (3, 4))
+        axes = polarizer_axis(basis, angles)
+        assert axes.shape == (3, 4, 2)
+        for eps in (0.0, 0.02):
+            stacked = polarizer_matrix(axes, eps)
+            assert stacked.shape == (3, 4, 2, 2)
+            for idx in np.ndindex(angles.shape):
+                single = polarizer_axis(basis, float(angles[idx]))
+                assert np.array_equal(axes[idx], single)
+                assert np.array_equal(stacked[idx], polarizer_matrix(single, eps))
+
+    def test_axis_matches_rotated_basis(self):
+        basis = random_lab_basis(22)
+        assert np.array_equal(polarizer_axis(basis, 0.8), rotate_lab_basis(basis, 0.8).v1)
+
+    def test_non_unit_axis_in_a_stack_rejected(self):
+        with pytest.raises(DomainError):
+            polarizer_matrix(np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    def test_chain_power_of_chain_and_moment_stacks(self):
+        chains = polarizer_matrix(polarizer_axis(random_lab_basis(23), np.linspace(0, 3, 5)), 0.01)
+        moments = np.array([synthesize_partially_polarized(0.3, 1.0, 200, s).second_moments
+                            for s in range(3)])
+        powers = chain_power(chains, moments[:, None])
+        assert powers.shape == (3, 5)
+        for r, m in np.ndindex(powers.shape):
+            assert powers[r, m] == chain_power(chains[m], moments[r])
+        assert isinstance(chain_power(chains[0], moments[0]), float)
+
+
 class TestStrippingAngle:
     def test_equal_weights_follow_b(self):
         r = 2**-0.5
