@@ -119,9 +119,9 @@ def _positive_angle(text: str) -> float:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a negative angle token (-45deg, -1e-1, -.5rad) is a value, not an option
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?(deg|rad)?$", re.I)
+        # a negative angle (-45deg, -1e-1, -.5rad) or list (-0.5,0.3) is a value, not an option
+        angle = r"(\d+\.?\d*|\.\d+)(e[-+]?\d+)?(deg|rad)?"
+        self._negative_number_matcher = re.compile(rf"^-{angle}(,-?{angle})*$", re.I)
 
     # usage errors exit 1 (argparse default is 2, reserved here for
     # validation failures) with one line on stderr
@@ -154,7 +154,7 @@ _OPTIONS = {
     "optimize": ("--optimize", {"action": "store_true", "default": None,
                                 "help": "search for the CHSH-maximizing angles (default)"}),
     "resamples": ("--resamples", {"type": int, "help": "bootstrap resamples (0 = none)"}),
-    "tuples": ("--tuples", {"type": int, "help": "random tuples per agreement check"}),
+    "tuples": ("--tuples", {"type": _int_at_least(1), "help": "random tuples per agreement check"}),
     "lhv_samples": ("--lhv-samples", {"type": _int_at_least(1),
                                       "help": "Monte-Carlo samples per LHV correlation"}),
 }

@@ -79,6 +79,27 @@ class FieldEnsemble:
         j = r.conj().T @ r / self.n
         return (j + j.conj().T) / 2.0
 
+    @cached_property
+    def _features(self) -> np.ndarray:
+        """Rows (|Ex|^2, |Ey|^2, Re Ex* Ey, Im Ex* Ey) per realization, cached;
+        filled in place, so its build makes at most one column-sized temporary."""
+        x, y = self.realizations.T
+        q = np.empty((self.n, 4))
+        xy = q[:, 2:].view(complex)[:, 0]
+        np.conjugate(x, out=xy)
+        xy *= y
+        for col, e in enumerate((x, y)):
+            np.square(e.real, out=q[:, col])
+            q[:, col] += np.square(e.imag)
+        return q
+
+    def _weighted_moments(self, w) -> np.ndarray:
+        """(1/N) sum_n w_n conj(Ep_n) Eq_n for real weights w, shape (n,), or
+        complex ones given as their real and imaginary rows, shape (2, n)."""
+        s = w @ self._features / self.n
+        xx, yy, re, im = s if s.ndim == 1 else s[0] + 1j * s[1]
+        return np.array([[xx, re + 1j * im], [re - 1j * im, yy]])
+
 
 @dataclass(frozen=True, eq=False)
 class CoherenceMatrix:
@@ -192,13 +213,11 @@ def synthesize_partially_polarized(
     if n < 2:
         raise DomainError(f"need n >= 2 realizations, got {n}")
     rng = np.random.Generator(np.random.Philox(seed))
-    z = rng.standard_normal((int(n), 4))
-    # var(Re) = var(Im) = ms/2 so that E|E|^2 = ms
-    sx = math.sqrt(intensity * (1.0 + dop) / 4.0)
-    sy = math.sqrt(intensity * (1.0 - dop) / 4.0)
+    # (re Ex, im Ex, re Ey, im Ey) drawn in place; var(Re) = var(Im) = ms/2 so E|E|^2 = ms
     e = np.empty((int(n), 2), dtype=np.complex128)
-    e[:, 0] = sx * (z[:, 0] + 1j * z[:, 1])
-    e[:, 1] = sy * (z[:, 2] + 1j * z[:, 3])
+    rng.standard_normal(out=e.view(np.float64))
+    e[:, 0] *= math.sqrt(intensity * (1.0 + dop) / 4.0)
+    e[:, 1] *= math.sqrt(intensity * (1.0 - dop) / 4.0)
     return FieldEnsemble(e, seed=seed)
 
 

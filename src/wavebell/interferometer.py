@@ -143,16 +143,40 @@ def _seed_base(seed) -> tuple:
     return seed if isinstance(seed, tuple) else (seed,)
 
 
-def _readings(moments, basis, pol, strip, noise, seeds, keys, fields=None) -> np.ndarray:
-    """Shutter triples (i_total, i_test, i_aux) of R runs, shape (R, M, S, 3),
-    read as :func:`measure_intensities` describes.
+def _readings(ensemble, indices, basis, pol, strip, noise, seeds, keys):
+    """Second moments J of R runs, shape (R, 2, 2), and their shutter triples
+    (i_total, i_test, i_aux), shape (R, M, S, 3), read as
+    :func:`measure_intensities` describes.
 
-    ``moments`` stacks the runs' second moments J, ``pol`` holds the M test
-    polarizer angles and ``strip`` the (M, S) stripping angles read behind
-    each, relative to ``basis``.  The S readings of measurement m in run r
-    share the noise stream ``default_rng(seeds[r] + keys[m])``; phase jitter
-    reads ``fields``, the realizations of the one run.
+    Run 0 is the source and run r the resample at the r-th index array of
+    ``indices``, read as weights over the source's realizations: its counts
+    for J, and for K exp(-i phi) summed over each realization's draws.
+    ``pol`` holds the M test polarizer angles and ``strip`` the (M, S)
+    stripping angles read behind each, relative to ``basis``; measurement m
+    of run r draws phases, then detector noise, from
+    ``default_rng(seeds[r] + keys[m])``.
     """
+    n, jitter, detector = ensemble.n, noise.phase_jitter > 0.0, noise.detector_noise > 0.0
+    moments = np.empty((len(seeds), 2, 2), dtype=complex)
+    k_pq = np.zeros((len(seeds), len(keys), 2, 2), dtype=complex)
+    offsets = np.zeros((len(seeds), len(keys), 3))
+    w = np.empty((2, n)) if jitter else None  # -phi is drawn into row 1, then exp(-i phi)
+    for r, idx in enumerate(chain([None], indices)):
+        moments[r] = ensemble.second_moments if idx is None else \
+            ensemble._weighted_moments(np.bincount(idx, minlength=n))
+        for m, key in enumerate(keys if jitter or detector else ()):
+            rng = np.random.default_rng(seeds[r] + key)
+            if jitter:
+                rng.standard_normal(out=w[1])
+                w[1] *= -noise.phase_jitter
+                np.cos(w[1], out=w[0])
+                np.sin(w[1], out=w[1])
+                for row in w if idx is not None else ():
+                    row[:] = np.bincount(idx, weights=row, minlength=n)
+                k_pq[r, m] = ensemble._weighted_moments(w)
+            if detector:
+                offsets[r, m] = rng.normal(0.0, noise.detector_noise * np.trace(moments[r]).real, 3)
+
     eps = noise.extinction_ratio
     pol_a = polarizer_matrix(polarizer_axis(basis, np.asarray(pol)[:, None]), eps)
     pol_s = polarizer_matrix(polarizer_axis(basis, strip), eps)
@@ -162,19 +186,6 @@ def _readings(moments, basis, pol, strip, noise, seeds, keys, fields=None) -> np
     j = moments[:, None, None]
     # shuttered readings: each arm alone, at half power behind the recombiner
     test, aux = chain_power(test_chain, j) / 2.0, chain_power(aux_chain, j) / 2.0
-
-    jitter, detector = noise.phase_jitter > 0.0, noise.detector_noise > 0.0
-    k_pq = np.zeros((len(seeds), len(keys), 2, 2), dtype=complex)
-    offsets = np.zeros((len(seeds), len(keys), 3))
-    for r, base in enumerate(seeds if jitter or detector else ()):
-        for m, key in enumerate(keys):
-            rng = np.random.default_rng(base + key)
-            if jitter:
-                weighted = fields.conj()
-                weighted *= np.exp(-1j * rng.normal(0.0, noise.phase_jitter, len(fields)))[:, None]
-                k_pq[r, m] = weighted.T @ fields / len(fields)
-            if detector:
-                offsets[r, m] = rng.normal(0.0, noise.detector_noise * np.trace(moments[r]).real, 3)
     if jitter:
         # The output field is out_aux exp(i phi) E + out_test E, with each
         # arm's share of the recombiner output; its mean power is the two
@@ -190,7 +201,7 @@ def _readings(moments, basis, pol, strip, noise, seeds, keys, fields=None) -> np
     if detector:
         readings = np.maximum(readings + offsets[:, :, None], 0.0)
     readings[..., 1:] *= 2.0
-    return readings
+    return moments, readings
 
 
 def _extract(i_total, i_test, i_aux, beam_intensity):
@@ -207,9 +218,9 @@ def _extract(i_total, i_test, i_aux, beam_intensity):
     return np.minimum(p, 1.0)
 
 
-def _probabilities(moments, sd, a, b, k, l, noise, seeds, keys, fields=None) -> np.ndarray:
-    """Joint probabilities P_kl(a, b), shape (R, M), of the R runs stacked in
-    ``moments`` at the M settings ``a, b, k, l``, read as
+def _probabilities(ensemble, sd, a, b, k, l, noise, seeds, keys, indices=()) -> np.ndarray:
+    """Joint probabilities P_kl(a, b), shape (R, M), of the source and its
+    resamples at ``indices`` at the M settings ``a, b, k, l``, read as
     :func:`measure_joint_probability` describes: both stripping angles of a
     setting under its one set of noise draws (see :func:`_readings`)."""
     a, b, k, l = map(np.asarray, (a, b, k, l))
@@ -217,8 +228,8 @@ def _probabilities(moments, sd, a, b, k, l, noise, seeds, keys, fields=None) -> 
     strips = np.array([[f(sd.kappa1, sd.kappa2, x) for f in _STRIP] for x in distinct_b.tolist()])
     strip = np.where((l == 1)[:, None], strips[which], strips[which, ::-1])  # selected, other
     pol = np.where(k == 1, a, a + math.pi / 2.0)
-    t = _readings(moments, LabBasis(sd.u1, sd.u2), pol, strip, noise, seeds, keys, fields)
-    beam = np.broadcast_to(np.trace(moments, axis1=1, axis2=2).real[:, None] / 2.0, t.shape[:2])
+    j, t = _readings(ensemble, indices, LabBasis(sd.u1, sd.u2), pol, strip, noise, seeds, keys)
+    beam = np.broadcast_to(np.trace(j, axis1=1, axis2=2).real[:, None] / 2.0, t.shape[:2])
     own, other = t[:, :, 0], t[:, :, 1]
     stripped = own[..., 2] <= 1e-15 * beam
     p = np.empty(stripped.shape)
@@ -253,8 +264,7 @@ def measure_intensities(
     phase-weighted moments K_pq = (1/N) sum_n exp(-i phi_n) conj(Ep_n) Eq_n,
     computed in one pass over the realizations.
     """
-    t = _readings(ensemble.second_moments[None], basis, [a], [[s]], noise,
-                  [_seed_base(seed)], [()], ensemble.realizations)
+    _, t = _readings(ensemble, (), basis, [a], [[s]], noise, [_seed_base(seed)], [()])
     return IntensityTriple(*map(float, t[0, 0, 0]))
 
 
@@ -301,8 +311,7 @@ def measure_joint_probability(
     """
     if k not in (1, 2) or l not in (1, 2):
         raise DomainError(f"outcome indices k, l must each be 1 or 2, got ({k}, {l})")
-    p = _probabilities(ensemble.second_moments[None], sd, [a], [b], [k], [l], noise,
-                       [_seed_base(seed)], [()], ensemble.realizations)
+    p = _probabilities(ensemble, sd, [a], [b], [k], [l], noise, [_seed_base(seed)], [()])
     return float(p[0, 0])
 
 
@@ -317,8 +326,8 @@ def measure_correlation(
     """Measure all four joint probabilities at (a, b) and combine them into
     the correlation C = P11 - P12 - P21 + P22; outcome (k, l) draws its
     noise from seed + (k, l)."""
-    p = _probabilities(ensemble.second_moments[None], sd, [a] * 4, [b] * 4, *np.array(_KL).T,
-                       noise, [_seed_base(seed)], _KL, ensemble.realizations)
+    p = _probabilities(ensemble, sd, [a] * 4, [b] * 4, *np.array(_KL).T, noise,
+                       [_seed_base(seed)], _KL)
     p = tuple(map(float, p[0]))
     return correlation_sum(p), p
 
@@ -371,39 +380,14 @@ def _measure_runs(ensemble, sd, pairs, noise, base, resamples) -> np.ndarray:
     """Joint probabilities (1 + resamples, P, 4), ordered p11 .. p22, at the P
     (a, b) pairs: run 0 reads the source, run r its r-th bootstrap resample;
     outcome (k, l) at pair i of run r draws its noise from base + (r, i, k, l).
-
-    Without phase jitter, all runs are read in one kernel call, a resample as
-    its moments ``counts @ Q / n``: its realization counts times the rows of
-    Q, the per-realization (|Ex|^2, |Ey|^2, Re Ex* Ey, Im Ex* Ey).  Phase
-    jitter reads the realizations, so each run is a gathered copy, read alone.
+    Whatever the noise model, all runs are read in one kernel call, each as a
+    weight vector over the source's realizations (see :func:`_readings`).
     """
     settings = np.array([(a, b, k, l) for a, b in pairs for k, l in _KL]).T
     keys = [(i, k, l) for i in range(len(pairs)) for k, l in _KL]
     indices = _resample_indices(ensemble.n, resamples, base) if resamples else ()
-    if noise.phase_jitter > 0.0:
-        runs = chain([ensemble], (FieldEnsemble(ensemble.realizations[idx]) for idx in indices))
-        # each copy is freed only after the next one exists: with glibc's heap
-        # reuse this kept the peak RSS of repeated n=1e6 runs ~15 MB lower
-        p = np.concatenate([_probabilities(e.second_moments[None], sd, *settings, noise,
-                                           [base + (r,)], keys, e.realizations)
-                            for r, e in enumerate(runs)])
-    else:
-        moments = [ensemble.second_moments]
-        if resamples:
-            n, (x, y) = ensemble.n, ensemble.realizations.T
-            # Q is filled in place, so its build makes at most one column-sized temporary
-            q = np.empty((n, 4))
-            xy = q[:, 2:].view(complex)[:, 0]
-            np.conjugate(x, out=xy)
-            xy *= y
-            for col, e in enumerate((x, y)):
-                np.square(e.real, out=q[:, col])
-                q[:, col] += np.square(e.imag)
-            for idx in indices:
-                jxx, jyy, re, im = np.bincount(idx, minlength=n) @ q / n
-                moments.append(np.array([[jxx, re + 1j * im], [re - 1j * im, jyy]]))
-        seeds = [base + (r,) for r in range(len(moments))]
-        p = _probabilities(np.array(moments), sd, *settings, noise, seeds, keys)
+    seeds = [base + (r,) for r in range(1 + resamples)]
+    p = _probabilities(ensemble, sd, *settings, noise, seeds, keys, indices)
     return p.reshape(len(p), len(pairs), 4)
 
 
@@ -559,11 +543,11 @@ def bootstrap_error(
     resampled ensemble, and returns the standard deviation across resamples
     (elementwise for array-valued pipelines).  Deterministic given ``seed``.
     ``pipeline`` may read anything of the ensemble, so each resample is a
-    gathered copy of the realizations; the protocol's own bootstrap reads
-    resample moments instead wherever its readings need only those.
+    gathered copy of the realizations; this is the only code that gathers, as
+    the protocol's own bootstrap reads each resample as realization weights.
     """
     indices = _resample_indices(ensemble.n, resamples, _seed_base(seed))
-    # as in _measure_runs, each copy stays bound until the next one exists
+    # each copy stays bound to e until the next one exists (lower peak RSS under glibc)
     values = [pipeline(e) for e in (FieldEnsemble(ensemble.realizations[idx]) for idx in indices)]
     out = np.std(np.asarray(values, dtype=float), axis=0, ddof=1)
     return float(out) if out.ndim == 0 else out

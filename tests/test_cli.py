@@ -335,6 +335,10 @@ BAD_INPUTS = {
                                 "--b-list", "0", "--a-step", "1e-6"],
     "empty-a-grid": lambda tmp: ["scan", "--a-start=-30deg", "--a-stop", "-1",
                                  "--out", str(tmp / "scan")],
+    # with no tuples the agreement checks would pass having compared nothing
+    "zero-tuples": lambda tmp: ["validate", "--tuples", "0"],
+    "config-negative-tuples": lambda tmp: ["validate", "--config",
+                                           _write_config(tmp, {"tuples": -3})],
 }
 
 
@@ -364,12 +368,16 @@ def _json_output(tmp_path, argv):
     return json.loads(out.read_text())
 
 
-@pytest.mark.parametrize("value", ["-30deg", "-1e-1", "-.5RAD"])
-def test_negative_angle_token_reads_like_equals_form(tmp_path, value):
-    scan = ["scan", "--n", "2000", "--resamples", "0", "--b-list", "0", "--a-stop", "0",
-            "--format", "json"]
-    separate = _json_output(tmp_path, [*scan, "--a-start", value])
-    assert separate == _json_output(tmp_path, [*scan, f"--a-start={value}"])
+@pytest.mark.parametrize("flag, value", [
+    *(pytest.param("--a-start", value, id=value) for value in ("-30deg", "-1e-1", "-.5RAD")),
+    ("--b-list", "-0.5,0.3"),
+])
+def test_negative_angle_token_reads_like_equals_form(tmp_path, flag, value):
+    # the flag under test overrides the --a-start or --b-list given here
+    scan = ["scan", "--n", "2000", "--resamples", "0", "--b-list", "0", "--a-start=-0.2",
+            "--a-stop", "0", "--format", "json"]
+    separate = _json_output(tmp_path, [*scan, flag, value])
+    assert separate == _json_output(tmp_path, [*scan, f"{flag}={value}"])
 
 
 def test_negative_settings_token_reads_like_config_value(tmp_path):

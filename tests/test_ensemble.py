@@ -57,6 +57,16 @@ class TestSynthesize:
         b = synthesize_partially_polarized(0.3, 2.0, 500, 99)
         assert np.array_equal(a.realizations, b.realizations)
 
+    @pytest.mark.parametrize("d", [0.0, 0.125, 0.5])
+    def test_draw_stream_is_pinned(self, d):
+        # Ex, Ey are scaled (z0 + i z1), (z2 + i z3) of one Philox normal draw per realization
+        n, intensity, seed = 1001, 1.7, 12
+        z = np.random.Generator(np.random.Philox(seed)).standard_normal((n, 4))
+        sx, sy = math.sqrt(intensity * (1 + d) / 4.0), math.sqrt(intensity * (1 - d) / 4.0)
+        expected = np.column_stack([sx * (z[:, 0] + 1j * z[:, 1]), sy * (z[:, 2] + 1j * z[:, 3])])
+        e = synthesize_partially_polarized(d, intensity, n, seed)
+        assert e.realizations.tobytes() == expected.tobytes()
+
     def test_seed_changes_draw(self):
         a = synthesize_partially_polarized(0.3, 2.0, 500, 99)
         b = synthesize_partially_polarized(0.3, 2.0, 500, 100)

@@ -547,6 +547,17 @@ class TestResampleCounts:
         assert [p.c_err for p in rep.probabilities] == pytest.approx(c_err, rel=1e-12, abs=0.0)
         assert run_bell_protocol(cfg) == rep
 
+    def test_jitter_protocol_gathers_no_copy(self, monkeypatch):
+        # every resample is read as weights over the source's realizations,
+        # so the source is the only ensemble built
+        built = []
+        post_init = FieldEnsemble.__post_init__
+        monkeypatch.setattr(FieldEnsemble, "__post_init__",
+                            lambda self: (built.append(self), post_init(self)))
+        run_bell_protocol(ProtocolConfig(dop=0.125, n=2000, seed=40,
+                                         noise=NoiseModel(phase_jitter=0.1), resamples=10))
+        assert len(built) == 1
+
 
 def test_measure_correlation_consistency():
     e = synthesize_partially_polarized(0.125, 1.0, 5000, 41)
