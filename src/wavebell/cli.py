@@ -119,9 +119,8 @@ def _positive_angle(text: str) -> float:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a negative angle (-45deg, -1e-1, -.5rad) or list (-0.5,0.3) is a value, not an option
-        angle = r"(\d+\.?\d*|\.\d+)(e[-+]?\d+)?(deg|rad)?"
-        self._negative_number_matcher = re.compile(rf"^-{angle}(,-?{angle})*$", re.I)
+        # -digit and -.digit tokens (-45deg, -.5rad, -0.5,foo) are values: converters check them
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     # usage errors exit 1 (argparse default is 2, reserved here for
     # validation failures) with one line on stderr

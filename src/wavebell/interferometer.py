@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Callable, Sequence
@@ -81,6 +83,8 @@ _KAPPA2_FLOOR = 1e-6
 
 # Fixed tag separating bootstrap index streams from measurement streams.
 _BOOT_TAG = 715
+
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Outcomes (k, l) of p11, p12, p21, p22, and the stripping angle of l = 1, 2.
 _KL = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -150,32 +154,35 @@ def _readings(ensemble, indices, basis, pol, strip, noise, seeds, keys):
 
     Run 0 is the source and run r the resample at the r-th index array of
     ``indices``, read as weights over the source's realizations: its counts
-    for J, and for K exp(-i phi) summed over each realization's draws.
+    for J, and for K its draws' feature rows, gathered block by block.
     ``pol`` holds the M test polarizer angles and ``strip`` the (M, S)
-    stripping angles read behind each, relative to ``basis``; measurement m
-    of run r draws phases, then detector noise, from
-    ``default_rng(seeds[r] + keys[m])``.
+    stripping angles read behind each, relative to ``basis``.  Measurement m
+    of run r draws phases, then detector noise, from ``default_rng(seeds[r] +
+    keys[m])``; under jitter a run's measurements share _WORKERS threads, each
+    writing only its own slots, so no result depends on the thread count.
     """
     n, jitter, detector = ensemble.n, noise.phase_jitter > 0.0, noise.detector_noise > 0.0
     moments = np.empty((len(seeds), 2, 2), dtype=complex)
     k_pq = np.zeros((len(seeds), len(keys), 2, 2), dtype=complex)
     offsets = np.zeros((len(seeds), len(keys), 3))
-    w = np.empty((2, n)) if jitter else None  # -phi is drawn into row 1, then exp(-i phi)
-    for r, idx in enumerate(chain([None], indices)):
-        moments[r] = ensemble.second_moments if idx is None else \
-            ensemble._weighted_moments(np.bincount(idx, minlength=n))
-        for m, key in enumerate(keys if jitter or detector else ()):
-            rng = np.random.default_rng(seeds[r] + key)
-            if jitter:
-                rng.standard_normal(out=w[1])
-                w[1] *= -noise.phase_jitter
-                np.cos(w[1], out=w[0])
-                np.sin(w[1], out=w[1])
-                for row in w if idx is not None else ():
-                    row[:] = np.bincount(idx, weights=row, minlength=n)
-                k_pq[r, m] = ensemble._weighted_moments(w)
-            if detector:
-                offsets[r, m] = rng.normal(0.0, noise.detector_noise * np.trace(moments[r]).real, 3)
+
+    def read(r, idx, m):
+        rng = np.random.default_rng(seeds[r] + keys[m])
+        if jitter:
+            k_pq[r, m] = ensemble._phase_moments(rng, noise.phase_jitter, idx)
+        if detector:
+            offsets[r, m] = rng.normal(0.0, noise.detector_noise * np.trace(moments[r]).real, 3)
+
+    if jitter:
+        from concurrent.futures import ThreadPoolExecutor
+
+        ensemble._features  # built before any worker reads it
+    ms = range(len(keys) if jitter or detector else 0)
+    with ThreadPoolExecutor(min(_WORKERS, len(keys))) if jitter else nullcontext() as pool:
+        for r, idx in enumerate(chain([None], indices)):  # one index array alive at a time
+            moments[r] = ensemble.second_moments if idx is None else \
+                ensemble._weighted_moments(np.bincount(idx, minlength=n))
+            list((pool.map if jitter else map)(lambda m: read(r, idx, m), ms))
 
     eps = noise.extinction_ratio
     pol_a = polarizer_matrix(polarizer_axis(basis, np.asarray(pol)[:, None]), eps)

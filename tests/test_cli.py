@@ -380,6 +380,14 @@ def test_negative_angle_token_reads_like_equals_form(tmp_path, flag, value):
     assert separate == _json_output(tmp_path, [*scan, f"{flag}={value}"])
 
 
+def test_bad_token_after_negative_angle_is_named(capsys):
+    # a list starting with a negative angle reaches the angle converter
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--b-list", "-0.5,foo"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == "wavebell: error: argument --b-list: invalid angle: 'foo'\n"
+
+
 def test_negative_settings_token_reads_like_config_value(tmp_path):
     # --settings takes four tokens, so its --flag=value form is the config key
     settings = ["0", "-45deg", "22.5deg", "67.5deg"]

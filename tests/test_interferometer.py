@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from wavebell import (
     synthesize_partially_polarized,
     synthesize_schmidt_form,
 )
+from wavebell import ensemble as ensemble_module, interferometer
 from wavebell.interferometer import CURVE_CSV_HEADER
 from wavebell.optics import LabBasis, polarizer_axis, polarizer_matrix
 
@@ -557,6 +561,84 @@ class TestResampleCounts:
         run_bell_protocol(ProtocolConfig(dop=0.125, n=2000, seed=40,
                                          noise=NoiseModel(phase_jitter=0.1), resamples=10))
         assert len(built) == 1
+
+
+JITTER_AND_DETECTOR = NoiseModel(phase_jitter=0.1, detector_noise=1e-3)
+JITTER_CONFIG = ProtocolConfig(dop=0.125, n=2000, seed=40, noise=JITTER_AND_DETECTOR, resamples=10)
+
+
+class TestJitterWorkers:
+    """One run's jitter readings are split across threads and read in blocks
+    of realizations; neither the thread count nor the block width may move a
+    result."""
+
+    @staticmethod
+    def protocol_and_scan():
+        e = synthesize_partially_polarized(0.125, 1.0, 2000, 39)
+        _, sd = measured_schmidt(e)
+        grid = np.linspace(0.0, math.pi, 7, endpoint=False)
+        curve = scan_correlation(e, sd, 0.0, grid, JITTER_AND_DETECTOR, (39, 2), resamples=11)
+        columns = (curve.p11, curve.p12, curve.p21, curve.p22, curve.c, curve.c_err)
+        return run_bell_protocol(JITTER_CONFIG), np.vstack(columns)
+
+    @pytest.mark.parametrize("block", [ensemble_module._BLOCK, 64])
+    def test_reports_equal_for_any_worker_count(self, monkeypatch, block):
+        # at width 64, n = 2000 spans 31 full blocks and a 16-row tail
+        monkeypatch.setattr(ensemble_module, "_BLOCK", block)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+        try:
+            runs = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(interferometer, "_WORKERS", workers)
+                runs.append(self.protocol_and_scan())
+        finally:
+            sys.setswitchinterval(interval)
+        (rep, curve), *others = runs
+        for other_rep, other_curve in others:
+            assert other_rep == rep
+            assert np.array_equal(other_curve, curve)
+        chsh_err, c_err = protocol_reference(JITTER_CONFIG, rep)
+        assert rep.chsh_err == pytest.approx(chsh_err, rel=1e-12, abs=0.0)
+        assert [p.c_err for p in rep.probabilities] == pytest.approx(c_err, rel=1e-12, abs=0.0)
+
+    def test_blocked_phase_stream_is_pinned(self):
+        n, sigma, seed = 2 * ensemble_module._BLOCK + 17, 0.3, 11
+        e = synthesize_partially_polarized(0.4, 1.0, n, 12)
+        k = e._phase_moments(np.random.default_rng(seed), sigma, None)
+        phi = np.random.default_rng(seed).normal(0.0, sigma, n)
+        r = e.realizations
+        expected = np.mean(np.exp(-1j * phi)[:, None, None] * r.conj()[:, :, None] * r[:, None, :],
+                           axis=0)
+        assert np.abs(k - expected).max() <= 1e-13
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        class ReadingFailed(Exception):
+            pass
+
+        ticket, phase_moments = itertools.count(), FieldEnsemble._phase_moments
+
+        def fail_fifth_reading(self, *args):
+            if next(ticket) == 4:
+                raise ReadingFailed
+            return phase_moments(self, *args)
+
+        monkeypatch.setattr(FieldEnsemble, "_phase_moments", fail_fifth_reading)
+        monkeypatch.setattr(interferometer, "_WORKERS", 3)
+        before, raised = threading.active_count(), []
+
+        def run():
+            try:
+                run_bell_protocol(JITTER_CONFIG)
+            except ReadingFailed as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=run)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(raised) == 1
+        assert threading.active_count() == before
 
 
 def test_measure_correlation_consistency():
