@@ -172,83 +172,20 @@ def chsh_closed_form_max(kappa1: float, kappa2: float) -> float:
     return 2.0 * math.sqrt(1.0 + 4.0 * kappa1**2 * kappa2**2)
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-9):
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-_GRID_STEP = math.pi / 96.0
-
-
 def max_chsh(kappa1: float, kappa2: float) -> tuple[float, AngleSettings]:
-    """Maximize the CHSH value over all four angles.
+    """Maximum CHSH value over all four angles, and settings that attain it.
 
-    Coarse grid search with step pi/96 per angle (using the closed-form
-    correlation, decomposed so the 4-angle maximum costs only a 3-d table),
-    followed by coordinate-wise golden-section refinement.  The returned
-    value matches 2 sqrt(1 + 4 kappa1^2 kappa2^2) to well below 1e-6.
+    With k = 2 kappa1 kappa2 the correlation is
+    C(a, b) = cos 2a cos 2b + k sin 2a sin 2b, a correlation matrix with
+    singular values 1 and k, so the maximum is 2 sqrt(1 + k^2)
+    (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)),
+    i.e. :func:`chsh_closed_form_max`.  It is attained at a = pi/4, a' = 0,
+    b = -b' = atan(k) / 2.
     """
     if kappa1 < 0 or kappa2 < 0 or abs(kappa1**2 + kappa2**2 - 1.0) > 1e-6:
         raise DomainError("require kappa1, kappa2 >= 0 with kappa1^2 + kappa2^2 = 1")
-    m = 96
-    grid = np.arange(m) * _GRID_STEP
-    c = correlation_closed_form(kappa1, kappa2, grid[:, None], grid[None, :])
-
-    # B = [C(a,b) - C(a,b')] + [C(a',b) + C(a',b')]: maximize each bracket
-    # over its own angle for every (b, b') pair.
-    diff = c[:, :, None] - c[:, None, :]  # (a, b, b')
-    summ = c[:, :, None] + c[:, None, :]  # (a', b, b')
-    best_a = diff.argmax(axis=0)
-    best_ap = summ.argmax(axis=0)
-    totals = diff.max(axis=0) + summ.max(axis=0)
-    bi, bpi = np.unravel_index(int(totals.argmax()), totals.shape)
-    x = [
-        float(grid[best_a[bi, bpi]]),
-        float(grid[best_ap[bi, bpi]]),
-        float(grid[bi]),
-        float(grid[bpi]),
-    ]
-
-    def value(angles) -> float:
-        s = AngleSettings(*angles)
-        k1k2 = 2.0 * kappa1 * kappa2
-
-        def corr(a, b):
-            return math.cos(2 * a) * math.cos(2 * b) + k1k2 * math.sin(2 * a) * math.sin(2 * b)
-
-        return chsh_sum([corr(a, b) for a, b in s.pairs()])
-
-    best = value(x)
-    for _ in range(100):
-        previous = best
-        for i in range(4):
-
-            def along(t, i=i):
-                trial = list(x)
-                trial[i] = t
-                return value(trial)
-
-            xi, vi = _golden_max(along, x[i] - _GRID_STEP, x[i] + _GRID_STEP)
-            if vi > best:
-                x[i], best = xi, vi
-        if best - previous < 1e-12:
-            break
-    return best, AngleSettings(*x)
+    h = 0.5 * math.atan(2.0 * kappa1 * kappa2)
+    return chsh_closed_form_max(kappa1, kappa2), AngleSettings(math.pi / 4, 0.0, h, -h)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ validate  cross-check the three computation paths and the hidden-variable
           bound, exiting nonzero when any tolerance is breached
 
 Every command takes --seed and --n; source, scan and chsh also take --dop,
---intensity and --format; scan, chsh and validate take the --noise-* flags.
+--intensity and --format; scan and chsh take the --noise-* flags.
 
 Angles are radians; pass degrees with an explicit suffix, e.g. ``22.5deg``.
 A JSON config file may supply any option (key = long option name with
@@ -151,7 +151,7 @@ _OPTIONS = {
                                 "metavar": ("A", "A_PRIME", "B", "B_PRIME"),
                                 "help": "explicit angle settings"}),
     "optimize": ("--optimize", {"action": "store_true", "default": None,
-                                "help": "search for the CHSH-maximizing angles (default)"}),
+                                "help": "use the closed-form CHSH-maximizing angles (default)"}),
     "resamples": ("--resamples", {"type": int, "help": "bootstrap resamples (0 = none)"}),
     "tuples": ("--tuples", {"type": _int_at_least(1), "help": "random tuples per agreement check"}),
     "lhv_samples": ("--lhv-samples", {"type": _int_at_least(1),
@@ -176,7 +176,7 @@ _DEFAULTS: dict[str, dict] = {
         "settings": None, "optimize": False, "resamples": 16,
     },
     "validate": {
-        "seed": 0, "n": _DEFAULT_N, **_NOISE, "out": None,
+        "seed": 0, "n": _DEFAULT_N, "out": None,
         "tuples": 20, "lhv_samples": 100_000,
     },
 }
@@ -396,7 +396,6 @@ def cmd_chsh(cfg: dict) -> int:
 
 
 def _validate_checks(cfg: dict):
-    noise = _noise(cfg)
     rng = np.random.default_rng((cfg["seed"], 29))
     tuples = int(cfg["tuples"])
     n = int(cfg["n"])
@@ -411,7 +410,7 @@ def _validate_checks(cfg: dict):
         field = synthesize_schmidt_form(k1, k2, n=512, seed=1000 + t)
         sd = schmidt(field)
         oracle = joint_probability_direct(sd, a, b, k, l)
-        measured = measure_joint_probability(field, sd, a, b, k, l, noise, (cfg["seed"], 1, t))
+        measured = measure_joint_probability(field, sd, a, b, k, l)
         projected = bell.joint_probability_projected(field, sd, a, b, k, l)
         worst_measured = max(worst_measured, abs(measured - oracle))
         worst_projected = max(worst_projected, abs(projected - oracle))
@@ -431,7 +430,7 @@ def _validate_checks(cfg: dict):
         field = synthesize_partially_polarized(d, 1.0, n, 2000 + t)
         sd = schmidt(field)
         oracle = joint_probability_kappa(k1, k2, a, b, k, l)
-        measured = measure_joint_probability(field, sd, a, b, k, l, noise, (cfg["seed"], 2, t))
+        measured = measure_joint_probability(field, sd, a, b, k, l)
         worst_sampled = max(worst_sampled, abs(measured - oracle))
     yield ("triple-path-sampled", worst_sampled <= tol,
            f"max |measured - oracle| = {worst_sampled:.3e} (tol {tol:.3e})")
@@ -439,7 +438,7 @@ def _validate_checks(cfg: dict):
     # 3: the four measured probabilities at one setting sum to 1.
     field = synthesize_partially_polarized(0.125, 1.0, n, cfg["seed"] + 17)
     sd = schmidt(field)
-    total = sum(measure_correlation(field, sd, 0.37, 0.81, noise, (cfg["seed"], 3))[1])
+    total = sum(measure_correlation(field, sd, 0.37, 0.81)[1])
     yield ("probability-completeness-measured", abs(total - 1.0) <= tol,
            f"|sum - 1| = {abs(total - 1.0):.3e} (tol {tol:.3e})")
 

@@ -464,9 +464,9 @@ class BellReport:
 class ProtocolConfig:
     """Inputs of one Bell-protocol run.
 
-    ``settings=None`` means: search for the CHSH-maximizing angles of the
-    measured Schmidt weights before measuring.  ``resamples`` is 0 (no
-    bootstrap) or at least 10.
+    ``settings=None`` means: measure at the closed-form CHSH-maximizing
+    angles of the measured Schmidt weights (``bell.max_chsh``).
+    ``resamples`` is 0 (no bootstrap) or at least 10.
     """
 
     dop: float

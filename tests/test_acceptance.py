@@ -196,7 +196,7 @@ def test_criterion_7_bound_suite():
         worst = max(worst, value)
     _criterion(
         7,
-        "grid maximum respects 2*sqrt(2)",
+        "closed-form maximum respects 2*sqrt(2)",
         worst <= tsirelson,
         f"max over 50 weight pairs = {worst:.10f} (bound {tsirelson:.10f})",
     )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis import settings as hypothesis_settings
 
 from wavebell import (
     AngleSettings,
@@ -9,6 +11,7 @@ from wavebell import (
     LhvModel,
     ModelContractError,
     SHIPPED_LHV_MODELS,
+    SchmidtDecomposition,
     chsh,
     chsh_closed_form_max,
     correlation,
@@ -206,18 +209,34 @@ class TestChsh:
 
     def test_unpolarized_maximum(self):
         value, _ = max_chsh(2**-0.5, 2**-0.5)
-        assert value == pytest.approx(2 * math.sqrt(2), abs=1e-6)
+        assert value == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_separable_maximum(self):
         value, _ = max_chsh(1.0, 0.0)
-        assert value == pytest.approx(2.0, abs=1e-6)
+        assert value == pytest.approx(2.0, abs=1e-12)
 
     def test_grid_matches_closed_form(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
             k1, k2 = kappa_from_dop(float(rng.uniform(0, 1)))
             value, _ = max_chsh(k1, k2)
-            assert value == pytest.approx(chsh_closed_form_max(k1, k2), abs=1e-6)
+            assert value == pytest.approx(chsh_closed_form_max(k1, k2), abs=1e-12)
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(
+        dop=st.floats(0.0, 1.0),
+        angles=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+    )
+    def test_max_chsh_is_the_optimum(self, dop, angles):
+        # chsh reads the four probabilities of joint_probability_direct, not the closed form
+        k1, k2 = kappa_from_dop(dop)
+        sd = SchmidtDecomposition(kappa1=k1, kappa2=k2, u1=np.array([1, 0j]),
+                                  u2=np.array([0j, 1]), intensity=1.0)
+        value, best = max_chsh(k1, k2)
+        h = 0.5 * math.atan(2.0 * k1 * k2)
+        assert best == AngleSettings(math.pi / 4, 0.0, h, -h)
+        assert abs(chsh(sd, best) - value) <= 1e-12
+        assert chsh(sd, AngleSettings(*angles)) <= value + 1e-12
 
     def test_tsirelson_analog_bound(self):
         rng = np.random.default_rng(4)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from wavebell import cli
 from wavebell.cli import main, parse_angle
 
 
@@ -249,11 +250,11 @@ class TestValidate:
         payload = json.loads(out.read_text())
         assert payload["failed"] == []
 
-    def test_noise_breaks_ideal_tolerances(self, capsys):
-        code = run_cli(
-            ["validate", "--n", "20000", "--tuples", "4", "--lhv-samples", "5000",
-             "--noise-extinction", "0.05"]
-        )
+    def test_failed_check_exits_2(self, capsys, monkeypatch):
+        # a reading 1e-9 off the oracle breaches the 1e-12 analytic tolerance
+        measure = cli.measure_joint_probability
+        monkeypatch.setattr(cli, "measure_joint_probability", lambda *a: measure(*a) + 1e-9)
+        code = run_cli(["validate", "--n", "20000", "--tuples", "4", "--lhv-samples", "5000"])
         captured = capsys.readouterr()
         assert code == 2
         assert "FAIL triple-path-analytic-interferometric" in captured.out
@@ -339,6 +340,9 @@ BAD_INPUTS = {
     "zero-tuples": lambda tmp: ["validate", "--tuples", "0"],
     "config-negative-tuples": lambda tmp: ["validate", "--config",
                                            _write_config(tmp, {"tuples": -3})],
+    # the analytic checks hold 1e-12, so validate takes no noise model
+    "config-validate-noise": lambda tmp: ["validate", "--config",
+                                          _write_config(tmp, {"noise_detector": 1e-3})],
 }
 
 
@@ -410,7 +414,8 @@ def test_config_values_use_flag_converters(tmp_path):
 
 def test_removed_options_are_rejected(capsys):
     for argv in (["source", "--noise-phase", "0.1"], ["validate", "--dop", "0.5"],
-                 ["validate", "--format", "csv"], ["validate", "--intensity", "2"]):
+                 ["validate", "--format", "csv"], ["validate", "--intensity", "2"],
+                 ["validate", "--noise-phase", "0.05"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1

@@ -427,6 +427,13 @@ class TestRunBellProtocol:
         assert rep.chsh_err >= 0.0
         assert rep.method == "interferometer"
 
+    @pytest.mark.parametrize("dop", [0.0, 0.125, 0.5, 0.9, 0.99])
+    def test_optimized_ideal_run_reaches_its_bound(self, dop):
+        # at its own measured DOP an ideal run sits on 2 sqrt(2 - DOP^2) to float accuracy
+        for seed in range(3):
+            rep = run_bell_protocol(ProtocolConfig(dop=dop, n=20_000, seed=seed, resamples=0))
+            assert abs(rep.chsh - 2.0 * math.sqrt(2.0 - rep.dop**2)) <= 1e-12
+
     @pytest.mark.parametrize("dop", [0.125, 1.0])
     def test_kappa_is_the_measured_calibration(self, dop):
         cfg = ProtocolConfig(dop=dop, n=3000, seed=37, resamples=0)
