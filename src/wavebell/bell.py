@@ -205,7 +205,8 @@ class LhvModel:
 
 def _bounded(values: np.ndarray, label: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if values.size and np.max(np.abs(values)) > 1.0 + 1e-9:
+    # written so that a NaN, which compares False, fails the check
+    if values.size and not np.max(np.abs(values)) <= 1.0 + 1e-9:
         raise ModelContractError(f"{label} response left [-1, 1]")
     return values
 
@@ -217,7 +218,8 @@ def lhv_correlation(
 
     Samples lambda from the model distribution and averages
     outcome_a(a, lambda) * outcome_b(b, lambda).  Raises
-    ModelContractError if either response leaves [-1, 1] on the sample.
+    ModelContractError if either response leaves [-1, 1] or is not finite
+    on the sample.
     """
     if n_samples < 1:
         raise DomainError("need at least one sample")

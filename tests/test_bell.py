@@ -282,6 +282,17 @@ class TestLhv:
         with pytest.raises(ModelContractError):
             lhv_correlation(model, 0.0, 0.0, 100, 0)
 
+    @pytest.mark.parametrize("side", ["outcome_a", "outcome_b"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_response_detected(self, side, bad):
+        # a NaN compares False against the bound, so it needs its own case
+        responses = {"outcome_a": lambda a, lam: np.ones_like(lam),
+                     "outcome_b": lambda b, lam: np.ones_like(lam)}
+        responses[side] = lambda angle, lam: np.where(lam > 0.5, bad, 0.0)
+        model = LhvModel(**responses, lambda_sampler=lambda rng, size: rng.uniform(0, 1, size))
+        with pytest.raises(ModelContractError):
+            lhv_correlation(model, 0.0, 0.0, 100, 0)
+
     def test_sample_count_domain(self):
         with pytest.raises(DomainError):
             lhv_correlation(cosine_response_model(), 0, 0, 0, 0)

@@ -1,11 +1,16 @@
+import itertools
 import json
 import math
 import subprocess
 import sys
+import threading
 
+import numpy as np
 import pytest
 
-from wavebell import cli
+from wavebell import bell, cli
+from wavebell.bell import SHIPPED_LHV_MODELS, AngleSettings, lhv_chsh
+from wavebell.ensemble import kappa_from_dop, schmidt
 from wavebell.cli import main, parse_angle
 
 
@@ -260,6 +265,139 @@ class TestValidate:
         assert "FAIL triple-path-analytic-interferometric" in captured.out
         assert "validation failed" in captured.err
 
+    @pytest.mark.parametrize("module, name, reading, check", [
+        (cli, "measure_joint_probability", math.nan, "triple-path-analytic-interferometric"),
+        (bell, "joint_probability_projected", math.nan, "triple-path-analytic-projected"),
+        (cli, "joint_probability_kappa", math.nan, "triple-path-sampled"),
+        (cli, "measure_correlation", (math.nan, [math.nan] * 4),
+         "probability-completeness-measured"),
+        (cli, "joint_probability_kappa", math.nan, "no-signaling-oracle"),
+        (cli, "lhv_chsh", math.nan, "lhv-bound"),
+    ])
+    def test_nan_reading_fails_its_check(self, capsys, monkeypatch, module, name, reading, check):
+        # max(worst, nan) keeps worst, so a NaN once passed every check but completeness
+        monkeypatch.setattr(module, name, lambda *a: reading)
+        code = run_cli(["validate", "--n", "4000", "--tuples", "2", "--lhv-samples", "2000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"FAIL {check}: " in captured.out
+        assert "validation failed" in captured.err
+
+
+def sequential_validate(cfg):
+    """The validate checks as one loop on one thread, each check drawing its
+    random parameters as it runs: the reference for the worker path."""
+    rng = np.random.default_rng((cfg["seed"], 29))
+    tuples, n = int(cfg["tuples"]), int(cfg["n"])
+    worst_measured = worst_projected = 0.0
+    for t in range(tuples):
+        d = rng.uniform(0.02, 0.95)
+        k1, k2 = kappa_from_dop(d)
+        a, b = rng.uniform(-math.pi, math.pi, 2)
+        k, l = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        field = cli.synthesize_schmidt_form(k1, k2, n=512, seed=1000 + t)
+        sd = schmidt(field)
+        oracle = cli.joint_probability_direct(sd, a, b, k, l)
+        measured = cli.measure_joint_probability(field, sd, a, b, k, l)
+        projected = bell.joint_probability_projected(field, sd, a, b, k, l)
+        worst_measured = max(worst_measured, abs(measured - oracle))
+        worst_projected = max(worst_projected, abs(projected - oracle))
+    yield ("triple-path-analytic-interferometric", worst_measured <= 1e-12,
+           f"max |measured - oracle| = {worst_measured:.3e} (tol 1e-12)")
+    yield ("triple-path-analytic-projected", worst_projected <= 1e-12,
+           f"max |projected - oracle| = {worst_projected:.3e} (tol 1e-12)")
+    tol = 5.0 / math.sqrt(n)
+    worst_sampled = 0.0
+    for t in range(tuples):
+        d = rng.uniform(0.02, 0.95)
+        k1, k2 = kappa_from_dop(d)
+        a, b = rng.uniform(-math.pi, math.pi, 2)
+        k, l = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        field = cli.synthesize_partially_polarized(d, 1.0, n, 2000 + t)
+        sd = schmidt(field)
+        oracle = cli.joint_probability_kappa(k1, k2, a, b, k, l)
+        measured = cli.measure_joint_probability(field, sd, a, b, k, l)
+        worst_sampled = max(worst_sampled, abs(measured - oracle))
+    yield ("triple-path-sampled", worst_sampled <= tol,
+           f"max |measured - oracle| = {worst_sampled:.3e} (tol {tol:.3e})")
+    field = cli.synthesize_partially_polarized(0.125, 1.0, n, cfg["seed"] + 17)
+    sd = schmidt(field)
+    total = sum(cli.measure_correlation(field, sd, 0.37, 0.81)[1])
+    yield ("probability-completeness-measured", abs(total - 1.0) <= tol,
+           f"|sum - 1| = {abs(total - 1.0):.3e} (tol {tol:.3e})")
+    grid = np.linspace(0.0, math.pi, 20, endpoint=False)
+    k1, k2 = kappa_from_dop(0.125)
+    worst_ns = 0.0
+    for a in grid:
+        m = [cli.joint_probability_kappa(k1, k2, a, b, 1, 1)
+             + cli.joint_probability_kappa(k1, k2, a, b, 1, 2) for b in grid]
+        worst_ns = max(worst_ns, max(m) - min(m))
+    yield ("no-signaling-oracle", worst_ns <= 1e-12,
+           f"max marginal variation = {worst_ns:.3e} (tol 1e-12)")
+    samples = int(cfg["lhv_samples"])
+    lhv_tol = 2.0 + 5.0 / math.sqrt(samples)
+    worst_lhv = 0.0
+    for factory in SHIPPED_LHV_MODELS.values():
+        model = factory()
+        for t in range(8):
+            angles = rng.uniform(0.0, math.pi, 4)
+            value = abs(lhv_chsh(model, AngleSettings(*angles), samples, (cfg["seed"], 5, t)))
+            worst_lhv = max(worst_lhv, value)
+    yield ("lhv-bound", worst_lhv <= lhv_tol,
+           f"max |B| = {worst_lhv:.6f} (bound {lhv_tol:.6f})")
+
+
+class TestValidateWorker:
+    """The hidden-variable check runs on one worker beside the field checks."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_sequential_reference(self, capsys, tmp_path, seed):
+        argv = ["validate", "--seed", str(seed), "--n", "20000", "--tuples", "6",
+                "--lhv-samples", "20000"]
+        cfg = {**cli._DEFAULTS["validate"], "seed": seed, "n": 20000, "tuples": 6,
+               "lhv_samples": 20000}
+        expected = [(name, bool(ok), detail) for name, ok, detail in sequential_validate(cfg)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two threads as finely as possible
+        try:
+            code = run_cli([*argv, "--out", str(tmp_path / "validate.json")])
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        checks = json.loads((tmp_path / "validate.json").read_text())["checks"]
+        assert [(c["check"], c["pass"], c["detail"]) for c in checks] == expected
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
+                           for name, ok, detail in expected]
+
+    def test_worker_error_reaches_caller(self, capsys, monkeypatch):
+        class LhvFailed(Exception):
+            pass
+
+        ticket, chsh = itertools.count(), cli.lhv_chsh
+
+        def fail_fifth_run(*args):
+            if next(ticket) == 4:
+                raise LhvFailed
+            return chsh(*args)
+
+        monkeypatch.setattr(cli, "lhv_chsh", fail_fifth_run)
+        before, raised = threading.active_count(), []
+
+        def run():
+            try:
+                run_cli(["validate", "--n", "4000", "--tuples", "2", "--lhv-samples", "2000"])
+            except LhvFailed as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=run)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(raised) == 1
+        assert threading.active_count() == before
+        assert "lhv-bound" not in capsys.readouterr().out
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
@@ -343,6 +481,13 @@ BAD_INPUTS = {
     # the analytic checks hold 1e-12, so validate takes no noise model
     "config-validate-noise": lambda tmp: ["validate", "--config",
                                           _write_config(tmp, {"noise_detector": 1e-3})],
+    # 10**15 realizations or samples lie beyond the 128 TB address space, so
+    # the allocation fails at once under any overcommit setting
+    "unallocatable-source-n": lambda tmp: ["source", "--n", str(10**15)],
+    "unallocatable-chsh-n": lambda tmp: ["chsh", "--n", str(10**15)],
+    # raised on the hidden-variable worker thread
+    "unallocatable-lhv-samples": lambda tmp: ["validate", "--n", "2000", "--tuples", "1",
+                                              "--lhv-samples", str(10**15)],
 }
 
 
