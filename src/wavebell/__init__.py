@@ -12,10 +12,8 @@ from .bell import (
     AngleSettings,
     LhvModel,
     SHIPPED_LHV_MODELS,
-    chsh,
     chsh_closed_form_max,
     chsh_sum,
-    correlation,
     correlation_closed_form,
     correlation_sum,
     cosine_response_model,
@@ -24,17 +22,15 @@ from .bell import (
     joint_probability_projected,
     lhv_chsh,
     lhv_correlation,
-    marginal_A,
     max_chsh,
     sign_response_model,
 )
 from .ensemble import (
-    CoherenceMatrix,
     FieldEnsemble,
     SchmidtDecomposition,
     StokesVector,
-    coherence_matrix,
     dop,
+    inner,
     intensity,
     kappa_from_dop,
     load_ensemble_csv,
@@ -59,7 +55,6 @@ from .errors import (
 from .interferometer import (
     BellReport,
     CorrelationCurve,
-    IntensityTriple,
     NoiseModel,
     ProtocolConfig,
     SettingResult,

@@ -28,11 +28,8 @@ __all__ = [
     "joint_probability_kappa",
     "joint_probability_direct",
     "joint_probability_projected",
-    "correlation",
     "correlation_sum",
     "correlation_closed_form",
-    "marginal_A",
-    "chsh",
     "chsh_sum",
     "chsh_closed_form_max",
     "max_chsh",
@@ -128,13 +125,6 @@ def correlation_sum(p):
     return p[0] - p[1] - p[2] + p[3]
 
 
-def correlation(sd: SchmidtDecomposition, a: float, b: float) -> float:
-    """Joint correlation C(a, b) = P11 - P12 - P21 + P22, in [-1, 1]."""
-    return correlation_sum(
-        [joint_probability_direct(sd, a, b, k, l) for k in (1, 2) for l in (1, 2)]
-    )
-
-
 def correlation_closed_form(kappa1: float, kappa2: float, a, b):
     """cos(2a) cos(2b) + 2 kappa1 kappa2 sin(2a) sin(2b); broadcasts."""
     return np.cos(2 * np.asarray(a)) * np.cos(2 * np.asarray(b)) + (
@@ -142,29 +132,9 @@ def correlation_closed_form(kappa1: float, kappa2: float, a, b):
     ) * np.sin(2 * np.asarray(a)) * np.sin(2 * np.asarray(b))
 
 
-def marginal_A(sd: SchmidtDecomposition, a: float) -> float:
-    """Polarization-side marginal A(a) = P(u1^a) - P(u2^a).
-
-    Equals (kappa1^2 - kappa2^2) cos(2a), i.e. the Stokes S1 parameter in
-    the basis rotated by a; varies continuously in [-1, 1].
-    """
-    p1 = joint_probability_direct(sd, a, 0.0, 1, 1) + joint_probability_direct(
-        sd, a, 0.0, 1, 2
-    )
-    p2 = joint_probability_direct(sd, a, 0.0, 2, 1) + joint_probability_direct(
-        sd, a, 0.0, 2, 2
-    )
-    return p1 - p2
-
-
 def chsh_sum(c):
     """C0 - C1 + C2 + C3 of rows in :meth:`AngleSettings.pairs` order; a (4, m) array works."""
     return c[0] - c[1] + c[2] + c[3]
-
-
-def chsh(sd: SchmidtDecomposition, settings: AngleSettings) -> float:
-    """CHSH combination C(a,b) - C(a,b') + C(a',b) + C(a',b')."""
-    return chsh_sum([correlation(sd, a, b) for a, b in settings.pairs()])
 
 
 def chsh_closed_form_max(kappa1: float, kappa2: float) -> float:

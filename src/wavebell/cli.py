@@ -8,8 +8,9 @@ chsh      run the full Bell protocol and report the CHSH value
 validate  cross-check the three computation paths and the hidden-variable
           bound, exiting nonzero when any tolerance is breached
 
-Every command takes --seed and --n; source, scan and chsh also take --dop,
---intensity and --format; scan and chsh take the --noise-* flags.
+Every command takes --seed and --n; source, scan and chsh also take --dop
+and --format; source takes --intensity; scan and chsh take the --noise-*
+flags.
 
 Angles are radians; pass degrees with an explicit suffix, e.g. ``22.5deg``.
 A JSON config file may supply any option (key = long option name with
@@ -160,12 +161,12 @@ _OPTIONS = {
 # --optimize and --settings exclude each other
 _EXCLUSIVE = ("optimize", "settings")
 
-_BEAM = {"seed": 0, "n": _DEFAULT_N, "dop": 0.125, "intensity": 1.0}
+_BEAM = {"seed": 0, "n": _DEFAULT_N, "dop": 0.125}
 _NOISE = {"noise_extinction": 0.0, "noise_detector": 0.0, "noise_phase": 0.0}
 
 # Each command's options with their defaults, in config-echo order.
 _DEFAULTS: dict[str, dict] = {
-    "source": {**_BEAM, "out": None, "fmt": "json"},
+    "source": {**_BEAM, "intensity": 1.0, "out": None, "fmt": "json"},
     "scan": {
         **_BEAM, "dop": 0.0, **_NOISE, "out": None, "fmt": "csv",
         "b_list": _DEFAULT_B_LIST, "a_start": 0.0, "a_stop": math.pi,
@@ -322,9 +323,7 @@ def _a_grid(cfg: dict) -> np.ndarray:
 
 
 def _scan_curves(cfg: dict, a_grid: np.ndarray):
-    ens = synthesize_partially_polarized(
-        cfg["dop"], cfg["intensity"], cfg["n"], cfg["seed"]
-    )
+    ens = synthesize_partially_polarized(cfg["dop"], 1.0, cfg["n"], cfg["seed"])
     _, sd = measured_schmidt(ens)
     noise = _noise(cfg)
     for i, b in enumerate(_angle_list(cfg["b_list"])):
@@ -377,7 +376,6 @@ def cmd_chsh(cfg: dict) -> int:
         seed=cfg["seed"],
         settings=settings,
         noise=_noise(cfg),
-        intensity=cfg["intensity"],
         resamples=cfg["resamples"],
     )
     report = run_bell_protocol(protocol)

@@ -19,14 +19,12 @@ from .errors import DegenerateFieldError, DomainError
 
 __all__ = [
     "FieldEnsemble",
-    "CoherenceMatrix",
     "StokesVector",
     "SchmidtDecomposition",
     "inner",
     "intensity",
     "synthesize_partially_polarized",
     "synthesize_schmidt_form",
-    "coherence_matrix",
     "stokes",
     "dop",
     "kappa_from_dop",
@@ -120,24 +118,6 @@ class FieldEnsemble:
         return np.array([[xx, re + 1j * im], [re - 1j * im, yy]])
 
 
-@dataclass(frozen=True, eq=False)
-class CoherenceMatrix:
-    """2x2 Hermitian second-moment matrix J_pq = <Ep* Eq> (intensity units)."""
-
-    j: np.ndarray
-
-    def __post_init__(self):
-        j = np.asarray(self.j, dtype=np.complex128)
-        if j.shape != (2, 2):
-            raise DomainError("coherence matrix must be 2x2")
-        scale = max(float(np.abs(j).max()), 1.0)
-        if np.abs(j - j.conj().T).max() > 1e-10 * scale:
-            raise DomainError("coherence matrix must be Hermitian")
-        if np.linalg.eigvalsh(j).min() < -1e-10 * scale:
-            raise DomainError("coherence matrix must be positive semidefinite")
-        object.__setattr__(self, "j", j)
-
-
 @dataclass(frozen=True)
 class StokesVector:
     """Stokes parameters (S0, S1, S2, S3) in intensity units."""
@@ -203,6 +183,12 @@ def intensity(ensemble: FieldEnsemble) -> float:
     return float(np.trace(ensemble.second_moments).real)
 
 
+def _check_intensity(intensity: float) -> None:
+    # across this range every square of a Stokes parameter or moment stays a normal float
+    if not 1e-100 <= intensity <= 1e100:  # a NaN fails too
+        raise DomainError(f"intensity must lie in [1e-100, 1e100], got {intensity}")
+
+
 def synthesize_partially_polarized(
     dop: float, intensity: float, n: int, seed: int
 ) -> FieldEnsemble:
@@ -219,7 +205,7 @@ def synthesize_partially_polarized(
     dop : float
         Requested degree of polarization, in [0, 1].
     intensity : float
-        Expected ensemble-mean power, > 0.
+        Expected ensemble-mean power, in [1e-100, 1e100].
     n : int
         Number of realizations, >= 2.
     seed : int
@@ -227,8 +213,7 @@ def synthesize_partially_polarized(
     """
     if not 0.0 <= dop <= 1.0:
         raise DomainError(f"dop must lie in [0, 1], got {dop}")
-    if intensity <= 0:
-        raise DomainError(f"intensity must be positive, got {intensity}")
+    _check_intensity(intensity)
     if n < 2:
         raise DomainError(f"need n >= 2 realizations, got {n}")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -256,14 +241,13 @@ def synthesize_schmidt_form(
     the sample coherence matrix equals intensity * (kappa1^2 u1 u1+ +
     kappa2^2 u2 u2+) to machine precision.  Useful as an analytic reference
     field: every downstream identity holds at float accuracy instead of
-    Monte-Carlo accuracy.
+    Monte-Carlo accuracy.  ``intensity`` must lie in [1e-100, 1e100].
     """
     if not (kappa1 >= 0 and kappa2 >= 0):
         raise DomainError("Schmidt weights must be nonnegative")
     if abs(kappa1**2 + kappa2**2 - 1.0) > 1e-9:
         raise DomainError("kappa1^2 + kappa2^2 must equal 1")
-    if intensity <= 0:
-        raise DomainError("intensity must be positive")
+    _check_intensity(intensity)
     if n < 2:
         raise DomainError("need n >= 2 realizations")
     if u1 is None or u2 is None:
@@ -290,18 +274,22 @@ def synthesize_schmidt_form(
     return FieldEnsemble(e, seed=seed)
 
 
-def coherence_matrix(ensemble: FieldEnsemble) -> CoherenceMatrix:
-    """Sample second-moment matrix J_pq = (1/N) sum_n conj(Ep) Eq."""
-    return CoherenceMatrix(ensemble.second_moments)
-
-
-def stokes(j: CoherenceMatrix) -> StokesVector:
-    """Stokes parameters of a coherence matrix.
+def stokes(j: np.ndarray) -> StokesVector:
+    """Stokes parameters of a 2x2 coherence matrix J_pq = <Ep* Eq>, such as
+    :attr:`FieldEnsemble.second_moments`.
 
     Convention: S0 = Jxx + Jyy, S1 = Jxx - Jyy, S2 = 2 Re Jxy,
-    S3 = 2 Im Jxy (right-circular positive).
+    S3 = 2 Im Jxy (right-circular positive).  Raises DomainError unless J is
+    2x2, Hermitian and positive semidefinite to 1e-10 of its largest entry.
     """
-    m = j.j
+    m = np.asarray(j, dtype=np.complex128)
+    if m.shape != (2, 2):
+        raise DomainError("coherence matrix must be 2x2")
+    scale = max(float(np.abs(m).max()), 1.0)
+    if np.abs(m - m.conj().T).max() > 1e-10 * scale:
+        raise DomainError("coherence matrix must be Hermitian")
+    if np.linalg.eigvalsh(m).min() < -1e-10 * scale:
+        raise DomainError("coherence matrix must be positive semidefinite")
     return StokesVector(
         s0=float(m[0, 0].real + m[1, 1].real),
         s1=float(m[0, 0].real - m[1, 1].real),
@@ -352,11 +340,10 @@ def schmidt(ensemble: FieldEnsemble) -> SchmidtDecomposition:
     if total <= 0.0:
         raise DegenerateFieldError("zero-intensity ensemble has no Schmidt form")
 
-    jmat = coherence_matrix(ensemble).j
     # The amplitudes along u are c = E @ conj(u), whose cross-moments are
     # <c_i* c_j> = u_j+ (J^T) u_i with J_pq = <Ep* Eq>; diagonalizing J^T
     # (same spectrum as J) is what makes f1, f2 uncorrelated in-sample.
-    w, vecs = np.linalg.eigh(jmat.T)
+    w, vecs = np.linalg.eigh(ensemble.second_moments.T)
     lam = np.maximum(w[::-1], 0.0)
     u = vecs[:, ::-1]
 

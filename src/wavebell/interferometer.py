@@ -60,7 +60,6 @@ from .optics import (
 
 __all__ = [
     "NoiseModel",
-    "IntensityTriple",
     "SettingResult",
     "BellReport",
     "ProtocolConfig",
@@ -90,17 +89,21 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _KL = ((1, 1), (1, 2), (2, 1), (2, 2))
 _STRIP = (stripping_angle, stripping_angle_orthogonal)
 
+# Largest detector noise and phase jitter a NoiseModel accepts: far above any
+# real apparatus, and low enough that no reading overflows.
+_MAX_NOISE = 1e6
+
 
 @dataclass(frozen=True)
 class NoiseModel:
     """Apparatus imperfections, all zero for the ideal instrument.
 
     extinction_ratio : power fraction leaking through a polarizer's blocked
-        axis.
+        axis, at most 1.
     detector_noise : std of additive Gaussian noise per detector reading,
-        relative to the source intensity.
+        relative to the source intensity, at most 1e6.
     phase_jitter : std (radians) of the auxiliary-arm phase, drawn per
-        realization and per measurement.
+        realization and per measurement, at most 1e6.
     """
 
     extinction_ratio: float = 0.0
@@ -108,39 +111,11 @@ class NoiseModel:
     phase_jitter: float = 0.0
 
     def __post_init__(self):
-        for name in ("extinction_ratio", "detector_noise", "phase_jitter"):
+        for name, top in (("extinction_ratio", 1.0), ("detector_noise", _MAX_NOISE),
+                          ("phase_jitter", _MAX_NOISE)):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise DomainError(f"{name} must be finite and >= 0, got {v}")
-        if self.extinction_ratio > 1.0:
-            raise DomainError(
-                f"extinction_ratio is a leaked power fraction and must be <= 1, "
-                f"got {self.extinction_ratio}"
-            )
-
-    @property
-    def is_ideal(self) -> bool:
-        return self.extinction_ratio == 0.0 and self.detector_noise == 0.0 and self.phase_jitter == 0.0
-
-
-@dataclass(frozen=True)
-class IntensityTriple:
-    """Shutter-sequenced detector results for one angle setting.
-
-    i_total is the detector reading with both arms open; i_test and i_aux
-    are the arm intensities inferred with the other arm shuttered (twice
-    the raw reading, undoing the recombiner's 50:50 loss).
-    """
-
-    i_total: float
-    i_test: float
-    i_aux: float
-
-    def __post_init__(self):
-        for name in ("i_total", "i_test", "i_aux"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise DomainError(f"{name} must be finite and >= 0, got {v}")
+            if not 0.0 <= v <= top:  # a NaN fails too
+                raise DomainError(f"{name} must lie in [0, {top:g}], got {v}")
 
 
 def _seed_base(seed) -> tuple:
@@ -256,13 +231,15 @@ def measure_intensities(
     seed=0,
     *,
     basis: LabBasis,
-) -> IntensityTriple:
+) -> tuple[float, float, float]:
     """Simulate one shutter sequence of the two-arm measurement.
 
     Splits the input beam, applies polarizer ``a`` to the test arm and
     polarizers ``s`` then ``a`` to the auxiliary arm, recombines, and
-    returns the three detector intensities.  Polarizer angles are measured
-    relative to ``basis`` (normally the ensemble's Schmidt basis).
+    returns the detector intensities ``(i_total, i_test, i_aux)``: both arms
+    open, then each arm alone (twice the shuttered reading, undoing the
+    recombiner's 50:50 loss).  Polarizer angles are measured relative to
+    ``basis`` (normally the ensemble's Schmidt basis).
     Deterministic for a given ``seed``; phase jitter is drawn before detector noise.
 
     Every reading is a quadratic form in the cached sample second moments
@@ -272,17 +249,22 @@ def measure_intensities(
     computed in one pass over the realizations.
     """
     _, t = _readings(ensemble, (), basis, [a], [[s]], noise, [_seed_base(seed)], [()])
-    return IntensityTriple(*map(float, t[0, 0, 0]))
+    return tuple(map(float, t[0, 0, 0]))
 
 
-def extract_probability(t: IntensityTriple, source_intensity: float) -> float:
-    """Convert a shutter triple into a joint probability.
+def extract_probability(i_total: float, i_test: float, i_aux: float,
+                        source_intensity: float) -> float:
+    """Convert a shutter triple, as :func:`measure_intensities` returns it or
+    as read in a lab, into a joint probability.
 
     ``source_intensity`` is the test-beam intensity entering the
     interferometer arm (half the source power for a 50:50 input splitter).
 
     Raises
     ------
+    DomainError
+        If a reading is not finite and >= 0, or ``source_intensity`` is not
+        finite and positive.
     StrippedBeamError
         If the auxiliary arm carries no light (the formula divides by it).
     ExtractionError
@@ -290,7 +272,10 @@ def extract_probability(t: IntensityTriple, source_intensity: float) -> float:
         convention bug rather than rounding; values in (1, 1 + 1e-6] are
         clamped to 1.
     """
-    return float(_extract(t.i_total, t.i_test, t.i_aux, source_intensity))
+    values = (i_total, i_test, i_aux, source_intensity)
+    if not all(0.0 <= v < math.inf for v in values):  # _extract rejects an intensity of 0
+        raise DomainError(f"readings and source intensity must be finite and >= 0, got {values}")
+    return float(_extract(*values))
 
 
 def measure_joint_probability(
@@ -466,7 +451,8 @@ class ProtocolConfig:
 
     ``settings=None`` means: measure at the closed-form CHSH-maximizing
     angles of the measured Schmidt weights (``bell.max_chsh``).
-    ``resamples`` is 0 (no bootstrap) or at least 10.
+    ``resamples`` is 0 (no bootstrap) or at least 10.  The source is drawn
+    at unit intensity, since every output is a ratio of intensities.
     """
 
     dop: float
@@ -474,7 +460,6 @@ class ProtocolConfig:
     seed: int
     settings: AngleSettings | None = None
     noise: NoiseModel = NoiseModel()
-    intensity: float = 1.0
     resamples: int = 16
 
     def __post_init__(self):
@@ -495,9 +480,7 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
     the report falls back to closed-form probabilities (method
     "closed-form") with the separable maximum chsh = 2.
     """
-    source = synthesize_partially_polarized(
-        config.dop, config.intensity, config.n, config.seed
-    )
+    source = synthesize_partially_polarized(config.dop, 1.0, config.n, config.seed)
     stokes_est, sd = measured_schmidt(source)
     dop_est = dop(stokes_est)
     k1, k2 = sd.kappa1, sd.kappa2

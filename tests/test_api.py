@@ -24,3 +24,11 @@ def test_package_names_resolve_to_module_exports():
         module = importlib.import_module(home)
         assert name in module.__all__, f"wavebell.{name} is not in {home}.__all__"
         assert getattr(module, name) is value
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_are_package_names(name):
+    # the reverse: every export of a layer module is re-exported by the package
+    module = importlib.import_module(f"wavebell.{name}")
+    missing = [e for e in module.__all__ if getattr(wavebell, e, None) is not getattr(module, e)]
+    assert not missing, f"wavebell.{name}.__all__ names {missing}, which wavebell does not export"

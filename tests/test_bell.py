@@ -12,10 +12,10 @@ from wavebell import (
     ModelContractError,
     SHIPPED_LHV_MODELS,
     SchmidtDecomposition,
-    chsh,
     chsh_closed_form_max,
-    correlation,
+    chsh_sum,
     correlation_closed_form,
+    correlation_sum,
     cosine_response_model,
     joint_probability_direct,
     joint_probability_kappa,
@@ -23,7 +23,6 @@ from wavebell import (
     kappa_from_dop,
     lhv_chsh,
     lhv_correlation,
-    marginal_A,
     max_chsh,
     schmidt,
     sign_response_model,
@@ -35,6 +34,26 @@ from wavebell import (
 def schmidt_of(dop, seed=0, n=256):
     k1, k2 = kappa_from_dop(dop)
     return schmidt(synthesize_schmidt_form(k1, k2, n=n, seed=seed))
+
+
+def probabilities(sd, a, b):
+    """(p11, p12, p21, p22) of joint_probability_direct at (a, b)."""
+    return [joint_probability_direct(sd, a, b, k, l) for k in (1, 2) for l in (1, 2)]
+
+
+def correlation_of(sd, a, b):
+    # read from the four probabilities, not from correlation_closed_form
+    return correlation_sum(probabilities(sd, a, b))
+
+
+def chsh_of(sd, settings):
+    return chsh_sum([correlation_of(sd, a, b) for a, b in settings.pairs()])
+
+
+def marginal_a(sd, a):
+    """Polarization-side marginal P(u1^a) - P(u2^a) = p11 + p12 - p21 - p22 at b = 0."""
+    p11, p12, p21, p22 = probabilities(sd, a, 0.0)
+    return p11 + p12 - p21 - p22
 
 
 class TestJointProbability:
@@ -87,12 +106,12 @@ class TestJointProbability:
 class TestCorrelation:
     def test_aligned_unit(self):
         sd = schmidt_of(0.125)
-        assert correlation(sd, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert correlation_of(sd, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_unpolarized_cosine(self):
         sd = schmidt_of(0.0)
         for a, b in [(0.0, 0.3), (1.2, -0.4), (2.0, 2.0)]:
-            assert correlation(sd, a, b) == pytest.approx(
+            assert correlation_of(sd, a, b) == pytest.approx(
                 math.cos(2 * (a - b)), abs=1e-12
             )
 
@@ -101,7 +120,7 @@ class TestCorrelation:
         value = correlation_closed_form(0.750, 0.661, math.pi / 4, math.pi / 4)
         assert value == pytest.approx(0.9915, abs=1e-12)
         sd = schmidt_of(0.125)
-        assert correlation(sd, math.pi / 4, math.pi / 4) == pytest.approx(
+        assert correlation_of(sd, math.pi / 4, math.pi / 4) == pytest.approx(
             2 * sd.kappa1 * sd.kappa2, abs=1e-12
         )
 
@@ -114,7 +133,7 @@ class TestCorrelation:
                 worst = max(
                     worst,
                     abs(
-                        correlation(sd, a, b)
+                        correlation_of(sd, a, b)
                         - correlation_closed_form(sd.kappa1, sd.kappa2, a, b)
                     ),
                 )
@@ -125,11 +144,11 @@ class TestCorrelation:
         rng = np.random.default_rng(seed)
         sd = schmidt_of(float(rng.uniform(0, 1)), seed=seed)
         a, b = rng.uniform(-math.pi, math.pi, 2)
-        assert correlation(sd, a + math.pi, b) == pytest.approx(
-            correlation(sd, a, b), abs=1e-12
+        assert correlation_of(sd, a + math.pi, b) == pytest.approx(
+            correlation_of(sd, a, b), abs=1e-12
         )
-        assert correlation(sd, -a, -b) == pytest.approx(
-            correlation(sd, a, b), abs=1e-12
+        assert correlation_of(sd, -a, -b) == pytest.approx(
+            correlation_of(sd, a, b), abs=1e-12
         )
 
     def test_bounded(self):
@@ -137,7 +156,7 @@ class TestCorrelation:
         rng = np.random.default_rng(7)
         for _ in range(200):
             a, b = rng.uniform(-5, 5, 2)
-            assert abs(correlation(sd, a, b)) <= 1.0 + 1e-12
+            assert abs(correlation_of(sd, a, b)) <= 1.0 + 1e-12
 
 
 class TestNoSignaling:
@@ -169,35 +188,35 @@ class TestNoSignaling:
 class TestMarginal:
     def test_fully_polarized(self):
         sd = schmidt_of(1.0)
-        assert marginal_A(sd, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert marginal_a(sd, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_unpolarized_vanishes(self):
         sd = schmidt_of(0.0)
         for a in np.linspace(0, math.pi, 7):
-            assert marginal_A(sd, float(a)) == pytest.approx(0.0, abs=1e-12)
+            assert marginal_a(sd, float(a)) == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_dop_at_zero(self):
         sd = schmidt_of(0.125)
-        assert marginal_A(sd, 0.0) == pytest.approx(0.125, abs=1e-12)
+        assert marginal_a(sd, 0.0) == pytest.approx(0.125, abs=1e-12)
 
     def test_closed_form(self):
         sd = schmidt_of(0.6)
         for a in np.linspace(-2, 2, 9):
             expected = (sd.kappa1**2 - sd.kappa2**2) * math.cos(2 * a)
-            assert marginal_A(sd, float(a)) == pytest.approx(expected, abs=1e-12)
-            assert abs(marginal_A(sd, float(a))) <= 1.0
+            assert marginal_a(sd, float(a)) == pytest.approx(expected, abs=1e-12)
+            assert abs(marginal_a(sd, float(a))) <= 1.0
 
 
 class TestChsh:
     def test_all_zero_angles(self):
         sd = schmidt_of(0.125)
         settings = AngleSettings(0.0, 0.0, 0.0, 0.0)
-        assert chsh(sd, settings) == pytest.approx(2.0, abs=1e-12)
+        assert chsh_of(sd, settings) == pytest.approx(2.0, abs=1e-12)
 
     def test_standard_angles_unpolarized(self):
         sd = schmidt_of(0.0)
         settings = AngleSettings(0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
-        assert chsh(sd, settings) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        assert chsh_of(sd, settings) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_maximum_at_dop_oneeighth(self):
         k1, k2 = kappa_from_dop(0.125)
@@ -205,7 +224,7 @@ class TestChsh:
         assert value == pytest.approx(2.817356917396161, abs=1e-9)
         assert abs(value - 2.817) < 1e-3
         sd = schmidt_of(0.125)
-        assert chsh(sd, settings) == pytest.approx(value, abs=1e-9)
+        assert chsh_of(sd, settings) == pytest.approx(value, abs=1e-9)
 
     def test_unpolarized_maximum(self):
         value, _ = max_chsh(2**-0.5, 2**-0.5)
@@ -228,15 +247,15 @@ class TestChsh:
         angles=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
     )
     def test_max_chsh_is_the_optimum(self, dop, angles):
-        # chsh reads the four probabilities of joint_probability_direct, not the closed form
+        # chsh_of reads the four probabilities of joint_probability_direct, not the closed form
         k1, k2 = kappa_from_dop(dop)
         sd = SchmidtDecomposition(kappa1=k1, kappa2=k2, u1=np.array([1, 0j]),
                                   u2=np.array([0j, 1]), intensity=1.0)
         value, best = max_chsh(k1, k2)
         h = 0.5 * math.atan(2.0 * k1 * k2)
         assert best == AngleSettings(math.pi / 4, 0.0, h, -h)
-        assert abs(chsh(sd, best) - value) <= 1e-12
-        assert chsh(sd, AngleSettings(*angles)) <= value + 1e-12
+        assert abs(chsh_of(sd, best) - value) <= 1e-12
+        assert chsh_of(sd, AngleSettings(*angles)) <= value + 1e-12
 
     def test_tsirelson_analog_bound(self):
         rng = np.random.default_rng(4)

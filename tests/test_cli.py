@@ -488,6 +488,18 @@ BAD_INPUTS = {
     # raised on the hidden-variable worker thread
     "unallocatable-lhv-samples": lambda tmp: ["validate", "--n", "2000", "--tuples", "1",
                                               "--lhv-samples", str(10**15)],
+    # outside [1e-100, 1e100] a squared Stokes parameter overflows or goes subnormal
+    "source-intensity-inf": lambda tmp: ["source", "--n", "2000", "--intensity", "inf"],
+    "source-intensity-nan": lambda tmp: ["source", "--n", "2000", "--intensity", "nan"],
+    "source-intensity-1e160": lambda tmp: ["source", "--n", "2000", "--intensity", "1e160"],
+    "source-intensity-1e-200": lambda tmp: ["source", "--n", "2000", "--intensity", "1e-200"],
+    # a reading overflows under noise this large
+    "huge-noise-phase": lambda tmp: ["chsh", "--n", "2000", "--resamples", "0",
+                                     "--noise-phase", "1e308"],
+    "huge-noise-detector": lambda tmp: ["chsh", "--n", "2000", "--resamples", "0",
+                                        "--noise-detector", "1e308"],
+    # chsh and scan draw at unit intensity: their outputs are intensity ratios
+    "config-chsh-intensity": lambda tmp: ["chsh", "--config", _write_config(tmp, {"intensity": 2})],
 }
 
 
@@ -560,11 +572,21 @@ def test_config_values_use_flag_converters(tmp_path):
 def test_removed_options_are_rejected(capsys):
     for argv in (["source", "--noise-phase", "0.1"], ["validate", "--dop", "0.5"],
                  ["validate", "--format", "csv"], ["validate", "--intensity", "2"],
-                 ["validate", "--noise-phase", "0.05"]):
+                 ["validate", "--noise-phase", "0.05"], ["chsh", "--intensity", "2"],
+                 ["scan", "--intensity", "2"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_thread_pool():
+    # the thread pools are imported where they run, so a CLI start does not pay for them
+    code = "import sys, wavebell.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_usage_error_exit_code():

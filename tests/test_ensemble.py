@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from wavebell import (
-    CoherenceMatrix,
     DegenerateFieldError,
     DomainError,
     FieldEnsemble,
     StokesVector,
-    coherence_matrix,
     dop,
     intensity,
     kappa_from_dop,
@@ -83,10 +81,24 @@ class TestSynthesize:
         with pytest.raises(DomainError):
             synthesize_partially_polarized(0.5, 1.0, 1, 0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 1e160, 1e-200, 2e100, -1.0])
+    def test_intensity_outside_normal_range(self, bad):
+        # outside [1e-100, 1e100] a squared Stokes parameter can leave the normal floats
+        for synthesize in (lambda: synthesize_partially_polarized(0.5, bad, 10, 0),
+                           lambda: synthesize_schmidt_form(0.8, 0.6, intensity=bad, n=10)):
+            with pytest.raises(DomainError, match=r"\[1e-100, 1e100\]"):
+                synthesize()
+
+    @pytest.mark.parametrize("edge", [1e-100, 1e100])
+    def test_intensity_range_edges_keep_the_dop(self, edge):
+        ref = dop(tomography(synthesize_partially_polarized(0.5, 1.0, 4000, 7)))
+        at_edge = dop(tomography(synthesize_partially_polarized(0.5, edge, 4000, 7)))
+        assert at_edge == pytest.approx(ref, rel=1e-12)
+
     def test_unpolarized_is_isotropic(self):
         n = 40_000
         e = synthesize_partially_polarized(0.0, 1.0, n, 1)
-        j = coherence_matrix(e).j
+        j = e.second_moments
         s0 = j[0, 0].real + j[1, 1].real
         assert abs(j[0, 1]) / s0 < 3.0 / math.sqrt(n)
         assert abs(j[0, 0].real - j[1, 1].real) / s0 < 3.0 / math.sqrt(n)
@@ -112,34 +124,37 @@ class TestSynthesize:
 
 class TestCoherenceStokes:
     def test_constant_x_field(self):
-        j = coherence_matrix(constant_ensemble(1.0, 0.0)).j
+        j = constant_ensemble(1.0, 0.0).second_moments
         assert np.allclose(j, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_quadratic_scaling(self):
         e = synthesize_partially_polarized(0.4, 1.0, 300, 5)
-        j1 = coherence_matrix(e).j
-        j3 = coherence_matrix(FieldEnsemble(3.0 * e.realizations)).j
+        j1 = e.second_moments
+        j3 = FieldEnsemble(3.0 * e.realizations).second_moments
         assert np.allclose(j3, 9.0 * j1, atol=1e-12)
 
     def test_hermitian_psd_on_random_ensembles(self):
         for seed in range(5):
             e = synthesize_partially_polarized(0.2 * seed, 1.0, 200, seed)
-            j = coherence_matrix(e).j
+            j = e.second_moments
             assert np.allclose(j, j.conj().T)
             assert np.linalg.eigvalsh(j).min() >= -1e-12
 
     def test_coherence_validation(self):
+        # stokes checks its matrix: 2x2, Hermitian, positive semidefinite
         with pytest.raises(DomainError):
-            CoherenceMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            stokes(np.eye(3))
         with pytest.raises(DomainError):
-            CoherenceMatrix(np.array([[-1.0, 0.0], [0.0, 0.0]]))
+            stokes(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(DomainError):
+            stokes(np.array([[-1.0, 0.0], [0.0, 0.0]]))
 
     def test_stokes_examples(self):
-        s = stokes(CoherenceMatrix(np.array([[1.0, 0.0], [0.0, 0.0]])))
+        s = stokes(np.array([[1.0, 0.0], [0.0, 0.0]]))
         assert (s.s0, s.s1, s.s2, s.s3) == (1.0, 1.0, 0.0, 0.0)
-        s = stokes(CoherenceMatrix(np.array([[0.5, 0.5], [0.5, 0.5]])))
+        s = stokes(np.array([[0.5, 0.5], [0.5, 0.5]]))
         assert (s.s0, s.s1, s.s2, s.s3) == (1.0, 0.0, 1.0, 0.0)
-        s = stokes(CoherenceMatrix(0.5 * np.eye(2)))
+        s = stokes(0.5 * np.eye(2))
         assert (s.s0, s.s1, s.s2, s.s3) == (1.0, 0.0, 0.0, 0.0)
 
     def test_stokes_vector_validation(self):
@@ -224,7 +239,7 @@ class TestSchmidt:
             e = apply(waveplate_matrix("quarter", float(rng.uniform(0, math.pi))), e)
         sd = schmidt(e)
         assert sd.kappa1**2 + sd.kappa2**2 == pytest.approx(1.0, abs=1e-12)
-        measured_dop = dop(stokes(coherence_matrix(e)))
+        measured_dop = dop(stokes(e.second_moments))
         assert sd.kappa1**2 - sd.kappa2**2 == pytest.approx(measured_dop, abs=1e-10)
         assert abs(np.vdot(sd.u1, sd.u2)) < 1e-12
         f1, f2 = schmidt_functions(e, sd)
@@ -278,7 +293,7 @@ class TestTomography:
 
         e = synthesize_partially_polarized(0.6, 1.3, 2000, seed)
         e = apply(waveplate_matrix("quarter", 0.3 + 0.2 * seed), e)  # inject S3 content
-        direct = stokes(coherence_matrix(e))
+        direct = stokes(e.second_moments)
         operational = tomography(e)
         for name in ("s0", "s1", "s2", "s3"):
             assert getattr(operational, name) == pytest.approx(
@@ -297,7 +312,7 @@ def test_statistical_convergence_over_seeds():
     failures = 0
     for seed in range(100):
         e = synthesize_partially_polarized(0.125, 1.0, n, seed)
-        if abs(dop(stokes(coherence_matrix(e))) - 0.125) >= 5.0 / math.sqrt(n):
+        if abs(dop(stokes(e.second_moments)) - 0.125) >= 5.0 / math.sqrt(n):
             failures += 1
     assert failures <= 1
 

@@ -12,7 +12,6 @@ from wavebell import (
     DomainError,
     ExtractionError,
     FieldEnsemble,
-    IntensityTriple,
     NoiseModel,
     ProtocolConfig,
     StrippedBeamError,
@@ -51,24 +50,23 @@ class TestMeasureIntensities:
     def test_test_arm_semantics(self):
         e = synthesize_partially_polarized(0.3, 1.4, 2000, 1)
         sd = schmidt(e)
-        t = measure_intensities(e, 0.5, 0.9, basis=basis_of(sd))
+        _, i_test, _ = measure_intensities(e, 0.5, 0.9, basis=basis_of(sd))
         half, _ = beamsplitter_split(e.realizations)
         pol = polarizer_matrix(polarizer_axis(basis_of(sd), 0.5))
         expected = intensity(apply(pol, FieldEnsemble(half)))
-        assert t.i_test == pytest.approx(expected, abs=1e-12)
+        assert i_test == pytest.approx(expected, abs=1e-12)
 
     def test_dark_input(self):
         e = FieldEnsemble(np.zeros((8, 2), dtype=complex))
-        t = measure_intensities(e, 0.3, 0.7, basis=XY)
-        assert (t.i_total, t.i_test, t.i_aux) == (0.0, 0.0, 0.0)
+        assert measure_intensities(e, 0.3, 0.7, basis=XY) == (0.0, 0.0, 0.0)
 
     def test_interference_bound(self):
         for seed in range(4):
             e = synthesize_partially_polarized(0.4, 1.0, 1000, seed)
             sd = schmidt(e)
-            t = measure_intensities(e, 0.2 * seed, 0.9, basis=basis_of(sd))
-            bound = t.i_test + t.i_aux + 2 * math.sqrt(t.i_test * t.i_aux)
-            assert t.i_total <= bound + 1e-12
+            i_total, i_test, i_aux = measure_intensities(e, 0.2 * seed, 0.9, basis=basis_of(sd))
+            bound = i_test + i_aux + 2 * math.sqrt(i_test * i_aux)
+            assert i_total <= bound + 1e-12
 
     def test_matches_element_by_element_reference(self):
         e = synthesize_partially_polarized(0.5, 2.0, 1500, 3)
@@ -76,22 +74,23 @@ class TestMeasureIntensities:
         basis = basis_of(sd)
         a, s, eps = 0.4, 1.1, 0.03
         noise = NoiseModel(extinction_ratio=eps)
-        t = measure_intensities(e, a, s, noise=noise, basis=basis)
+        i_total, i_test, i_aux = measure_intensities(e, a, s, noise=noise, basis=basis)
         pol_a, pol_s = (polarizer_matrix(polarizer_axis(basis, x), eps) for x in (a, s))
         test, aux = (FieldEnsemble(x) for x in beamsplitter_split(e.realizations))
         test_a = apply(pol_a, test)
         aux_sa = apply(pol_a, apply(pol_s, aux))
         out = FieldEnsemble(beamsplitter_combine(aux_sa.realizations, test_a.realizations))
-        assert t.i_total == pytest.approx(intensity(out), abs=1e-12)
-        assert t.i_test == pytest.approx(intensity(test_a), abs=1e-12)
-        assert t.i_aux == pytest.approx(intensity(aux_sa), abs=1e-12)
+        assert i_total == pytest.approx(intensity(out), abs=1e-12)
+        assert i_test == pytest.approx(intensity(test_a), abs=1e-12)
+        assert i_aux == pytest.approx(intensity(aux_sa), abs=1e-12)
 
     def test_jitter_path_matches_reference(self):
         e = synthesize_partially_polarized(0.2, 1.0, 800, 4)
         sd = schmidt(e)
         basis = basis_of(sd)
         sigma, seed = 0.4, 17
-        t = measure_intensities(e, 0.3, 0.8, NoiseModel(phase_jitter=sigma), seed, basis=basis)
+        i_total, _, _ = measure_intensities(e, 0.3, 0.8, NoiseModel(phase_jitter=sigma), seed,
+                                            basis=basis)
         pol_a, pol_s = (polarizer_matrix(polarizer_axis(basis, x)) for x in (0.3, 0.8))
         test, aux = (FieldEnsemble(x) for x in beamsplitter_split(e.realizations))
         test_a = apply(pol_a, test)
@@ -99,17 +98,17 @@ class TestMeasureIntensities:
         phases = np.random.default_rng(seed).normal(0.0, sigma, e.n)
         jittered = aux_sa.realizations * np.exp(1j * phases)[:, None]
         out = FieldEnsemble(beamsplitter_combine(jittered, test_a.realizations))
-        assert t.i_total == pytest.approx(intensity(out), abs=1e-12)
+        assert i_total == pytest.approx(intensity(out), abs=1e-12)
 
     def test_jitter_washout(self):
         n = 30_000
         e = synthesize_partially_polarized(0.125, 1.0, n, 5)
         sd = schmidt(e)
-        t = measure_intensities(
+        i_total, i_test, i_aux = measure_intensities(
             e, 0.2, 0.2, NoiseModel(phase_jitter=40.0), seed=6, basis=basis_of(sd)
         )
-        incoherent = (t.i_test + t.i_aux) / 2.0
-        assert abs(t.i_total - incoherent) < 5.0 / math.sqrt(n) * (t.i_test + t.i_aux)
+        incoherent = (i_test + i_aux) / 2.0
+        assert abs(i_total - incoherent) < 5.0 / math.sqrt(n) * (i_test + i_aux)
 
     def test_detector_noise_deterministic(self):
         e = synthesize_partially_polarized(0.125, 1.0, 500, 7)
@@ -124,29 +123,33 @@ class TestMeasureIntensities:
 
 class TestExtractProbability:
     def test_zero_when_test_arm_dark(self):
-        t = IntensityTriple(i_total=0.4, i_test=0.0, i_aux=0.8)
-        assert extract_probability(t, 1.0) == 0.0
+        assert extract_probability(0.4, 0.0, 0.8, 1.0) == 0.0
 
     def test_extinguished_aux(self):
         with pytest.raises(StrippedBeamError):
-            extract_probability(IntensityTriple(1.0, 1.0, 0.0), 1.0)
+            extract_probability(1.0, 1.0, 0.0, 1.0)
 
     def test_inconsistent_triple(self):
         with pytest.raises(ExtractionError):
-            extract_probability(IntensityTriple(2.0, 0.5, 0.5), 0.5)
+            extract_probability(2.0, 0.5, 0.5, 0.5)
 
     def test_clamps_float_noise(self):
         cross = 2.0 * math.sqrt(1.0 + 2e-7)
-        t = IntensityTriple(i_total=(cross + 1.0) / 2.0, i_test=0.0, i_aux=1.0)
-        assert extract_probability(t, 1.0) == 1.0
+        assert extract_probability((cross + 1.0) / 2.0, 0.0, 1.0, 1.0) == 1.0
 
     def test_source_intensity_domain(self):
         with pytest.raises(DomainError):
-            extract_probability(IntensityTriple(1.0, 1.0, 1.0), 0.0)
+            extract_probability(1.0, 1.0, 1.0, 0.0)
+        # neither a NaN probability nor a StrippedBeamError
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                extract_probability(0.4, 0.2, 0.8, bad)
 
     def test_negative_intensities_rejected(self):
-        with pytest.raises(DomainError):
-            IntensityTriple(1.0, -0.1, 1.0)
+        # a triple read in a lab is checked before the formula sees it
+        for triple in [(1.0, -0.1, 1.0), (math.inf, 1.0, 1.0), (1.0, 1.0, math.nan)]:
+            with pytest.raises(DomainError):
+                extract_probability(*triple, 1.0)
 
 
 class TestCrossTermIdentity:
@@ -163,13 +166,13 @@ class TestCrossTermIdentity:
         from wavebell.optics import stripping_angle
 
         s = stripping_angle(sd.kappa1, sd.kappa2, b)
-        t = measure_intensities(field, a, s, basis=basis_of(sd))
-        cross = 2.0 * t.i_total - t.i_aux - t.i_test
+        i_total, i_test, i_aux = measure_intensities(field, a, s, basis=basis_of(sd))
+        cross = 2.0 * i_total - i_aux - i_test
         amp11 = k1 * math.cos(a) * math.cos(b) + k2 * math.sin(a) * math.sin(b)
         lab = math.sqrt(k1**2 * math.cos(a) ** 2 + k2**2 * math.sin(a) ** 2)
         c11 = amp11 / lab if lab > 0 else 0.0
         assert abs(cross) == pytest.approx(
-            2.0 * math.sqrt(t.i_aux * t.i_test) * abs(c11), abs=1e-12
+            2.0 * math.sqrt(i_aux * i_test) * abs(c11), abs=1e-12
         )
 
 
@@ -251,11 +254,12 @@ class TestTriplePathAgreement:
         a = stripping_angle(sd.kappa1, sd.kappa2, b) - math.pi / 2.0
         crossed = measure_intensities(field, a, stripping_angle(sd.kappa1, sd.kappa2, b),
                                       noise, seed, basis=basis_of(sd))
-        assert crossed.i_aux == 0.0  # the aux reading's draw is negative and clamps
+        assert crossed[2] == 0.0  # the aux reading's draw is negative and clamps
         s_other = stripping_angle_orthogonal(sd.kappa1, sd.kappa2, b)
-        t = measure_intensities(field, a, s_other, noise, seed, basis=basis_of(sd))
+        i_total, i_test, i_aux = measure_intensities(field, a, s_other, noise, seed,
+                                                     basis=basis_of(sd))
         beam = intensity(field) / 2.0
-        expected = t.i_test / beam - extract_probability(t, beam)
+        expected = i_test / beam - extract_probability(i_total, i_test, i_aux, beam)
         assert 0.0 < expected < 1.0
         assert measure_joint_probability(field, sd, a, b, 1, 1, noise, seed) == expected
 
@@ -438,7 +442,7 @@ class TestRunBellProtocol:
     def test_kappa_is_the_measured_calibration(self, dop):
         cfg = ProtocolConfig(dop=dop, n=3000, seed=37, resamples=0)
         rep = run_bell_protocol(cfg)
-        source = synthesize_partially_polarized(cfg.dop, cfg.intensity, cfg.n, cfg.seed)
+        source = synthesize_partially_polarized(cfg.dop, 1.0, cfg.n, cfg.seed)
         _, sd = measured_schmidt(source)
         assert (rep.kappa1, rep.kappa2) == (sd.kappa1, sd.kappa2)
 
@@ -498,7 +502,7 @@ def gathered_bootstrap_std(source, correlations, resamples, base):
 def protocol_reference(cfg, rep):
     """Gathered-copy bootstrap errors of a run_bell_protocol report:
     (chsh_err, [c_err per setting])."""
-    source = synthesize_partially_polarized(cfg.dop, cfg.intensity, cfg.n, cfg.seed)
+    source = synthesize_partially_polarized(cfg.dop, 1.0, cfg.n, cfg.seed)
     _, sd = measured_schmidt(source)
     pairs = rep.settings.pairs()
 
@@ -662,8 +666,15 @@ def test_noise_model_validation():
         NoiseModel(extinction_ratio=-0.1)
     with pytest.raises(DomainError):
         NoiseModel(detector_noise=float("nan"))
-    assert NoiseModel().is_ideal
-    assert not NoiseModel(phase_jitter=0.1).is_ideal
+    # the ideal instrument is the all-zero model
+    assert NoiseModel() == NoiseModel(extinction_ratio=0.0, detector_noise=0.0, phase_jitter=0.0)
+    assert NoiseModel(phase_jitter=0.1) != NoiseModel()
+    # up to 1e6 no reading overflows; the bound itself is accepted
+    assert NoiseModel(detector_noise=1e6, phase_jitter=1e6).phase_jitter == 1e6
+    for name in ("detector_noise", "phase_jitter"):
+        for bad in (1.000001e6, 1e308):
+            with pytest.raises(DomainError):
+                NoiseModel(**{name: bad})
 
 
 def test_noise_model_rejects_leak_above_one():

@@ -19,7 +19,6 @@ from wavebell import (
     schmidt,
     schmidt_functions,
     stokes,
-    coherence_matrix,
     stripping_angle,
     stripping_angle_orthogonal,
     synthesize_partially_polarized,
@@ -329,20 +328,20 @@ class TestWaveplates:
     def test_hwp_at_zero_preserves_x(self):
         e = FieldEnsemble(np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex))
         out = apply(waveplate_matrix("half", 0.0), e)
-        s = stokes(coherence_matrix(out))
+        s = stokes(out.second_moments)
         assert s.s1 == pytest.approx(s.s0, abs=1e-12)
 
     def test_hwp_rotates_x_to_diagonal(self):
         e = FieldEnsemble(np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex))
         out = apply(waveplate_matrix("half", math.pi / 8.0), e)
-        s = stokes(coherence_matrix(out))
+        s = stokes(out.second_moments)
         assert s.s2 == pytest.approx(s.s0, abs=1e-12)
         assert s.s1 == pytest.approx(0.0, abs=1e-12)
 
     def test_qwp_makes_circular(self):
         e = FieldEnsemble(np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex))
         out = apply(waveplate_matrix("quarter", math.pi / 4.0), e)
-        s = stokes(coherence_matrix(out))
+        s = stokes(out.second_moments)
         assert abs(s.s3) == pytest.approx(s.s0, abs=1e-12)
 
     def test_unitarity(self):
