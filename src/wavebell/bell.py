@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensemble import SchmidtDecomposition, inner, schmidt_functions
+from .ensemble import SchmidtDecomposition, _check_kappas, inner, schmidt_functions
 from .errors import DomainError, ModelContractError
 from .optics import FunctionBasis, LabBasis, rotate_function_basis, rotate_lab_basis
 
@@ -150,10 +150,10 @@ def max_chsh(kappa1: float, kappa2: float) -> tuple[float, AngleSettings]:
     singular values 1 and k, so the maximum is 2 sqrt(1 + k^2)
     (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)),
     i.e. :func:`chsh_closed_form_max`.  It is attained at a = pi/4, a' = 0,
-    b = -b' = atan(k) / 2.
+    b = -b' = atan(k) / 2.  Raises DomainError unless kappa1, kappa2 >= 0
+    with kappa1^2 + kappa2^2 = 1 to 1e-12.
     """
-    if kappa1 < 0 or kappa2 < 0 or abs(kappa1**2 + kappa2**2 - 1.0) > 1e-6:
-        raise DomainError("require kappa1, kappa2 >= 0 with kappa1^2 + kappa2^2 = 1")
+    _check_kappas(kappa1, kappa2)
     h = 0.5 * math.atan(2.0 * kappa1 * kappa2)
     return chsh_closed_form_max(kappa1, kappa2), AngleSettings(math.pi / 4, 0.0, h, -h)
 

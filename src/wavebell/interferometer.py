@@ -53,6 +53,7 @@ from .optics import (
     beamsplitter_split,
     chain_power,
     polarizer_axis,
+    _check_extinction,
     polarizer_matrix,
     stripping_angle,
     stripping_angle_orthogonal,
@@ -93,6 +94,9 @@ _STRIP = (stripping_angle, stripping_angle_orthogonal)
 # real apparatus, and low enough that no reading overflows.
 _MAX_NOISE = 1e6
 
+# An auxiliary reading at most this fraction of the beam counts as stripped (no light).
+_STRIPPED = 1e-15
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -111,11 +115,11 @@ class NoiseModel:
     phase_jitter: float = 0.0
 
     def __post_init__(self):
-        for name, top in (("extinction_ratio", 1.0), ("detector_noise", _MAX_NOISE),
-                          ("phase_jitter", _MAX_NOISE)):
+        _check_extinction(self.extinction_ratio)
+        for name in ("detector_noise", "phase_jitter"):
             v = getattr(self, name)
-            if not 0.0 <= v <= top:  # a NaN fails too
-                raise DomainError(f"{name} must lie in [0, {top:g}], got {v}")
+            if not 0.0 <= v <= _MAX_NOISE:  # a NaN fails too
+                raise DomainError(f"{name} must lie in [0, {_MAX_NOISE:g}], got {v}")
 
 
 def _seed_base(seed) -> tuple:
@@ -190,7 +194,7 @@ def _extract(i_total, i_test, i_aux, beam_intensity):
     """The extraction formula, elementwise; see :func:`extract_probability`."""
     if np.any(beam_intensity <= 0.0):
         raise DomainError("source intensity must be positive")
-    if np.any(i_aux <= 1e-15 * beam_intensity):
+    if np.any(i_aux <= _STRIPPED * beam_intensity):
         raise StrippedBeamError("auxiliary beam extinguished; intensity extraction undefined")
     cross = 2.0 * i_total - i_aux - i_test
     # squared with libm pow, as Python's float ** does (cross * cross can differ in the last bit)
@@ -213,7 +217,7 @@ def _probabilities(ensemble, sd, a, b, k, l, noise, seeds, keys, indices=()) -> 
     j, t = _readings(ensemble, indices, LabBasis(sd.u1, sd.u2), pol, strip, noise, seeds, keys)
     beam = np.broadcast_to(np.trace(j, axis1=1, axis2=2).real[:, None] / 2.0, t.shape[:2])
     own, other = t[:, :, 0], t[:, :, 1]
-    stripped = own[..., 2] <= 1e-15 * beam
+    stripped = own[..., 2] <= _STRIPPED * beam
     p = np.empty(stripped.shape)
     p[~stripped] = _extract(*own[~stripped].T, beam[~stripped])
     if np.any(stripped):

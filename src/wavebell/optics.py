@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import FieldEnsemble, inner
+from .ensemble import _NORM_TOL, FieldEnsemble, _check_kappas, _check_orthonormal, inner
 from .errors import DegenerateFieldError, DomainError
 
 __all__ = [
@@ -57,12 +57,7 @@ class LabBasis:
         v2 = np.asarray(self.v2, dtype=np.complex128)
         if v1.shape != (2,) or v2.shape != (2,):
             raise DomainError("lab basis vectors must have 2 components")
-        if (
-            abs(np.vdot(v1, v1) - 1.0) > 1e-10
-            or abs(np.vdot(v2, v2) - 1.0) > 1e-10
-            or abs(np.vdot(v1, v2)) > 1e-10
-        ):
-            raise DomainError("lab basis must be orthonormal")
+        _check_orthonormal(v1, v2)
         object.__setattr__(self, "v1", v1)
         object.__setattr__(self, "v2", v2)
 
@@ -83,12 +78,7 @@ class FunctionBasis:
         g2 = np.asarray(self.g2, dtype=np.complex128)
         if g1.ndim != 1 or g1.shape != g2.shape:
             raise DomainError("function basis vectors must be equal-length 1-d arrays")
-        if (
-            abs(inner(g1, g1) - 1.0) > 1e-10
-            or abs(inner(g2, g2) - 1.0) > 1e-10
-            or abs(inner(g1, g2)) > 1e-10
-        ):
-            raise DomainError("function basis must be orthonormal within 1e-10")
+        _check_orthonormal(g1, g2, inner)
         object.__setattr__(self, "g1", g1)
         object.__setattr__(self, "g2", g2)
 
@@ -114,15 +104,15 @@ def polarizer_axis(basis: LabBasis, angle: float | np.ndarray) -> np.ndarray:
 
 
 def polarizer_matrix(axis: np.ndarray, extinction_ratio: float = 0.0) -> np.ndarray:
-    """2x2 Jones matrix of a polarizer: projector onto ``axis`` plus, for an
-    imperfect element, sqrt(extinction_ratio) times the projector onto the
-    blocked axis (extinction_ratio is the leaked power fraction).  A stack
+    """2x2 Jones matrix of a polarizer: projector onto ``axis``, a unit vector to
+    1e-12, plus sqrt(extinction_ratio) times the projector onto the blocked axis
+    (extinction_ratio, in [0, 1], is the leaked power fraction).  A stack
     of axes, shape (..., 2), gives a stack of matrices, shape (..., 2, 2)."""
-    axis = np.asarray(axis, dtype=np.complex128)
-    if axis.shape[-1:] != (2,) or np.any(np.abs(np.sum(axis.conj() * axis, axis=-1) - 1.0) > 1e-9):
-        raise DomainError("polarizer axis must be a 2-component unit vector")
-    if extinction_ratio < 0.0 or not math.isfinite(extinction_ratio):
-        raise DomainError("extinction ratio must be finite and >= 0")
+    axis = np.atleast_1d(np.asarray(axis, dtype=np.complex128))
+    off = np.max(np.abs((axis.real**2 + axis.imag**2).sum(-1) - 1.0), initial=0.0)  # keeps a NaN
+    if axis.shape[-1:] != (2,) or not off <= _NORM_TOL:
+        raise DomainError(f"need 2-component unit polarizer axes, got |<axis|axis> - 1| = {off}")
+    _check_extinction(extinction_ratio)
     m = axis[..., :, None] * axis.conj()[..., None, :]
     if extinction_ratio > 0.0:
         perp = np.stack([-axis[..., 1].conj(), axis[..., 0].conj()], axis=-1)
@@ -138,15 +128,16 @@ def reduce_polarizer_angle(angle: float) -> float:
     return r
 
 
-def _check_kappas(kappa1: float, kappa2: float) -> None:
-    if kappa1 < 0 or kappa2 < 0:
-        raise DomainError("Schmidt weights must be nonnegative")
-    if abs(kappa1**2 + kappa2**2 - 1.0) > 1e-2:
-        raise DomainError("kappa1^2 + kappa2^2 must be close to 1")
+def _check_extinction(extinction_ratio: float) -> None:
+    if not 0.0 <= extinction_ratio <= 1.0:  # a NaN fails too
+        raise DomainError(f"extinction_ratio must lie in [0, 1], got {extinction_ratio}")
+
+
+def _check_strippable(kappa1: float, kappa2: float) -> None:
+    _check_kappas(kappa1, kappa2)
     if kappa2 <= 1e-12:
         raise DegenerateFieldError(
-            "stripping is undefined for a fully polarized field (kappa2 = 0)"
-        )
+            "stripping is undefined for a fully polarized field (kappa2 = 0)")
 
 
 def stripping_angle(kappa1: float, kappa2: float, b: float) -> float:
@@ -159,9 +150,10 @@ def stripping_angle(kappa1: float, kappa2: float, b: float) -> float:
     tan(s) = (kappa1/kappa2) tan(b) blocks exactly that component, so the
     transmitted beam contains only the first rotated function vector.
 
-    Returns the angle reduced to (-pi/2, pi/2].
+    Returns the angle reduced to (-pi/2, pi/2].  Needs kappa1^2 + kappa2^2 = 1
+    to 1e-12 with kappa1, kappa2 >= 0 (else DomainError) and kappa2 > 1e-12.
     """
-    _check_kappas(kappa1, kappa2)
+    _check_strippable(kappa1, kappa2)
     s = math.atan2(kappa1 * math.sin(b), kappa2 * math.cos(b))
     return reduce_polarizer_angle(s)
 
@@ -173,7 +165,7 @@ def stripping_angle_orthogonal(kappa1: float, kappa2: float, b: float) -> float:
     the second rotated function vector.  Satisfies
     tan(s') = -(kappa1/kappa2) cot(b), reduced to (-pi/2, pi/2].
     """
-    _check_kappas(kappa1, kappa2)
+    _check_strippable(kappa1, kappa2)
     s = math.atan2(-kappa1 * math.cos(b), kappa2 * math.sin(b))
     return reduce_polarizer_angle(s)
 

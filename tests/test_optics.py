@@ -195,9 +195,9 @@ class TestStrippingAngle:
         assert stripping_angle(k1, k2, 0.0) == 0.0
 
     def test_frozen_reference_angle(self):
-        # atan2(0.750 sin(pi/4), 0.661 cos(pi/4)) = 0.8483905449166529
-        assert stripping_angle(0.750, 0.661, math.pi / 4) == pytest.approx(
-            0.8483905449166529, abs=1e-12
+        # atan2(0.75 sin(pi/4), 0.66143782776614768 cos(pi/4)) = 0.8480620789814809
+        assert stripping_angle(0.75, 0.66143782776614768, math.pi / 4) == pytest.approx(
+            0.8480620789814809, abs=1e-12
         )
 
     def test_degenerate_weights(self):
@@ -209,6 +209,8 @@ class TestStrippingAngle:
     def test_unnormalized_weights_rejected(self):
         with pytest.raises(DomainError):
             stripping_angle(0.9, 0.9, 0.3)
+        with pytest.raises(DomainError):  # the rounded weights (0.750, 0.661), off by 5.8e-4
+            stripping_angle(0.750, 0.661, math.pi / 4)
 
     def test_orthogonal_special_cases(self):
         r = 2**-0.5
