@@ -17,7 +17,6 @@ from .bell import (
     correlation_closed_form,
     correlation_sum,
     cosine_response_model,
-    joint_probability_direct,
     joint_probability_kappa,
     joint_probability_projected,
     lhv_chsh,
@@ -31,7 +30,6 @@ from .ensemble import (
     StokesVector,
     dop,
     inner,
-    intensity,
     kappa_from_dop,
     load_ensemble_csv,
     measured_schmidt,

@@ -26,7 +26,6 @@ __all__ = [
     "AngleSettings",
     "LhvModel",
     "joint_probability_kappa",
-    "joint_probability_direct",
     "joint_probability_projected",
     "correlation_sum",
     "correlation_closed_form",
@@ -83,20 +82,14 @@ def _amplitude(kappa1: float, kappa2: float, a: float, b: float, k: int, l: int)
 def joint_probability_kappa(
     kappa1: float, kappa2: float, a: float, b: float, k: int, l: int
 ) -> float:
-    """Closed-form joint probability P_kl(a, b) from Schmidt weights alone."""
-    return _amplitude(kappa1, kappa2, a, b, k, l) ** 2
-
-
-def joint_probability_direct(
-    sd: SchmidtDecomposition, a: float, b: float, k: int, l: int
-) -> float:
-    """Closed-form joint probability P_kl(a, b) of a Schmidt-form field.
+    """Closed-form joint probability P_kl(a, b) of a Schmidt-form field with
+    Schmidt weights kappa1, kappa2.
 
     Probability of finding the field in the k-th rotated polarization basis
     vector together with the l-th rotated function basis vector.  The four
     values at any (a, b) are nonnegative and sum to 1.
     """
-    return joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l)
+    return _amplitude(kappa1, kappa2, a, b, k, l) ** 2
 
 
 def joint_probability_projected(

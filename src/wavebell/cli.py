@@ -38,7 +38,6 @@ from . import bell, interferometer as itf
 from .bell import (
     AngleSettings,
     SHIPPED_LHV_MODELS,
-    joint_probability_direct,
     joint_probability_kappa,
     lhv_chsh,
 )
@@ -189,7 +188,8 @@ def build_parser() -> _Parser:
     for command, defaults in _DEFAULTS.items():
         p = subs.add_parser(command, help=_COMMANDS[command].__doc__)
         p.add_argument("--config", type=Path, help="JSON config file")
-        group = p.add_mutually_exclusive_group()
+        # an empty exclusive group breaks argparse's usage formatter
+        group = p.add_mutually_exclusive_group() if set(_EXCLUSIVE) & set(defaults) else p
         for key in defaults:
             flag, spec = _OPTIONS[key]
             (group if key in _EXCLUSIVE else p).add_argument(flag, dest=key, **spec)
@@ -403,7 +403,7 @@ def _field_checks(cfg: dict, analytic: list, sampled: list):
         k1, k2 = kappa_from_dop(d)
         field = synthesize_schmidt_form(k1, k2, n=512, seed=1000 + t)
         sd = schmidt(field)
-        oracle = joint_probability_direct(sd, a, b, k, l)
+        oracle = joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l)
         measured = measure_joint_probability(field, sd, a, b, k, l)
         projected = bell.joint_probability_projected(field, sd, a, b, k, l)
         worst_measured = np.maximum(worst_measured, abs(measured - oracle))

@@ -22,7 +22,6 @@ __all__ = [
     "StokesVector",
     "SchmidtDecomposition",
     "inner",
-    "intensity",
     "synthesize_partially_polarized",
     "synthesize_schmidt_form",
     "stokes",
@@ -193,11 +192,6 @@ def inner(f: np.ndarray, g: np.ndarray) -> complex:
     return complex(np.vdot(f, g) / f.shape[0])
 
 
-def intensity(ensemble: FieldEnsemble) -> float:
-    """Ensemble-mean power (1/N) sum_n (|Ex|^2 + |Ey|^2)."""
-    return float(np.trace(ensemble.second_moments).real)
-
-
 def _check_intensity(intensity: float) -> None:
     # across this range every square of a Stokes parameter or moment stays a normal float
     if not 1e-100 <= intensity <= 1e100:  # a NaN fails too
@@ -338,7 +332,7 @@ def schmidt(ensemble: FieldEnsemble) -> SchmidtDecomposition:
     DegenerateFieldError
         If the ensemble carries no power.
     """
-    total = intensity(ensemble)
+    total = float(np.trace(ensemble.second_moments).real)
     if total <= 0.0:
         raise DegenerateFieldError("zero-intensity ensemble has no Schmidt form")
 

@@ -20,9 +20,13 @@ An optional noise model injects polarizer leakage, additive detector noise,
 and auxiliary-arm phase jitter; all noise streams are derived from explicit
 seeds so every simulated measurement is reproducible.
 
-One kernel, ``_probabilities``, reads every probability.  Each intensity is a
-quadratic form in the 2x2 second moments J of a run, so it reads a stack of
-runs (the source and its bootstrap resamples) at an array of settings at once.
+One kernel, ``_probabilities``, reads every probability.  Each shuttered
+intensity is a quadratic form in the 2x2 second moments J of a run, and the
+both-arms reading adds an interference term in the phase-weighted moments K
+(K = J without jitter).  So the kernel reads stacks of J, K and detector
+offsets, drawn by ``_moment_stacks`` for the source and its bootstrap
+resamples, at an array of settings at once; at population moments it gives
+the n -> infinity value of every output.
 """
 
 from __future__ import annotations
@@ -126,31 +130,31 @@ def _seed_base(seed) -> tuple:
     return seed if isinstance(seed, tuple) else (seed,)
 
 
-def _readings(ensemble, indices, basis, pol, strip, noise, seeds, keys):
-    """Second moments J of R runs, shape (R, 2, 2), and their shutter triples
-    (i_total, i_test, i_aux), shape (R, M, S, 3), read as
-    :func:`measure_intensities` describes.
+def _moment_stacks(ensemble, indices, noise, seeds, keys):
+    """Moment stacks of R runs at M settings: the second moments J, shape
+    (R, 2, 2), the phase-weighted moments K, shape (R, M, 2, 2), and the
+    detector offsets, shape (R, M, 3), that :func:`_readings` reads.
 
     Run 0 is the source and run r the resample at the r-th index array of
     ``indices``, read as weights over the source's realizations: its counts
     for J, and for K its draws' feature rows, gathered block by block.
-    ``pol`` holds the M test polarizer angles and ``strip`` the (M, S)
-    stripping angles read behind each, relative to ``basis``.  Measurement m
-    of run r draws phases, then detector noise, from ``default_rng(seeds[r] +
-    keys[m])``; under jitter a run's measurements share _WORKERS threads, each
-    writing only its own slots, so no result depends on the thread count.
+    Measurement m of run r draws phases, then detector noise, from
+    ``default_rng(seeds[r] + keys[m])``; under jitter a run's measurements
+    share _WORKERS threads, each writing only its own slots, so no result
+    depends on the thread count.  Without jitter K is J, as a broadcast view.
     """
     n, jitter, detector = ensemble.n, noise.phase_jitter > 0.0, noise.detector_noise > 0.0
-    moments = np.empty((len(seeds), 2, 2), dtype=complex)
-    k_pq = np.zeros((len(seeds), len(keys), 2, 2), dtype=complex)
+    j = np.empty((len(seeds), 2, 2), dtype=complex)
+    k = np.empty((len(seeds), len(keys), 2, 2), dtype=complex) if jitter else \
+        np.broadcast_to(j[:, None], (len(seeds), len(keys), 2, 2))
     offsets = np.zeros((len(seeds), len(keys), 3))
 
     def read(r, idx, m):
         rng = np.random.default_rng(seeds[r] + keys[m])
         if jitter:
-            k_pq[r, m] = ensemble._phase_moments(rng, noise.phase_jitter, idx)
+            k[r, m] = ensemble._phase_moments(rng, noise.phase_jitter, idx)
         if detector:
-            offsets[r, m] = rng.normal(0.0, noise.detector_noise * np.trace(moments[r]).real, 3)
+            offsets[r, m] = rng.normal(0.0, noise.detector_noise * np.trace(j[r]).real, 3)
 
     if jitter:
         from concurrent.futures import ThreadPoolExecutor
@@ -159,35 +163,38 @@ def _readings(ensemble, indices, basis, pol, strip, noise, seeds, keys):
     ms = range(len(keys) if jitter or detector else 0)
     with ThreadPoolExecutor(min(_WORKERS, len(keys))) if jitter else nullcontext() as pool:
         for r, idx in enumerate(chain([None], indices)):  # one index array alive at a time
-            moments[r] = ensemble.second_moments if idx is None else \
+            j[r] = ensemble.second_moments if idx is None else \
                 ensemble._weighted_moments(np.bincount(idx, minlength=n))
             list((pool.map if jitter else map)(lambda m: read(r, idx, m), ms))
+    return j, k, offsets
 
-    eps = noise.extinction_ratio
-    pol_a = polarizer_matrix(polarizer_axis(basis, np.asarray(pol)[:, None]), eps)
-    pol_s = polarizer_matrix(polarizer_axis(basis, strip), eps)
+
+def _readings(j, k, offsets, basis, pol, strip, extinction):
+    """Shutter triples (i_total, i_test, i_aux), shape (R, M, S, 3), as
+    :func:`measure_intensities` describes, from the stacks of
+    :func:`_moment_stacks` and the optics: the M test polarizer angles ``pol``
+    and the (M, S) stripping angles ``strip`` behind each, relative to
+    ``basis``, at one extinction ratio.  The both-arms reading is the two
+    shuttered readings plus the interference term 2 Re tr(out_aux+ out_test K),
+    out_aux and out_test being each arm's share of the recombiner output.
+    Under detector noise every reading is clamped at 0."""
+    pol_a = polarizer_matrix(polarizer_axis(basis, np.asarray(pol)[:, None]), extinction)
+    pol_s = polarizer_matrix(polarizer_axis(basis, strip), extinction)
     test_chain, _ = beamsplitter_split(pol_a)         # split transmit, polarizer a
     _, aux_chain = beamsplitter_split(pol_a @ pol_s)  # split reflect, polarizers s then a
     test_chain = np.broadcast_to(test_chain, aux_chain.shape)
-    j = moments[:, None, None]
+    jj = j[:, None, None]
     # shuttered readings: each arm alone, at half power behind the recombiner
-    test, aux = chain_power(test_chain, j) / 2.0, chain_power(aux_chain, j) / 2.0
-    if jitter:
-        # The output field is out_aux exp(i phi) E + out_test E, with each
-        # arm's share of the recombiner output; its mean power is the two
-        # shuttered readings plus the interference term in K.
-        zero = np.zeros(aux_chain.shape)
-        out_aux = beamsplitter_combine(aux_chain, zero)
-        out_test = beamsplitter_combine(zero, test_chain)
-        cross = _entry_sum((out_aux.conj().swapaxes(-1, -2) @ out_test) * k_pq[:, :, None]).real
-        total = test + aux + 2.0 * cross
-    else:
-        total = chain_power(beamsplitter_combine(aux_chain, test_chain), j)
-    readings = np.stack([total, test, aux], axis=-1)
-    if detector:
+    test, aux = chain_power(test_chain, jj) / 2.0, chain_power(aux_chain, jj) / 2.0
+    zero = np.zeros(aux_chain.shape)
+    out_aux = beamsplitter_combine(aux_chain, zero)
+    out_test = beamsplitter_combine(zero, test_chain)
+    cross = _entry_sum((out_aux.conj().swapaxes(-1, -2) @ out_test) * k[:, :, None]).real
+    readings = np.stack([test + aux + 2.0 * cross, test, aux], axis=-1)
+    if offsets.any():
         readings = np.maximum(readings + offsets[:, :, None], 0.0)
     readings[..., 1:] *= 2.0
-    return moments, readings
+    return readings
 
 
 def _extract(i_total, i_test, i_aux, beam_intensity):
@@ -204,18 +211,19 @@ def _extract(i_total, i_test, i_aux, beam_intensity):
     return np.minimum(p, 1.0)
 
 
-def _probabilities(ensemble, sd, a, b, k, l, noise, seeds, keys, indices=()) -> np.ndarray:
-    """Joint probabilities P_kl(a, b), shape (R, M), of the source and its
-    resamples at ``indices`` at the M settings ``a, b, k, l``, read as
-    :func:`measure_joint_probability` describes: both stripping angles of a
-    setting under its one set of noise draws (see :func:`_readings`)."""
+def _probabilities(stacks, sd, a, b, k, l, extinction) -> np.ndarray:
+    """Joint probabilities P_kl(a, b), shape (R, M), of the R runs whose
+    moment stacks (J, K, offsets) :func:`_moment_stacks` built, at the M
+    settings ``a, b, k, l``, read as :func:`measure_joint_probability`
+    describes: both stripping angles of a setting under its one set of
+    noise draws (see :func:`_readings`)."""
     a, b, k, l = map(np.asarray, (a, b, k, l))
     distinct_b, which = np.unique(b, return_inverse=True)
     strips = np.array([[f(sd.kappa1, sd.kappa2, x) for f in _STRIP] for x in distinct_b.tolist()])
     strip = np.where((l == 1)[:, None], strips[which], strips[which, ::-1])  # selected, other
     pol = np.where(k == 1, a, a + math.pi / 2.0)
-    j, t = _readings(ensemble, indices, LabBasis(sd.u1, sd.u2), pol, strip, noise, seeds, keys)
-    beam = np.broadcast_to(np.trace(j, axis1=1, axis2=2).real[:, None] / 2.0, t.shape[:2])
+    t = _readings(*stacks, LabBasis(sd.u1, sd.u2), pol, strip, extinction)
+    beam = np.broadcast_to(np.trace(stacks[0], axis1=1, axis2=2).real[:, None] / 2.0, t.shape[:2])
     own, other = t[:, :, 0], t[:, :, 1]
     stripped = own[..., 2] <= _STRIPPED * beam
     p = np.empty(stripped.shape)
@@ -246,13 +254,12 @@ def measure_intensities(
     ``basis`` (normally the ensemble's Schmidt basis).
     Deterministic for a given ``seed``; phase jitter is drawn before detector noise.
 
-    Every reading is a quadratic form in the cached sample second moments
-    J.  Phase jitter varies per realization, so only the interference term
-    of the both-arms-open reading changes: it is a quadratic form in the
-    phase-weighted moments K_pq = (1/N) sum_n exp(-i phi_n) conj(Ep_n) Eq_n,
-    computed in one pass over the realizations.
+    Every reading is a quadratic form in the cached second moments J but the
+    both-arms interference term, which reads the phase-weighted moments
+    K_pq = (1/N) sum_n exp(-i phi_n) conj(Ep_n) Eq_n (K = J without jitter).
     """
-    _, t = _readings(ensemble, (), basis, [a], [[s]], noise, [_seed_base(seed)], [()])
+    stacks = _moment_stacks(ensemble, (), noise, [_seed_base(seed)], [()])
+    t = _readings(*stacks, basis, [a], [[s]], noise.extinction_ratio)
     return tuple(map(float, t[0, 0, 0]))
 
 
@@ -307,8 +314,8 @@ def measure_joint_probability(
     """
     if k not in (1, 2) or l not in (1, 2):
         raise DomainError(f"outcome indices k, l must each be 1 or 2, got ({k}, {l})")
-    p = _probabilities(ensemble, sd, [a], [b], [k], [l], noise, [_seed_base(seed)], [()])
-    return float(p[0, 0])
+    stacks = _moment_stacks(ensemble, (), noise, [_seed_base(seed)], [()])
+    return float(_probabilities(stacks, sd, [a], [b], [k], [l], noise.extinction_ratio)[0, 0])
 
 
 def measure_correlation(
@@ -322,8 +329,8 @@ def measure_correlation(
     """Measure all four joint probabilities at (a, b) and combine them into
     the correlation C = P11 - P12 - P21 + P22; outcome (k, l) draws its
     noise from seed + (k, l)."""
-    p = _probabilities(ensemble, sd, [a] * 4, [b] * 4, *np.array(_KL).T, noise,
-                       [_seed_base(seed)], _KL)
+    stacks = _moment_stacks(ensemble, (), noise, [_seed_base(seed)], _KL)
+    p = _probabilities(stacks, sd, [a] * 4, [b] * 4, *np.array(_KL).T, noise.extinction_ratio)
     p = tuple(map(float, p[0]))
     return correlation_sum(p), p
 
@@ -377,13 +384,14 @@ def _measure_runs(ensemble, sd, pairs, noise, base, resamples) -> np.ndarray:
     (a, b) pairs: run 0 reads the source, run r its r-th bootstrap resample;
     outcome (k, l) at pair i of run r draws its noise from base + (r, i, k, l).
     Whatever the noise model, all runs are read in one kernel call, each as a
-    weight vector over the source's realizations (see :func:`_readings`).
+    weight vector over the source's realizations (see :func:`_moment_stacks`).
     """
     settings = np.array([(a, b, k, l) for a, b in pairs for k, l in _KL]).T
     keys = [(i, k, l) for i in range(len(pairs)) for k, l in _KL]
     indices = _resample_indices(ensemble.n, resamples, base) if resamples else ()
     seeds = [base + (r,) for r in range(1 + resamples)]
-    p = _probabilities(ensemble, sd, *settings, noise, seeds, keys, indices)
+    stacks = _moment_stacks(ensemble, indices, noise, seeds, keys)
+    p = _probabilities(stacks, sd, *settings, noise.extinction_ratio)
     return p.reshape(len(p), len(pairs), 4)
 
 

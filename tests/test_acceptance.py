@@ -13,7 +13,6 @@ from wavebell import (
     SHIPPED_LHV_MODELS,
     StokesVector,
     dop,
-    joint_probability_direct,
     joint_probability_kappa,
     joint_probability_projected,
     kappa_from_dop,
@@ -148,7 +147,7 @@ def test_criterion_6_triple_path_agreement():
         k, l = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         field = synthesize_schmidt_form(k1, k2, n=512, seed=3000 + t)
         sd = schmidt(field)
-        oracle = joint_probability_direct(sd, a, b, k, l)
+        oracle = joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l)
         measured = measure_joint_probability(field, sd, a, b, k, l, seed=(1, t))
         projected = joint_probability_projected(field, sd, a, b, k, l)
         worst_analytic = max(

@@ -17,7 +17,6 @@ from wavebell import (
     correlation_closed_form,
     correlation_sum,
     cosine_response_model,
-    joint_probability_direct,
     joint_probability_kappa,
     joint_probability_projected,
     kappa_from_dop,
@@ -37,8 +36,9 @@ def schmidt_of(dop, seed=0, n=256):
 
 
 def probabilities(sd, a, b):
-    """(p11, p12, p21, p22) of joint_probability_direct at (a, b)."""
-    return [joint_probability_direct(sd, a, b, k, l) for k in (1, 2) for l in (1, 2)]
+    """(p11, p12, p21, p22) of joint_probability_kappa at (a, b)."""
+    return [joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l)
+            for k in (1, 2) for l in (1, 2)]
 
 
 def correlation_of(sd, a, b):
@@ -59,12 +59,12 @@ def marginal_a(sd, a):
 class TestJointProbability:
     def test_polarized_aligned(self):
         sd = schmidt_of(1.0)
-        assert joint_probability_direct(sd, 0.0, 0.0, 1, 1) == pytest.approx(1.0)
+        assert joint_probability_kappa(sd.kappa1, sd.kappa2, 0.0, 0.0, 1, 1) == pytest.approx(1.0)
 
     def test_unpolarized_equal_angles(self):
         sd = schmidt_of(0.0)
         for a in (0.0, 0.4, 1.3):
-            assert joint_probability_direct(sd, a, a, 1, 1) == pytest.approx(
+            assert joint_probability_kappa(sd.kappa1, sd.kappa2, a, a, 1, 1) == pytest.approx(
                 0.5, abs=1e-12
             )
 
@@ -74,20 +74,20 @@ class TestJointProbability:
         sd = schmidt_of(float(rng.uniform(0, 1)), seed=seed)
         a, b = rng.uniform(-math.pi, math.pi, 2)
         total = sum(
-            joint_probability_direct(sd, a, b, k, l) for k in (1, 2) for l in (1, 2)
+            joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l) for k in (1, 2) for l in (1, 2)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
         for k in (1, 2):
             for l in (1, 2):
-                p = joint_probability_direct(sd, a, b, k, l)
+                p = joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l)
                 assert 0.0 <= p <= 1.0
 
     def test_bad_indices(self):
         sd = schmidt_of(0.5)
         with pytest.raises(DomainError):
-            joint_probability_direct(sd, 0.0, 0.0, 0, 1)
+            joint_probability_kappa(sd.kappa1, sd.kappa2, 0.0, 0.0, 0, 1)
         with pytest.raises(DomainError):
-            joint_probability_direct(sd, 0.0, 0.0, 1, 3)
+            joint_probability_kappa(sd.kappa1, sd.kappa2, 0.0, 0.0, 1, 3)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_projected_estimator_matches(self, seed):
@@ -99,7 +99,7 @@ class TestJointProbability:
         for k in (1, 2):
             for l in (1, 2):
                 assert joint_probability_projected(e, sd, a, b, k, l) == pytest.approx(
-                    joint_probability_direct(sd, a, b, k, l), abs=1e-12
+                    joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l), abs=1e-12
                 )
 
 
@@ -166,22 +166,16 @@ class TestNoSignaling:
         for a in grid:
             expected = sd.kappa1**2 * math.cos(a) ** 2 + sd.kappa2**2 * math.sin(a) ** 2
             for b in grid:
-                m = joint_probability_direct(sd, a, b, 1, 1) + joint_probability_direct(
-                    sd, a, b, 1, 2
-                )
+                m = sum(joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, 1, l) for l in (1, 2))
                 assert m == pytest.approx(expected, abs=1e-12)
 
     def test_function_marginal_independent_of_a(self):
         sd = schmidt_of(0.125)
         grid = np.linspace(0, math.pi, 20, endpoint=False)
         for b in grid:
-            ref = joint_probability_direct(sd, 0.123, b, 1, 1) + joint_probability_direct(
-                sd, 0.123, b, 2, 1
-            )
+            ref = sum(joint_probability_kappa(sd.kappa1, sd.kappa2, 0.123, b, k, 1) for k in (1, 2))
             for a in grid:
-                m = joint_probability_direct(sd, a, b, 1, 1) + joint_probability_direct(
-                    sd, a, b, 2, 1
-                )
+                m = sum(joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, 1) for k in (1, 2))
                 assert m == pytest.approx(ref, abs=1e-12)
 
 
@@ -247,7 +241,7 @@ class TestChsh:
         angles=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
     )
     def test_max_chsh_is_the_optimum(self, dop, angles):
-        # chsh_of reads the four probabilities of joint_probability_direct, not the closed form
+        # chsh_of reads the four probabilities of joint_probability_kappa, not the closed form
         k1, k2 = kappa_from_dop(dop)
         sd = SchmidtDecomposition(kappa1=k1, kappa2=k2, u1=np.array([1, 0j]),
                                   u2=np.array([0j, 1]), intensity=1.0)
@@ -336,9 +330,11 @@ class TestLhv:
 
 
 def test_joint_probability_kappa_matches_direct():
+    # the squared amplitudes of the Schmidt form, written out
     sd = schmidt_of(0.3, seed=9)
-    for k in (1, 2):
-        for l in (1, 2):
-            assert joint_probability_kappa(
-                sd.kappa1, sd.kappa2, 0.4, 1.1, k, l
-            ) == pytest.approx(joint_probability_direct(sd, 0.4, 1.1, k, l), abs=1e-15)
+    k1, k2, a, b = sd.kappa1, sd.kappa2, 0.4, 1.1
+    ca, sa, cb, sb = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
+    direct = {(1, 1): k1 * ca * cb + k2 * sa * sb, (1, 2): k1 * ca * sb - k2 * sa * cb,
+              (2, 1): k1 * sa * cb - k2 * ca * sb, (2, 2): k1 * sa * sb + k2 * ca * cb}
+    for (k, l), amp in direct.items():
+        assert joint_probability_kappa(k1, k2, a, b, k, l) == pytest.approx(amp**2, abs=1e-15)

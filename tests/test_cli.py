@@ -297,7 +297,7 @@ def sequential_validate(cfg):
         k, l = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         field = cli.synthesize_schmidt_form(k1, k2, n=512, seed=1000 + t)
         sd = schmidt(field)
-        oracle = cli.joint_probability_direct(sd, a, b, k, l)
+        oracle = cli.joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l)
         measured = cli.measure_joint_probability(field, sd, a, b, k, l)
         projected = bell.joint_probability_projected(field, sd, a, b, k, l)
         worst_measured = max(worst_measured, abs(measured - oracle))
@@ -587,6 +587,16 @@ def test_cli_import_loads_no_thread_pool():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", list(cli._DEFAULTS))
+def test_help_prints_usage(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith(f"usage: wavebell {command} ")
+    assert captured.err == ""
 
 
 def test_usage_error_exit_code():

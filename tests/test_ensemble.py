@@ -9,7 +9,6 @@ from wavebell import (
     FieldEnsemble,
     StokesVector,
     dop,
-    intensity,
     kappa_from_dop,
     load_ensemble_csv,
     measured_schmidt,
@@ -45,8 +44,8 @@ class TestFieldEnsemble:
 
     def test_intensity_nonnegative(self):
         e = constant_ensemble(0.0, 0.0)
-        assert intensity(e) == 0.0
-        assert intensity(constant_ensemble(1.0, 1.0)) > 0.0
+        assert np.trace(e.second_moments).real == 0.0
+        assert np.trace(constant_ensemble(1.0, 1.0).second_moments).real > 0.0
 
 
 class TestSynthesize:
@@ -111,7 +110,7 @@ class TestSynthesize:
 
     def test_mean_intensity(self):
         e = synthesize_partially_polarized(0.5, 3.0, 50_000, 3)
-        assert intensity(e) == pytest.approx(3.0, rel=0.02)
+        assert np.trace(e.second_moments).real == pytest.approx(3.0, rel=0.02)
 
     def test_schmidt_weights_track_requested_dop(self):
         n = 200_000
@@ -256,7 +255,7 @@ class TestSchmidt:
         assert arrays and all(e.n not in v.shape for v in arrays)
 
     def test_fully_polarized_functions_complete_the_basis(self):
-        from wavebell import joint_probability_direct, joint_probability_projected
+        from wavebell import joint_probability_kappa, joint_probability_projected
         from wavebell.optics import FunctionBasis
 
         e = synthesize_partially_polarized(1.0, 1.0, 500, 3)
@@ -267,7 +266,7 @@ class TestSchmidt:
             for k in (1, 2):
                 for l in (1, 2):
                     assert joint_probability_projected(e, sd, a, b, k, l) == pytest.approx(
-                        joint_probability_direct(sd, a, b, k, l), abs=1e-12
+                        joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l), abs=1e-12
                     )
 
     def test_schmidt_form_synthesis_exact(self):

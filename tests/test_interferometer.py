@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from hypothesis import settings as hypothesis_settings
 
 from wavebell import (
     AngleSettings,
@@ -14,14 +16,13 @@ from wavebell import (
     FieldEnsemble,
     NoiseModel,
     ProtocolConfig,
+    SchmidtDecomposition,
     StrippedBeamError,
     apply,
     beamsplitter_combine,
     beamsplitter_split,
     bootstrap_error,
     extract_probability,
-    intensity,
-    joint_probability_direct,
     joint_probability_kappa,
     joint_probability_projected,
     kappa_from_dop,
@@ -37,13 +38,24 @@ from wavebell import (
 )
 from wavebell import ensemble as ensemble_module, interferometer
 from wavebell.interferometer import CURVE_CSV_HEADER
-from wavebell.optics import LabBasis, polarizer_axis, polarizer_matrix
+from wavebell.optics import (
+    LabBasis,
+    polarizer_axis,
+    polarizer_matrix,
+    stripping_angle,
+    stripping_angle_orthogonal,
+)
 
 XY = LabBasis(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
 def basis_of(sd):
     return LabBasis(sd.u1, sd.u2)
+
+
+def mean_power(e):
+    """Ensemble-mean power tr J."""
+    return float(np.trace(e.second_moments).real)
 
 
 class TestMeasureIntensities:
@@ -53,7 +65,7 @@ class TestMeasureIntensities:
         _, i_test, _ = measure_intensities(e, 0.5, 0.9, basis=basis_of(sd))
         half, _ = beamsplitter_split(e.realizations)
         pol = polarizer_matrix(polarizer_axis(basis_of(sd), 0.5))
-        expected = intensity(apply(pol, FieldEnsemble(half)))
+        expected = mean_power(apply(pol, FieldEnsemble(half)))
         assert i_test == pytest.approx(expected, abs=1e-12)
 
     def test_dark_input(self):
@@ -80,9 +92,9 @@ class TestMeasureIntensities:
         test_a = apply(pol_a, test)
         aux_sa = apply(pol_a, apply(pol_s, aux))
         out = FieldEnsemble(beamsplitter_combine(aux_sa.realizations, test_a.realizations))
-        assert i_total == pytest.approx(intensity(out), abs=1e-12)
-        assert i_test == pytest.approx(intensity(test_a), abs=1e-12)
-        assert i_aux == pytest.approx(intensity(aux_sa), abs=1e-12)
+        assert i_total == pytest.approx(mean_power(out), abs=1e-12)
+        assert i_test == pytest.approx(mean_power(test_a), abs=1e-12)
+        assert i_aux == pytest.approx(mean_power(aux_sa), abs=1e-12)
 
     def test_jitter_path_matches_reference(self):
         e = synthesize_partially_polarized(0.2, 1.0, 800, 4)
@@ -98,7 +110,7 @@ class TestMeasureIntensities:
         phases = np.random.default_rng(seed).normal(0.0, sigma, e.n)
         jittered = aux_sa.realizations * np.exp(1j * phases)[:, None]
         out = FieldEnsemble(beamsplitter_combine(jittered, test_a.realizations))
-        assert i_total == pytest.approx(intensity(out), abs=1e-12)
+        assert i_total == pytest.approx(mean_power(out), abs=1e-12)
 
     def test_jitter_washout(self):
         n = 30_000
@@ -163,8 +175,6 @@ class TestCrossTermIdentity:
         field = synthesize_schmidt_form(k1, k2, n=512, seed=seed)
         sd = schmidt(field)
         a, b = rng.uniform(-math.pi, math.pi, 2)
-        from wavebell.optics import stripping_angle
-
         s = stripping_angle(sd.kappa1, sd.kappa2, b)
         i_total, i_test, i_aux = measure_intensities(field, a, s, basis=basis_of(sd))
         cross = 2.0 * i_total - i_aux - i_test
@@ -186,7 +196,7 @@ class TestTriplePathAgreement:
         sd = schmidt(field)
         a, b = rng.uniform(-math.pi, math.pi, 2)
         k, l = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        oracle = joint_probability_direct(sd, a, b, k, l)
+        oracle = joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l)
         measured = measure_joint_probability(field, sd, a, b, k, l)
         projected = joint_probability_projected(field, sd, a, b, k, l)
         assert abs(measured - oracle) < 1e-12
@@ -203,7 +213,7 @@ class TestTriplePathAgreement:
         k, l = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         measured = measure_joint_probability(e, sd, a, b, k, l)
         projected = joint_probability_projected(e, sd, a, b, k, l)
-        empirical_oracle = joint_probability_direct(sd, a, b, k, l)
+        empirical_oracle = joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l)
         k1, k2 = kappa_from_dop(d)
         requested_oracle = joint_probability_kappa(k1, k2, a, b, k, l)
         assert abs(measured - empirical_oracle) < 1e-10
@@ -230,14 +240,12 @@ class TestTriplePathAgreement:
         # polarizer a exactly crossed with the stripping polarizer: the aux
         # beam dies, and the value must come back via the complementary
         # channel; pick a case where the recovered probability is nonzero
-        from wavebell.optics import stripping_angle
-
         k1, k2 = kappa_from_dop(0.62)
         field = synthesize_schmidt_form(k1, k2, n=512, seed=77)
         sd = schmidt(field)
         b = 0.6
         a = stripping_angle(sd.kappa1, sd.kappa2, b) - math.pi / 2.0
-        oracle = joint_probability_direct(sd, a, b, 1, 1)
+        oracle = joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, 1, 1)
         assert oracle > 0.05
         measured = measure_joint_probability(field, sd, a, b, 1, 1)
         assert measured == pytest.approx(oracle, abs=1e-12)
@@ -245,8 +253,6 @@ class TestTriplePathAgreement:
     def test_crossed_polarizer_recovery_under_detector_noise(self):
         # the recovery reads the other stripping angle under the same draws:
         # P_kl = i_test / I - P_kl' from two shutter sequences with one seed
-        from wavebell.optics import stripping_angle, stripping_angle_orthogonal
-
         k1, k2 = kappa_from_dop(0.62)
         field = synthesize_schmidt_form(k1, k2, n=512, seed=77)
         sd = schmidt(field)
@@ -258,7 +264,7 @@ class TestTriplePathAgreement:
         s_other = stripping_angle_orthogonal(sd.kappa1, sd.kappa2, b)
         i_total, i_test, i_aux = measure_intensities(field, a, s_other, noise, seed,
                                                      basis=basis_of(sd))
-        beam = intensity(field) / 2.0
+        beam = mean_power(field) / 2.0
         expected = i_test / beam - extract_probability(i_total, i_test, i_aux, beam)
         assert 0.0 < expected < 1.0
         assert measure_joint_probability(field, sd, a, b, 1, 1, noise, seed) == expected
@@ -269,7 +275,7 @@ class TestTriplePathAgreement:
         sd = schmidt(e)
         measured = measure_joint_probability(e, sd, 0.0, math.pi / 2.0, 1, 1)
         assert measured == pytest.approx(
-            joint_probability_direct(sd, 0.0, math.pi / 2.0, 1, 1), abs=1e-10
+            joint_probability_kappa(sd.kappa1, sd.kappa2, 0.0, math.pi / 2.0, 1, 1), abs=1e-10
         )
 
     def test_aligned_angles_give_kappa1_squared(self):
@@ -315,6 +321,56 @@ class TestNoiseDegradation:
         assert noisy.chsh == pytest.approx(base.chsh * math.exp(-sigma**2), rel=0.01)
 
 
+def population_probabilities(dop, sigma, a, b, k, l):
+    """The kernel at the population moments of a source of degree of
+    polarization ``dop``, in its Schmidt basis, under phase jitter ``sigma``:
+    J = diag(1 + dop, 1 - dop) / 2 and K = exp(-sigma^2 / 2) J, with no
+    detector noise and no extinction.  Returns P_kl(a, b) at the M settings."""
+    k1, k2 = kappa_from_dop(dop)
+    sd = SchmidtDecomposition(k1, k2, np.array([1, 0j]), np.array([0, 1 + 0j]), intensity=1.0)
+    j = np.diag([1.0 + dop, 1.0 - dop]).astype(complex)[None] / 2.0
+    m = len(a)
+    k_pop = np.broadcast_to(math.exp(-sigma**2 / 2.0) * j[:, None], (1, m, 2, 2))
+    stacks = (j, k_pop, np.zeros((1, m, 3)))
+    return interferometer._probabilities(stacks, sd, a, b, k, l, 0.0)[0]
+
+
+class TestNoiseOracle:
+    """Under phase jitter sigma the interference term scales by
+    E[exp(-i phi)] = exp(-sigma^2 / 2), so every extracted probability, and
+    with them the CHSH value, scales by exp(-sigma^2)."""
+
+    @hypothesis_settings(max_examples=300, deadline=None)
+    @given(
+        dop=st.floats(0.0, 0.99),
+        sigma=st.floats(0.0, 2.0),
+        a=st.floats(-math.pi, math.pi),
+        b=st.floats(-math.pi, math.pi),
+        k=st.sampled_from([1, 2]),
+        l=st.sampled_from([1, 2]),
+    )
+    def test_population_moments_give_the_scaled_closed_form(self, dop, sigma, a, b, k, l):
+        k1, k2 = kappa_from_dop(dop)
+        pol = a if k == 1 else a + math.pi / 2.0
+        # neither stripping polarizer sits crossed with the test polarizer
+        assume(all(math.cos(pol - f(k1, k2, b)) ** 2 > 1e-4
+                   for f in (stripping_angle, stripping_angle_orthogonal)))
+        p = population_probabilities(dop, sigma, [a], [b], [k], [l])[0]
+        expected = math.exp(-sigma**2) * joint_probability_kappa(k1, k2, a, b, k, l)
+        assert abs(p - expected) <= 1e-12
+
+    @pytest.mark.parametrize("dop", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [2000, 20_000])
+    def test_sampled_runs_meet_the_oracle(self, n, sigma, dop):
+        # the optimized settings read no stripped point, so every p scales by exp(-sigma^2)
+        for seed in range(10):
+            rep = run_bell_protocol(ProtocolConfig(dop=dop, n=n, seed=seed, resamples=0,
+                                                   noise=NoiseModel(phase_jitter=sigma)))
+            oracle = math.exp(-sigma**2) * 2.0 * math.sqrt(2.0 - rep.dop**2)
+            assert abs(rep.chsh - oracle) <= 5.0 / math.sqrt(n)
+
+
 class TestBootstrap:
     def test_constant_pipeline(self):
         e = synthesize_partially_polarized(0.2, 1.0, 500, 8)
@@ -323,7 +379,7 @@ class TestBootstrap:
 
     def test_constant_ensemble_mean(self):
         e = FieldEnsemble(np.full((64, 2), 1.0 + 0.0j))
-        err = bootstrap_error(e, intensity, resamples=25, seed=1)
+        err = bootstrap_error(e, mean_power, resamples=25, seed=1)
         assert err == pytest.approx(0.0, abs=1e-14)
 
     def test_inverse_sqrt_scaling(self):
@@ -331,19 +387,19 @@ class TestBootstrap:
         errs = []
         for n in sizes:
             e = synthesize_partially_polarized(0.125, 1.0, n, 9)
-            errs.append(bootstrap_error(e, intensity, resamples=300, seed=2))
+            errs.append(bootstrap_error(e, mean_power, resamples=300, seed=2))
         slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
         assert abs(slope + 0.5) < 0.1
 
     def test_resample_floor(self):
         e = synthesize_partially_polarized(0.2, 1.0, 100, 10)
         with pytest.raises(DomainError):
-            bootstrap_error(e, intensity, resamples=5, seed=0)
+            bootstrap_error(e, mean_power, resamples=5, seed=0)
 
     def test_deterministic(self):
         e = synthesize_partially_polarized(0.2, 1.0, 2000, 11)
-        a = bootstrap_error(e, intensity, resamples=50, seed=3)
-        b = bootstrap_error(e, intensity, resamples=50, seed=3)
+        a = bootstrap_error(e, mean_power, resamples=50, seed=3)
+        b = bootstrap_error(e, mean_power, resamples=50, seed=3)
         assert a == b
 
 
@@ -657,7 +713,7 @@ def test_measure_correlation_consistency():
     sd = schmidt(e)
     c, p = measure_correlation(e, sd, 0.3, 0.7)
     assert c == pytest.approx(p[0] - p[1] - p[2] + p[3], abs=1e-15)
-    oracle = joint_probability_direct(sd, 0.3, 0.7, 1, 1)
+    oracle = joint_probability_kappa(sd.kappa1, sd.kappa2, 0.3, 0.7, 1, 1)
     assert p[0] == pytest.approx(oracle, abs=1e-10)
 
 
