@@ -244,6 +244,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    if getattr(args, "optimize", None):  # the flag overrides the file's settings
+        cfg["settings"] = None
+    if cfg.get("optimize") and cfg.get("settings") is not None:
+        raise WavebellError("--optimize and --settings exclude each other, in a config file too")
     return cfg
 
 
@@ -367,7 +371,7 @@ def cmd_scan(cfg: dict) -> int:
 def cmd_chsh(cfg: dict) -> int:
     """run the Bell protocol and report the CHSH value"""
     settings = None
-    if cfg["settings"] is not None and not cfg["optimize"]:
+    if cfg["settings"] is not None:
         values = [parse_angle(v) for v in cfg["settings"]]
         settings = AngleSettings(*values)
     protocol = ProtocolConfig(

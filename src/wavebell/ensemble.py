@@ -39,9 +39,6 @@ __all__ = [
 #: Column header used by the ensemble CSV serialization.
 ENSEMBLE_CSV_COLUMNS = ("index", "re_Ex", "im_Ex", "re_Ey", "im_Ey")
 
-# Realizations per phase-jitter block: its phases and feature rows (48 B each) fit in L2.
-_BLOCK = 8192
-
 # Tolerance of kappa1^2 + kappa2^2 = 1 and of unit and orthogonal vectors: every pair
 # and basis the package computes meets it at least 180x over (worst seen 5.4e-15).
 _NORM_TOL = 1e-12
@@ -102,8 +99,7 @@ class FieldEnsemble:
     @cached_property
     def _features(self) -> np.ndarray:
         """Rows (|Ex|^2, |Ey|^2, Re Ex* Ey, Im Ex* Ey) per realization, cached;
-        filled in place, so its build makes at most one column-sized temporary.
-        Build it before threads read it: a worker thread's build leaves its temporaries resident."""
+        filled in place, so its build makes at most one column-sized temporary."""
         x, y = self.realizations.T
         q = np.empty((self.n, 4))
         xy = q[:, 2:].view(complex)[:, 0]
@@ -117,23 +113,6 @@ class FieldEnsemble:
     def _weighted_moments(self, w) -> np.ndarray:
         """(1/N) sum_n w_n conj(Ep_n) Eq_n for real weights w, shape (n,)."""
         xx, yy, re, im = w @ self._features / self.n
-        return np.array([[xx, re + 1j * im], [re - 1j * im, yy]])
-
-    def _phase_moments(self, rng, sigma, idx) -> np.ndarray:
-        """(1/N) sum_n exp(-i phi_n) conj(Ep_n) Eq_n over the realizations at ``idx`` (all
-        if None), with phi drawn as ``rng.normal(0, sigma, n)`` but in blocks of _BLOCK."""
-        q, s, width = self._features, np.zeros((2, 4)), min(_BLOCK, self.n)
-        w, rows = np.empty((2, width)), np.empty((width, 4))
-        for start in range(0, self.n, width):
-            stop = min(start + width, self.n)
-            c, phi = w[:, :stop - start]
-            rng.standard_normal(out=phi)
-            phi *= -sigma
-            np.cos(phi, out=c)
-            np.sin(phi, out=phi)
-            s += w[:, :stop - start] @ (q[start:stop] if idx is None else np.take(
-                q, idx[start:stop], axis=0, out=rows[:stop - start], mode="clip"))
-        xx, yy, re, im = (s[0] + 1j * s[1]) / self.n
         return np.array([[xx, re + 1j * im], [re - 1j * im, yy]])
 
 

@@ -17,8 +17,9 @@ Squaring makes the extraction insensitive to the sign of the interference
 term.
 
 An optional noise model injects polarizer leakage, additive detector noise,
-and auxiliary-arm phase jitter; all noise streams are derived from explicit
-seeds so every simulated measurement is reproducible.
+and auxiliary-arm phase jitter (drawn in moment space, see ``_moment_stacks``);
+all noise streams are derived from explicit seeds so every simulated
+measurement is reproducible.
 
 One kernel, ``_probabilities``, reads every probability.  Each shuttered
 intensity is a quadratic form in the 2x2 second moments J of a run, and the
@@ -33,8 +34,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Callable, Sequence
@@ -88,8 +87,6 @@ _KAPPA2_FLOOR = 1e-6
 # Fixed tag separating bootstrap index streams from measurement streams.
 _BOOT_TAG = 715
 
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
 # Outcomes (k, l) of p11, p12, p21, p22, and the stripping angle of l = 1, 2.
 _KL = ((1, 1), (1, 2), (2, 1), (2, 2))
 _STRIP = (stripping_angle, stripping_angle_orthogonal)
@@ -110,8 +107,8 @@ class NoiseModel:
         axis, at most 1.
     detector_noise : std of additive Gaussian noise per detector reading,
         relative to the source intensity, at most 1e6.
-    phase_jitter : std (radians) of the auxiliary-arm phase, drawn per
-        realization and per measurement, at most 1e6.
+    phase_jitter : std (radians) of the auxiliary-arm phase, independent per
+        realization and per measurement (drawn in moment space), at most 1e6.
     """
 
     extinction_ratio: float = 0.0
@@ -136,36 +133,37 @@ def _moment_stacks(ensemble, indices, noise, seeds, keys):
     detector offsets, shape (R, M, 3), that :func:`_readings` reads.
 
     Run 0 is the source and run r the resample at the r-th index array of
-    ``indices``, read as weights over the source's realizations: its counts
-    for J, and for K its draws' feature rows, gathered block by block.
-    Measurement m of run r draws phases, then detector noise, from
-    ``default_rng(seeds[r] + keys[m])``; under jitter a run's measurements
-    share _WORKERS threads, each writing only its own slots, so no result
-    depends on the thread count.  Without jitter K is J, as a broadcast view.
+    ``indices``, read as counts c over the source's realizations.  Under jitter
+    K = (1/n) sum_n c_n exp(-i phi_n) q_n (q_n the n-th feature row, each draw
+    its own phase) has mean exp(-sigma^2/2) J and uncorrelated real and
+    imaginary parts of covariance Var(cos phi) G/n^2 and E[sin^2 phi] G/n^2,
+    G = sum_n c_n q_n q_n^T; each reading draws K as that Gaussian, with 8
+    normals and then its detector noise from ``default_rng(seeds[r] + keys[m])``.
+    Without jitter K is J, as a broadcast view.
     """
-    n, jitter, detector = ensemble.n, noise.phase_jitter > 0.0, noise.detector_noise > 0.0
+    n, sigma, detector = ensemble.n, noise.phase_jitter, noise.detector_noise > 0.0
     j = np.empty((len(seeds), 2, 2), dtype=complex)
-    k = np.empty((len(seeds), len(keys), 2, 2), dtype=complex) if jitter else \
+    k = np.empty((len(seeds), len(keys), 2, 2), dtype=complex) if sigma else \
         np.broadcast_to(j[:, None], (len(seeds), len(keys), 2, 2))
     offsets = np.zeros((len(seeds), len(keys), 3))
-
-    def read(r, idx, m):
-        rng = np.random.default_rng(seeds[r] + keys[m])
-        if jitter:
-            k[r, m] = ensemble._phase_moments(rng, noise.phase_jitter, idx)
-        if detector:
-            offsets[r, m] = rng.normal(0.0, noise.detector_noise * np.trace(j[r]).real, 3)
-
-    if jitter:
-        from concurrent.futures import ThreadPoolExecutor
-
-        ensemble._features  # built before any worker reads it
-    ms = range(len(keys) if jitter or detector else 0)
-    with ThreadPoolExecutor(min(_WORKERS, len(keys))) if jitter else nullcontext() as pool:
-        for r, idx in enumerate(chain([None], indices)):  # one index array alive at a time
-            j[r] = ensemble.second_moments if idx is None else \
-                ensemble._weighted_moments(np.bincount(idx, minlength=n))
-            list((pool.map if jitter else map)(lambda m: read(r, idx, m), ms))
+    # E[cos phi] and the stds of cos phi and sin phi, for phi ~ N(0, sigma^2)
+    mean, sd_cos = math.exp(-sigma**2 / 2.0), -math.expm1(-sigma**2) / math.sqrt(2.0)
+    sd_sin = math.sqrt(-math.expm1(-2.0 * sigma**2) / 2.0)
+    for r, idx in enumerate(chain([None], indices)):  # one index array alive at a time
+        counts = None if idx is None else np.bincount(idx, minlength=n)
+        j[r] = ensemble.second_moments if idx is None else ensemble._weighted_moments(counts)
+        if sigma:
+            q = ensemble._features  # G row by row, so no temporary is larger than a column
+            w, v = np.linalg.eigh([(col if idx is None else counts * col) @ q for col in q.T])
+            root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T / n  # principal root of G / n^2
+        for m in range(len(keys) if sigma or detector else 0):
+            rng = np.random.default_rng(seeds[r] + keys[m])
+            if sigma:
+                z = rng.standard_normal((2, 4))
+                xx, yy, re, im = (sd_cos * z[0] - 1j * sd_sin * z[1]) @ root
+                k[r, m] = mean * j[r] + np.array([[xx, re + 1j * im], [re - 1j * im, yy]])
+            if detector:
+                offsets[r, m] = rng.normal(0.0, noise.detector_noise * np.trace(j[r]).real, 3)
     return j, k, offsets
 
 
@@ -256,7 +254,8 @@ def measure_intensities(
 
     Every reading is a quadratic form in the cached second moments J but the
     both-arms interference term, which reads the phase-weighted moments
-    K_pq = (1/N) sum_n exp(-i phi_n) conj(Ep_n) Eq_n (K = J without jitter).
+    K_pq = (1/N) sum_n exp(-i phi_n) conj(Ep_n) Eq_n, drawn from its exact mean
+    and covariance over the phases phi_n (K = J without jitter).
     """
     stacks = _moment_stacks(ensemble, (), noise, [_seed_base(seed)], [()])
     t = _readings(*stacks, basis, [a], [[s]], noise.extinction_ratio)

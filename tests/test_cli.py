@@ -462,6 +462,12 @@ BAD_INPUTS = {
     "config-bad-b-list": lambda tmp: ["scan", "--config", _write_config(tmp, {"b_list": "0,foo"})],
     "config-three-settings": lambda tmp: ["chsh", "--config",
                                           _write_config(tmp, {"settings": [0, 0, 0]})],
+    # --optimize and --settings exclude each other wherever each is given
+    "config-optimize-and-settings": lambda tmp: ["chsh", "--n", "2000", "--config", _write_config(
+        tmp, {"optimize": True, "settings": [0, "45deg", "22.5deg", "67.5deg"]})],
+    "settings-flag-and-config-optimize": lambda tmp: [
+        "chsh", "--n", "2000", "--settings", "0", "45deg", "22.5deg", "67.5deg",
+        "--config", _write_config(tmp, {"optimize": True})],
     "config-bad-format": lambda tmp: ["chsh", "--config", _write_config(tmp, {"fmt": "xml"})],
     "empty-b-list": lambda tmp: ["scan", "--b-list", ",", "--out", str(tmp / "scan")],
     "config-empty-b-list": lambda tmp: ["scan", "--out", str(tmp / "scan"), "--config",

@@ -1,7 +1,5 @@
-import itertools
 import json
 import math
-import sys
 import threading
 
 import numpy as np
@@ -22,6 +20,8 @@ from wavebell import (
     beamsplitter_combine,
     beamsplitter_split,
     bootstrap_error,
+    chsh_sum,
+    correlation_sum,
     extract_probability,
     joint_probability_kappa,
     joint_probability_projected,
@@ -29,6 +29,7 @@ from wavebell import (
     measure_correlation,
     measure_intensities,
     measure_joint_probability,
+    max_chsh,
     measured_schmidt,
     run_bell_protocol,
     scan_correlation,
@@ -36,7 +37,7 @@ from wavebell import (
     synthesize_partially_polarized,
     synthesize_schmidt_form,
 )
-from wavebell import ensemble as ensemble_module, interferometer
+from wavebell import interferometer
 from wavebell.interferometer import CURVE_CSV_HEADER
 from wavebell.optics import (
     LabBasis,
@@ -56,6 +57,51 @@ def basis_of(sd):
 def mean_power(e):
     """Ensemble-mean power tr J."""
     return float(np.trace(e.second_moments).real)
+
+
+def features_and_gram(fields, counts):
+    """Element by element from the realizations: the count-weighted mean
+    feature row sum_n c_n q_n / n, q_n = (|Ex|^2, |Ey|^2, Re Ex* Ey, Im Ex* Ey),
+    and the Gram matrix G = sum_n c_n q_n q_n^T."""
+    rows = []
+    for x, y in fields:
+        xy = x.conjugate() * y
+        rows.append(np.array([abs(x) ** 2, abs(y) ** 2, xy.real, xy.imag]))
+    mean = sum(c * q for c, q in zip(counts, rows)) / len(fields)
+    gram = sum(c * np.outer(q, q) for c, q in zip(counts, rows))
+    return mean, gram
+
+
+def jitter_variances(sigma):
+    """Var(cos phi) and E[sin^2 phi] for phi ~ N(0, sigma^2)."""
+    return ((1.0 + math.exp(-2.0 * sigma**2)) / 2.0 - math.exp(-sigma**2),
+            (1.0 - math.exp(-2.0 * sigma**2)) / 2.0)
+
+
+def moments_matrix(v):
+    """2x2 matrices of feature-coordinate vectors (xx, yy, re, im), shape (..., 4)."""
+    xx, yy, re, im = np.moveaxis(np.asarray(v), -1, 0)
+    return np.stack([np.stack([xx, re + 1j * im], -1), np.stack([re - 1j * im, yy], -1)], -2)
+
+
+def per_realization_k(e, normals, sigma):
+    """K of readings as the per-realization phase pass drew them: reading i
+    takes phi = sigma * normals[i], its stream's normal(0, sigma, n), and
+    K = (1/n) sum_n exp(-i phi_n) conj(Ep_n) Eq_n.  Shape (readings, 2, 2)."""
+    phi = sigma * normals
+    return moments_matrix((np.cos(phi) @ e._features - 1j * (np.sin(phi) @ e._features)) / e.n)
+
+
+def reference_k(fields, counts, sigma, z):
+    """One jitter reading's K from its normals z, shape (2, 4): the mean
+    exp(-sigma^2/2) sum_n c_n q_n / n plus (sqrt(Var cos phi) z[0] -
+    i sqrt(E sin^2 phi) z[1]) G^(1/2) / n, in feature coordinates."""
+    mean, gram = features_and_gram(fields, counts)
+    u, w, vt = np.linalg.svd(gram)
+    root = (u * np.sqrt(w)) @ vt  # the symmetric square root of a PSD matrix
+    var_cos, sin2 = jitter_variances(sigma)
+    draw = (math.sqrt(var_cos) * z[0] - 1j * math.sqrt(sin2) * z[1]) @ root / len(fields)
+    return moments_matrix(math.exp(-sigma**2 / 2.0) * mean + draw)
 
 
 class TestMeasureIntensities:
@@ -104,13 +150,23 @@ class TestMeasureIntensities:
         i_total, _, _ = measure_intensities(e, 0.3, 0.8, NoiseModel(phase_jitter=sigma), seed,
                                             basis=basis)
         pol_a, pol_s = (polarizer_matrix(polarizer_axis(basis, x)) for x in (0.3, 0.8))
-        test, aux = (FieldEnsemble(x) for x in beamsplitter_split(e.realizations))
-        test_a = apply(pol_a, test)
-        aux_sa = apply(pol_a, apply(pol_s, aux))
-        phases = np.random.default_rng(seed).normal(0.0, sigma, e.n)
-        jittered = aux_sa.realizations * np.exp(1j * phases)[:, None]
-        out = FieldEnsemble(beamsplitter_combine(jittered, test_a.realizations))
-        assert i_total == pytest.approx(mean_power(out), abs=1e-12)
+
+        def outputs(fields):
+            # each arm's share of the recombiner output, per input field
+            test, aux = (FieldEnsemble(x) for x in beamsplitter_split(fields))
+            test_a, aux_sa = apply(pol_a, test), apply(pol_a, apply(pol_s, aux))
+            zero = np.zeros((len(fields), 2))
+            return (beamsplitter_combine(aux_sa.realizations, zero),
+                    beamsplitter_combine(zero, test_a.realizations))
+
+        aux_out, test_out = outputs(e.realizations)
+        arms = mean_power(FieldEnsemble(aux_out)) + mean_power(FieldEnsemble(test_out))
+        # the cross term weights conj(Ep) Eq by K_pq: read each arm at unit input along x, y
+        aux_unit, test_unit = outputs(np.eye(2, dtype=complex))
+        k = reference_k(e.realizations, np.ones(e.n), sigma,
+                        np.random.default_rng(seed).standard_normal((2, 4)))
+        cross = sum(k[p, q] * np.vdot(aux_unit[p], test_unit[q]) for p in (0, 1) for q in (0, 1))
+        assert i_total == pytest.approx(arms + 2.0 * cross.real, abs=1e-12)
 
     def test_jitter_washout(self):
         n = 30_000
@@ -571,6 +627,7 @@ def protocol_reference(cfg, rep):
     return errs[0], errs[1:]
 
 
+JITTER_AND_DETECTOR = NoiseModel(phase_jitter=0.1, detector_noise=1e-3)
 IDEAL_AND_MOMENT_NOISE = [
     NoiseModel(),
     NoiseModel(extinction_ratio=1e-3),
@@ -591,7 +648,7 @@ class TestResampleCounts:
         assert [p.c_err for p in rep.probabilities] == pytest.approx(c_err, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize(
-        "noise", [*IDEAL_AND_MOMENT_NOISE, NoiseModel(phase_jitter=0.1, detector_noise=1e-3)]
+        "noise", [*IDEAL_AND_MOMENT_NOISE, JITTER_AND_DETECTOR]
     )
     def test_scan_errors_match_gathered_copies(self, noise):
         e = synthesize_partially_polarized(0.125, 1.0, 2000, 39)
@@ -609,9 +666,10 @@ class TestResampleCounts:
         assert curve.c_err[1:] == pytest.approx(expected[1:], rel=1e-10, abs=0.0)
         assert curve.c_err[0] == pytest.approx(expected[0], abs=1e-14)
 
-    def test_jitter_resamples_gather_fields(self):
-        cfg = ProtocolConfig(dop=0.125, n=2000, seed=40,
-                             noise=NoiseModel(phase_jitter=0.1), resamples=10)
+    @pytest.mark.parametrize("noise", [NoiseModel(phase_jitter=0.1), JITTER_AND_DETECTOR],
+                             ids=["jitter", "jitter-and-detector"])
+    def test_jitter_resamples_gather_fields(self, noise):
+        cfg = ProtocolConfig(dop=0.125, n=2000, seed=40, noise=noise, resamples=10)
         rep = run_bell_protocol(cfg)
         chsh_err, c_err = protocol_reference(cfg, rep)
         assert rep.chsh_err == pytest.approx(chsh_err, rel=1e-12, abs=0.0)
@@ -630,82 +688,107 @@ class TestResampleCounts:
         assert len(built) == 1
 
 
-JITTER_AND_DETECTOR = NoiseModel(phase_jitter=0.1, detector_noise=1e-3)
-JITTER_CONFIG = ProtocolConfig(dop=0.125, n=2000, seed=40, noise=JITTER_AND_DETECTOR, resamples=10)
+class FixedNormals:
+    """Stands in for ``np.random.default_rng(seed)``: ``standard_normal``
+    returns the normals stored under the seed's last entry."""
+
+    def __init__(self, normals, seed):
+        self.normals = normals[seed[-1]]
+
+    def standard_normal(self, shape):
+        assert shape == self.normals.shape
+        return self.normals
 
 
-class TestJitterWorkers:
-    """One run's jitter readings are split across threads and read in blocks
-    of realizations; neither the thread count nor the block width may move a
-    result."""
+class TestJitterDraw:
+    """Each jitter reading draws K from its exact mean and covariance with
+    8 normals from its own stream."""
 
-    @staticmethod
-    def protocol_and_scan():
-        e = synthesize_partially_polarized(0.125, 1.0, 2000, 39)
-        _, sd = measured_schmidt(e)
-        grid = np.linspace(0.0, math.pi, 7, endpoint=False)
-        curve = scan_correlation(e, sd, 0.0, grid, JITTER_AND_DETECTOR, (39, 2), resamples=11)
-        columns = (curve.p11, curve.p12, curve.p21, curve.p22, curve.c, curve.c_err)
-        return run_bell_protocol(JITTER_CONFIG), np.vstack(columns)
+    def test_draw_order_is_pinned(self):
+        # 8 normals for K, then 3 detector normals, from default_rng(seed + key)
+        e = synthesize_partially_polarized(0.4, 1.0, 300, 12)
+        noise, seed, keys = JITTER_AND_DETECTOR, (11, 0), [(0, 1, 1), (3, 2, 1)]
+        j, k, offsets = interferometer._moment_stacks(e, (), noise, [seed], keys)
+        for m, key in enumerate(keys):
+            rng = np.random.default_rng(seed + key)
+            expected = reference_k(e.realizations, np.ones(e.n), 0.1, rng.standard_normal((2, 4)))
+            assert np.abs(k[0, m] - expected).max() <= 1e-13
+            detector = rng.normal(0.0, 1e-3 * np.trace(j[0]).real, 3)
+            assert np.array_equal(offsets[0, m], detector)
 
-    @pytest.mark.parametrize("block", [ensemble_module._BLOCK, 64])
-    def test_reports_equal_for_any_worker_count(self, monkeypatch, block):
-        # at width 64, n = 2000 spans 31 full blocks and a 16-row tail
-        monkeypatch.setattr(ensemble_module, "_BLOCK", block)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # more workers than cores, switching often
-        try:
-            runs = []
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(interferometer, "_WORKERS", workers)
-                runs.append(self.protocol_and_scan())
-        finally:
-            sys.setswitchinterval(interval)
-        (rep, curve), *others = runs
-        for other_rep, other_curve in others:
-            assert other_rep == rep
-            assert np.array_equal(other_curve, curve)
-        chsh_err, c_err = protocol_reference(JITTER_CONFIG, rep)
-        assert rep.chsh_err == pytest.approx(chsh_err, rel=1e-12, abs=0.0)
-        assert [p.c_err for p in rep.probabilities] == pytest.approx(c_err, rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize("run", [0, 1], ids=["source", "resample"])
+    def test_draw_has_the_exact_mean_and_covariance(self, monkeypatch, run):
+        # K is linear in its normals z: z = 0 gives the mean, and a unit normal
+        # in z[0] (z[1]) one row of the root of the real (imaginary) covariance
+        e, sigma = synthesize_partially_polarized(0.3, 1.0, 60, 14), 0.7
+        idx = np.random.default_rng(15).integers(0, e.n, e.n)
+        counts = [np.ones(e.n), np.bincount(idx, minlength=e.n)][run]
+        normals = [np.zeros((2, 4)), *np.eye(8).reshape(8, 2, 4)]
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedNormals(normals, seed))
+        _, k, _ = interferometer._moment_stacks(e, [idx][:run], NoiseModel(phase_jitter=sigma),
+                                                [(0,), (1,)][:run + 1], [(m,) for m in range(9)])
+        v = np.array([[x[0, 0], x[1, 1], (x[0, 1] + x[1, 0]) / 2, (x[0, 1] - x[1, 0]) / 2j]
+                      for x in k[run]])
+        mean, re_rows, im_rows = v[0], v[1:5] - v[0], v[5:] - v[0]
+        target_mean, gram = features_and_gram(e.realizations, counts)
+        var_cos, sin2 = jitter_variances(sigma)
 
-    def test_blocked_phase_stream_is_pinned(self):
-        n, sigma, seed = 2 * ensemble_module._BLOCK + 17, 0.3, 11
-        e = synthesize_partially_polarized(0.4, 1.0, n, 12)
-        k = e._phase_moments(np.random.default_rng(seed), sigma, None)
-        phi = np.random.default_rng(seed).normal(0.0, sigma, n)
-        r = e.realizations
-        expected = np.mean(np.exp(-1j * phi)[:, None, None] * r.conj()[:, :, None] * r[:, None, :],
-                           axis=0)
-        assert np.abs(k - expected).max() <= 1e-13
+        def close(x, target):
+            return np.abs(x - target).max() <= 1e-12 * np.abs(target).max()
 
-    def test_worker_error_reaches_caller(self, monkeypatch):
-        class ReadingFailed(Exception):
-            pass
+        assert close(mean, math.exp(-sigma**2 / 2.0) * target_mean)
+        # a normal of z[0] moves only the real part, one of z[1] only the imaginary part
+        assert np.abs(re_rows.imag).max() <= 1e-12 * np.abs(re_rows.real).max()
+        assert np.abs(im_rows.real).max() <= 1e-12 * np.abs(im_rows.imag).max()
+        assert close(re_rows.real.T @ re_rows.real, var_cos * gram / e.n**2)
+        assert close(im_rows.imag.T @ im_rows.imag, sin2 * gram / e.n**2)
 
-        ticket, phase_moments = itertools.count(), FieldEnsemble._phase_moments
+    @pytest.mark.parametrize("n", [100, 10_000])
+    def test_chsh_distribution_matches_per_realization_phases(self, n):
+        # The same 400 reading streams of one source, drawn both ways.  Each p is
+        # quadratic in K, so the mean of chsh reads only K's mean and covariance,
+        # which the draw has exactly: the means agree to 3 standard errors at any
+        # n.  The spread also reads K's fourth moments, whose per-realization
+        # excess over the Gaussian falls as 1/n: the sds agree to 3 standard
+        # errors of their ratio, exp(+-3 / sqrt(399)).  One kernel call per side
+        # and sigma reads all 400 runs, so no run may raise ExtractionError.
+        source = synthesize_partially_polarized(0.125, 1.0, n, 3)
+        _, sd = measured_schmidt(source)
+        pairs = max_chsh(sd.kappa1, sd.kappa2)[1].pairs()
+        settings = np.array([(a, b, k, l) for a, b in pairs for k, l in interferometer._KL]).T
+        keys = [(i, k, l) for i in range(4) for k, l in interferometer._KL]
+        seeds, sigmas = range(400), (0.05, 0.3, 1.0)
+        gaussian = np.empty((len(sigmas), len(seeds), len(keys), 2, 2), dtype=complex)
+        per_realization = np.empty_like(gaussian)
+        for s in seeds:
+            normals = np.array([np.random.default_rng((s, 0) + key).standard_normal(n)
+                                for key in keys])
+            for i, sigma in enumerate(sigmas):
+                stacks = interferometer._moment_stacks(source, (), NoiseModel(phase_jitter=sigma),
+                                                       [(s, 0)], keys)
+                gaussian[i, s], per_realization[i, s] = stacks[1][0], per_realization_k(
+                    source, normals, sigma)
+        j = np.broadcast_to(source.second_moments, (len(seeds), 2, 2))
+        offsets = np.zeros((len(seeds), len(keys), 3))
 
-        def fail_fifth_reading(self, *args):
-            if next(ticket) == 4:
-                raise ReadingFailed
-            return phase_moments(self, *args)
+        def chsh(k):
+            p = interferometer._probabilities((j, k, offsets), sd, *settings, 0.0)
+            return chsh_sum(correlation_sum(np.moveaxis(p.reshape(len(seeds), 4, 4), -1, 0)).T)
 
-        monkeypatch.setattr(FieldEnsemble, "_phase_moments", fail_fifth_reading)
-        monkeypatch.setattr(interferometer, "_WORKERS", 3)
-        before, raised = threading.active_count(), []
+        for sigma, k_gaussian, k_per_realization in zip(sigmas, gaussian, per_realization):
+            new, old = chsh(k_gaussian), chsh(k_per_realization)
+            se = math.sqrt((new.var(ddof=1) + old.var(ddof=1)) / len(seeds))
+            assert abs(new.mean() - old.mean()) <= 3.0 * se, (sigma, new.mean(), old.mean())
+            ratio = new.std(ddof=1) / old.std(ddof=1)
+            assert abs(math.log(ratio)) <= 3.0 / math.sqrt(len(seeds) - 1), (sigma, ratio)
 
-        def run():
-            try:
-                run_bell_protocol(JITTER_CONFIG)
-            except ReadingFailed as exc:
-                raised.append(exc)
-
-        caller = threading.Thread(target=run)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive()
-        assert len(raised) == 1
-        assert threading.active_count() == before
+    def test_jitter_protocol_starts_no_thread(self, monkeypatch):
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: (started.append(self), start(self))[1])
+        run_bell_protocol(ProtocolConfig(dop=0.125, n=2000, seed=40, noise=JITTER_AND_DETECTOR,
+                                         resamples=10))
+        assert started == []
 
 
 def test_measure_correlation_consistency():
