@@ -31,10 +31,8 @@ from .ensemble import (
     dop,
     inner,
     kappa_from_dop,
-    load_ensemble_csv,
     measured_schmidt,
     polarization_report,
-    save_ensemble_csv,
     schmidt,
     schmidt_functions,
     stokes,
@@ -56,7 +54,6 @@ from .interferometer import (
     NoiseModel,
     ProtocolConfig,
     SettingResult,
-    bootstrap_error,
     extract_probability,
     measure_correlation,
     measure_intensities,

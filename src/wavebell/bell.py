@@ -20,7 +20,7 @@ import numpy as np
 
 from .ensemble import SchmidtDecomposition, _check_kappas, inner, schmidt_functions
 from .errors import DomainError, ModelContractError
-from .optics import FunctionBasis, LabBasis, rotate_function_basis, rotate_lab_basis
+from .optics import FunctionBasis, LabBasis, _check_angles, rotate_function_basis, rotate_lab_basis
 
 __all__ = [
     "AngleSettings",
@@ -50,9 +50,7 @@ class AngleSettings:
     b_prime: float
 
     def __post_init__(self):
-        for v in (self.a, self.a_prime, self.b, self.b_prime):
-            if not math.isfinite(v):
-                raise DomainError("angles must be finite")
+        _check_angles(self.a, self.a_prime, self.b, self.b_prime)
 
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """The four (a, b) combinations entering the CHSH sum, in order
@@ -66,6 +64,7 @@ class AngleSettings:
 
 
 def _amplitude(kappa1: float, kappa2: float, a: float, b: float, k: int, l: int) -> float:
+    _check_angles(a, b)
     ca, sa = math.cos(a), math.sin(a)
     cb, sb = math.cos(b), math.sin(b)
     if (k, l) == (1, 1):
@@ -184,6 +183,7 @@ def lhv_correlation(
     ModelContractError if either response leaves [-1, 1] or is not finite
     on the sample.
     """
+    _check_angles(a, b)
     if n_samples < 1:
         raise DomainError("need at least one sample")
     rng = np.random.default_rng(seed)

@@ -262,24 +262,15 @@ def _noise(cfg: dict) -> NoiseModel:
 def _echo(cfg: dict) -> dict:
     # the output destination is not part of the computational configuration,
     # and keeping it out makes equal configs yield byte-identical outputs
-    out = {}
-    for key, value in cfg.items():
-        if key == "out":
-            continue
-        if isinstance(value, Path):
-            value = str(value)
-        out[key] = value
-    return out
+    return {key: value for key, value in cfg.items() if key != "out"}
 
 
 def _write_text(cfg: dict, text: str) -> None:
+    # text is json.dumps or "\n".join output, so it never ends in a newline
     if cfg["out"] is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text + "\n")
     else:
-        Path(cfg["out"]).write_text(text if text.endswith("\n") else text + "\n",
-                                    encoding="utf-8")
+        Path(cfg["out"]).write_text(text + "\n", encoding="utf-8")
 
 
 def _flatten_complex_pairs(prefix: str, pairs) -> tuple[list[str], list[float]]:

@@ -32,12 +32,7 @@ __all__ = [
     "measured_schmidt",
     "tomography",
     "polarization_report",
-    "save_ensemble_csv",
-    "load_ensemble_csv",
 ]
-
-#: Column header used by the ensemble CSV serialization.
-ENSEMBLE_CSV_COLUMNS = ("index", "re_Ex", "im_Ex", "re_Ey", "im_Ey")
 
 # Tolerance of kappa1^2 + kappa2^2 = 1 and of unit and orthogonal vectors: every pair
 # and basis the package computes meets it at least 180x over (worst seen 5.4e-15).
@@ -63,7 +58,7 @@ class FieldEnsemble:
 
     ``realizations`` has shape (n, 2) with columns (Ex, Ey), in arbitrary
     field units.  ``seed`` records provenance when the ensemble was drawn
-    from a generator; it is None for derived or deserialized ensembles.
+    from a generator; it is None for derived ensembles and outside arrays.
     """
 
     realizations: np.ndarray
@@ -288,11 +283,8 @@ def kappa_from_dop(dop: float) -> tuple[float, float]:
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its largest component is real positive."""
-    i = int(np.argmax(np.abs(v)))
-    p = v[i]
-    if abs(p) == 0.0:
-        return v
+    """Rotate a nonzero vector's global phase so its largest component is real positive."""
+    p = v[int(np.argmax(np.abs(v)))]
     return v * (p.conjugate() / abs(p))
 
 
@@ -413,32 +405,3 @@ def polarization_report(ensemble: FieldEnsemble) -> dict:
         "u1": _complex_pairs(sd.u1),
         "u2": _complex_pairs(sd.u2),
     }
-
-
-def save_ensemble_csv(ensemble: FieldEnsemble, path) -> None:
-    """Write realizations to CSV with columns index,re_Ex,im_Ex,re_Ey,im_Ey."""
-    r = ensemble.realizations
-    table = np.column_stack(
-        [np.arange(ensemble.n), r[:, 0].real, r[:, 0].imag, r[:, 1].real, r[:, 1].imag]
-    )
-    np.savetxt(
-        path,
-        table,
-        delimiter=",",
-        header=",".join(ENSEMBLE_CSV_COLUMNS),
-        comments="",
-        fmt=["%d", "%.17g", "%.17g", "%.17g", "%.17g"],
-    )
-
-
-def load_ensemble_csv(path) -> FieldEnsemble:
-    """Read an ensemble written by :func:`save_ensemble_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.split(",") != list(ENSEMBLE_CSV_COLUMNS):
-            raise DomainError(f"unexpected ensemble CSV header: {header!r}")
-        table = np.loadtxt(fh, delimiter=",", ndmin=2)
-    e = np.empty((table.shape[0], 2), dtype=np.complex128)
-    e[:, 0] = table[:, 1] + 1j * table[:, 2]
-    e[:, 1] = table[:, 3] + 1j * table[:, 4]
-    return FieldEnsemble(e, seed=None)

@@ -36,7 +36,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,7 +74,6 @@ __all__ = [
     "measure_correlation",
     "scan_correlation",
     "run_bell_protocol",
-    "bootstrap_error",
 ]
 
 # Header of the correlation-curve CSV serialization.
@@ -309,11 +308,12 @@ def measure_joint_probability(
     0/0.  The two stripping angles for a given b are never mutually crossed,
     so the value is recovered from measurable quantities as
     P_kl = P(u_k^a) - P_k,l' with the lab marginal P(u_k^a) read off the
-    test arm alone; both stripping angles are read under the same noise.
+    test arm alone; both stripping angles are read under the same noise,
+    drawn from seed + (k, l) as :func:`measure_correlation` draws it.
     """
     if k not in (1, 2) or l not in (1, 2):
         raise DomainError(f"outcome indices k, l must each be 1 or 2, got ({k}, {l})")
-    stacks = _moment_stacks(ensemble, (), noise, [_seed_base(seed)], [()])
+    stacks = _moment_stacks(ensemble, (), noise, [_seed_base(seed)], [(k, l)])
     return float(_probabilities(stacks, sd, [a], [b], [k], [l], noise.extinction_ratio)[0, 0])
 
 
@@ -530,25 +530,3 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
         probabilities=results,
         method=method,
     )
-
-
-def bootstrap_error(
-    ensemble: FieldEnsemble,
-    pipeline: Callable[[FieldEnsemble], float | np.ndarray],
-    resamples: int = 100,
-    seed=0,
-):
-    """Bootstrap standard error of any per-ensemble statistic.
-
-    Resamples realizations with replacement, re-runs ``pipeline`` on each
-    resampled ensemble, and returns the standard deviation across resamples
-    (elementwise for array-valued pipelines).  Deterministic given ``seed``.
-    ``pipeline`` may read anything of the ensemble, so each resample is a
-    gathered copy of the realizations; this is the only code that gathers, as
-    the protocol's own bootstrap reads each resample as realization weights.
-    """
-    indices = _resample_indices(ensemble.n, resamples, _seed_base(seed))
-    # each copy stays bound to e until the next one exists (lower peak RSS under glibc)
-    values = [pipeline(e) for e in (FieldEnsemble(ensemble.realizations[idx]) for idx in indices)]
-    out = np.std(np.asarray(values, dtype=float), axis=0, ddof=1)
-    return float(out) if out.ndim == 0 else out

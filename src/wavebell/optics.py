@@ -83,14 +83,22 @@ class FunctionBasis:
         object.__setattr__(self, "g2", g2)
 
 
+def _check_angles(*angles) -> None:
+    """Raise DomainError unless every angle, a float or an array, is finite."""
+    if not all(np.isfinite(a).all() for a in angles):
+        raise DomainError("angles must be finite")
+
+
 def rotate_lab_basis(basis: LabBasis, a: float) -> LabBasis:
     """Rotate a polarization basis by angle ``a``."""
+    _check_angles(a)
     c, s = math.cos(a), math.sin(a)
     return LabBasis(c * basis.v1 - s * basis.v2, s * basis.v1 + c * basis.v2)
 
 
 def rotate_function_basis(basis: FunctionBasis, b: float) -> FunctionBasis:
     """Rotate a function-space basis by angle ``b``."""
+    _check_angles(b)
     c, s = math.cos(b), math.sin(b)
     return FunctionBasis(c * basis.g1 - s * basis.g2, s * basis.g1 + c * basis.g2)
 
@@ -100,6 +108,7 @@ def polarizer_axis(basis: LabBasis, angle: float | np.ndarray) -> np.ndarray:
     first vector of the basis rotated by ``angle``.  An array of angles gives
     one axis per angle, shape ``angle.shape + (2,)``."""
     angle = np.asarray(angle, dtype=float)[..., None]
+    _check_angles(angle)
     return np.cos(angle) * basis.v1 - np.sin(angle) * basis.v2
 
 
@@ -122,6 +131,7 @@ def polarizer_matrix(axis: np.ndarray, extinction_ratio: float = 0.0) -> np.ndar
 
 def reduce_polarizer_angle(angle: float) -> float:
     """Reduce an axis angle to the principal interval (-pi/2, pi/2]."""
+    _check_angles(angle)
     r = math.remainder(angle, math.pi)
     if r <= -math.pi / 2.0:
         r += math.pi
@@ -154,6 +164,7 @@ def stripping_angle(kappa1: float, kappa2: float, b: float) -> float:
     to 1e-12 with kappa1, kappa2 >= 0 (else DomainError) and kappa2 > 1e-12.
     """
     _check_strippable(kappa1, kappa2)
+    _check_angles(b)
     s = math.atan2(kappa1 * math.sin(b), kappa2 * math.cos(b))
     return reduce_polarizer_angle(s)
 
@@ -166,6 +177,7 @@ def stripping_angle_orthogonal(kappa1: float, kappa2: float, b: float) -> float:
     tan(s') = -(kappa1/kappa2) cot(b), reduced to (-pi/2, pi/2].
     """
     _check_strippable(kappa1, kappa2)
+    _check_angles(b)
     s = math.atan2(-kappa1 * math.cos(b), kappa2 * math.sin(b))
     return reduce_polarizer_angle(s)
 
@@ -193,6 +205,7 @@ def waveplate_matrix(kind: str, fast_axis_angle: float) -> np.ndarray:
     """
     if kind not in _RETARDANCE:
         raise DomainError(f"waveplate kind must be 'half' or 'quarter', got {kind!r}")
+    _check_angles(fast_axis_angle)
     d = _RETARDANCE[kind]
     c, s = math.cos(fast_axis_angle), math.sin(fast_axis_angle)
     rot = np.array([[c, -s], [s, c]], dtype=np.complex128)

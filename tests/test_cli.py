@@ -1,13 +1,16 @@
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavebell
 from wavebell import bell, cli
 from wavebell.bell import SHIPPED_LHV_MODELS, AngleSettings, lhv_chsh
 from wavebell.ensemble import kappa_from_dop, schmidt
@@ -16,6 +19,10 @@ from wavebell.cli import main, parse_angle
 
 def run_cli(args):
     return main(list(args))
+
+
+# a child process imports the wavebell under test, whatever PYTHONPATH says
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(wavebell.__file__).parents[1])}
 
 
 class TestParseAngle:
@@ -513,7 +520,7 @@ BAD_INPUTS = {
 def test_bad_input_exits_1_with_one_line(tmp_path, case):
     proc = subprocess.run(
         [sys.executable, "-m", "wavebell.cli", *BAD_INPUTS[case](tmp_path)],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
@@ -590,7 +597,7 @@ def test_cli_import_loads_no_thread_pool():
     # the thread pools are imported where they run, so a CLI start does not pay for them
     code = "import sys, wavebell.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60)
+                          timeout=60, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -618,6 +625,7 @@ def test_module_entrypoint_subprocess(tmp_path):
          "--n", "1000", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["config"]["dop"] == 0.1

@@ -10,10 +10,8 @@ from wavebell import (
     StokesVector,
     dop,
     kappa_from_dop,
-    load_ensemble_csv,
     measured_schmidt,
     polarization_report,
-    save_ensemble_csv,
     schmidt,
     schmidt_functions,
     stokes,
@@ -314,16 +312,6 @@ def test_statistical_convergence_over_seeds():
         if abs(dop(stokes(e.second_moments)) - 0.125) >= 5.0 / math.sqrt(n):
             failures += 1
     assert failures <= 1
-
-
-def test_csv_round_trip(tmp_path):
-    e = synthesize_partially_polarized(0.3, 1.0, 64, 21)
-    path = tmp_path / "ensemble.csv"
-    save_ensemble_csv(e, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "index,re_Ex,im_Ex,re_Ey,im_Ey"
-    back = load_ensemble_csv(path)
-    assert np.array_equal(back.realizations, e.realizations)
 
 
 def test_polarization_report_fields():

@@ -19,7 +19,6 @@ from wavebell import (
     apply,
     beamsplitter_combine,
     beamsplitter_split,
-    bootstrap_error,
     chsh_sum,
     correlation_sum,
     extract_probability,
@@ -315,15 +314,23 @@ class TestTriplePathAgreement:
         b, noise, seed = 0.6, NoiseModel(detector_noise=1e-3), (5, 1)
         a = stripping_angle(sd.kappa1, sd.kappa2, b) - math.pi / 2.0
         crossed = measure_intensities(field, a, stripping_angle(sd.kappa1, sd.kappa2, b),
-                                      noise, seed, basis=basis_of(sd))
+                                      noise, seed + (1, 1), basis=basis_of(sd))
         assert crossed[2] == 0.0  # the aux reading's draw is negative and clamps
         s_other = stripping_angle_orthogonal(sd.kappa1, sd.kappa2, b)
-        i_total, i_test, i_aux = measure_intensities(field, a, s_other, noise, seed,
+        i_total, i_test, i_aux = measure_intensities(field, a, s_other, noise, seed + (1, 1),
                                                      basis=basis_of(sd))
         beam = mean_power(field) / 2.0
         expected = i_test / beam - extract_probability(i_total, i_test, i_aux, beam)
         assert 0.0 < expected < 1.0
         assert measure_joint_probability(field, sd, a, b, 1, 1, noise, seed) == expected
+
+    def test_outcomes_draw_noise_like_measure_correlation(self):
+        # outcome (k, l) draws its noise from seed + (k, l) in both functions
+        e = synthesize_partially_polarized(0.3, 1.0, 4000, 7)
+        _, sd = measured_schmidt(e)
+        _, p = measure_correlation(e, sd, 0.4, 0.3, JITTER_AND_DETECTOR, (7, 1))
+        assert [measure_joint_probability(e, sd, 0.4, 0.3, k, l, JITTER_AND_DETECTOR, (7, 1))
+                for k, l in interferometer._KL] == list(p)
 
     def test_crossed_polarizer_recovery_at_quarter_turn(self):
         # b = pi/2 puts the stripping polarizer at pi/2, crossed with a = 0
@@ -428,35 +435,23 @@ class TestNoiseOracle:
 
 
 class TestBootstrap:
-    def test_constant_pipeline(self):
-        e = synthesize_partially_polarized(0.2, 1.0, 500, 8)
-        err = bootstrap_error(e, lambda _: 1.0, resamples=20, seed=0)
-        assert err == 0.0
-
-    def test_constant_ensemble_mean(self):
-        e = FieldEnsemble(np.full((64, 2), 1.0 + 0.0j))
-        err = bootstrap_error(e, mean_power, resamples=25, seed=1)
-        assert err == pytest.approx(0.0, abs=1e-14)
-
     def test_inverse_sqrt_scaling(self):
-        sizes = [1000, 10_000, 100_000]
-        errs = []
-        for n in sizes:
-            e = synthesize_partially_polarized(0.125, 1.0, n, 9)
-            errs.append(bootstrap_error(e, mean_power, resamples=300, seed=2))
+        # the protocol's resampled chsh spread falls as n^(-1/2)
+        sizes = [2000, 20_000, 200_000]
+        errs = [run_bell_protocol(ProtocolConfig(dop=0.5, n=n, seed=9, resamples=100)).chsh_err
+                for n in sizes]
         slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
         assert abs(slope + 0.5) < 0.1
 
-    def test_resample_floor(self):
-        e = synthesize_partially_polarized(0.2, 1.0, 100, 10)
-        with pytest.raises(DomainError):
-            bootstrap_error(e, mean_power, resamples=5, seed=0)
-
     def test_deterministic(self):
+        # resample indices and noise draws both follow the seed
         e = synthesize_partially_polarized(0.2, 1.0, 2000, 11)
-        a = bootstrap_error(e, mean_power, resamples=50, seed=3)
-        b = bootstrap_error(e, mean_power, resamples=50, seed=3)
-        assert a == b
+        sd = schmidt(e)
+        curves = [scan_correlation(e, sd, 0.3, [0.2, 0.9], JITTER_AND_DETECTOR, seed, 12)
+                  for seed in (3, 3, 4)]
+        assert np.array_equal(curves[0].c_err, curves[1].c_err)
+        assert np.array_equal(curves[0].c, curves[1].c)
+        assert not np.array_equal(curves[0].c_err, curves[2].c_err)
 
 
 class TestScanCorrelation:
@@ -471,7 +466,7 @@ class TestScanCorrelation:
         rms = math.sqrt(float(np.mean(residual**2)))
         assert rms < 5.0 / math.sqrt(n)
 
-    def test_bootstrap_errors_attached(self):
+    def test_resample_errors_attached(self):
         e = synthesize_partially_polarized(0.125, 1.0, 2000, 13)
         sd = schmidt(e)
         grid = np.array([0.0, 0.5, 1.0])

@@ -2,8 +2,9 @@
 
 Rules: Schmidt weights normalized (kappa1^2 + kappa2^2 = 1 to 1e-12), orthonormal
 vectors and unit polarizer axes (to 1e-12), the coherence cone |S| <= S0 (to 1e-10
-of S0, no absolute floor), and the extinction ratio in [0, 1].  An input at half
-the tolerance passes, one at twice the tolerance fails, and NaN and inf fail.
+of S0, no absolute floor), the extinction ratio in [0, 1], and finite angles.  An
+input at half the tolerance passes, one at twice the tolerance fails, and NaN and
+inf fail.
 """
 
 import math
@@ -12,21 +13,34 @@ import numpy as np
 import pytest
 
 from wavebell import (
+    AngleSettings,
     DomainError,
     FieldEnsemble,
     NoiseModel,
     SchmidtDecomposition,
     StokesVector,
+    cosine_response_model,
     dop,
-    load_ensemble_csv,
+    joint_probability_kappa,
+    joint_probability_projected,
+    lhv_correlation,
     max_chsh,
+    measure_correlation,
+    measure_intensities,
+    measure_joint_probability,
+    reduce_polarizer_angle,
+    rotate_function_basis,
+    rotate_lab_basis,
+    scan_correlation,
+    schmidt,
+    schmidt_functions,
     stokes,
     stripping_angle,
     stripping_angle_orthogonal,
     synthesize_schmidt_form,
+    waveplate_matrix,
 )
-from wavebell.ensemble import ENSEMBLE_CSV_COLUMNS
-from wavebell.optics import FunctionBasis, LabBasis, polarizer_matrix
+from wavebell.optics import FunctionBasis, LabBasis, polarizer_axis, polarizer_matrix
 
 INSIDE, OUTSIDE = 5e-13, 2e-12  # half and twice the 1e-12 tolerance
 BAD = (math.nan, math.inf)
@@ -246,8 +260,38 @@ class TestFiniteRealizations:
         with pytest.raises(DomainError, match="realizations must be finite"):
             FieldEnsemble(np.array([[bad, 0.0], [-bad, 0.0]], dtype=complex))
 
-    def test_csv_rejects_nan(self, tmp_path):
-        path = tmp_path / "ensemble.csv"
-        path.write_text(",".join(ENSEMBLE_CSV_COLUMNS) + "\n0,1,0,nan,0\n1,0.5,0,0.2,0\n")
-        with pytest.raises(DomainError, match="realizations must be finite"):
-            load_ensemble_csv(path)
+
+FIELD = synthesize_schmidt_form(0.8, 0.6, n=8)
+SD = schmidt(FIELD)
+
+ANGLE_ENTRY_POINTS = {
+    "AngleSettings": lambda x: AngleSettings(0.1, 0.2, 0.3, x),
+    "polarizer_axis": lambda x: polarizer_axis(LabBasis(X, Y), np.array([0.1, x])),
+    "rotate_lab_basis": lambda x: rotate_lab_basis(LabBasis(X, Y), x),
+    "rotate_function_basis": lambda x: rotate_function_basis(FunctionBasis(*schmidt_functions(FIELD, SD)), x),
+    "reduce_polarizer_angle": reduce_polarizer_angle,
+    "waveplate_matrix": lambda x: waveplate_matrix("half", x),
+    "stripping_angle": lambda x: stripping_angle(0.8, 0.6, x),
+    "stripping_angle_orthogonal": lambda x: stripping_angle_orthogonal(0.8, 0.6, x),
+    "joint_probability_kappa-a": lambda x: joint_probability_kappa(0.8, 0.6, x, 0.3, 1, 1),
+    "joint_probability_kappa-b": lambda x: joint_probability_kappa(0.8, 0.6, 0.3, x, 1, 1),
+    "joint_probability_projected-a": lambda x: joint_probability_projected(FIELD, SD, x, 0.3, 1, 1),
+    "joint_probability_projected-b": lambda x: joint_probability_projected(FIELD, SD, 0.3, x, 1, 1),
+    "measure_intensities-a": lambda x: measure_intensities(FIELD, x, 0.3, basis=LabBasis(X, Y)),
+    "measure_intensities-s": lambda x: measure_intensities(FIELD, 0.3, x, basis=LabBasis(X, Y)),
+    "measure_joint_probability-a": lambda x: measure_joint_probability(FIELD, SD, x, 0.3, 1, 1),
+    "measure_joint_probability-b": lambda x: measure_joint_probability(FIELD, SD, 0.3, x, 1, 1),
+    "measure_correlation-a": lambda x: measure_correlation(FIELD, SD, x, 0.3),
+    "measure_correlation-b": lambda x: measure_correlation(FIELD, SD, 0.3, x),
+    "scan_correlation-a": lambda x: scan_correlation(FIELD, SD, 0.3, [0.1, x]),
+    "scan_correlation-b": lambda x: scan_correlation(FIELD, SD, x, [0.1]),
+    "lhv_correlation-a": lambda x: lhv_correlation(cosine_response_model(), x, 0.3, 10, 0),
+    "lhv_correlation-b": lambda x: lhv_correlation(cosine_response_model(), 0.3, x, 10, 0),
+}
+
+
+@pytest.mark.parametrize("bad", BAD + (-math.inf,))
+@pytest.mark.parametrize("entry", ANGLE_ENTRY_POINTS)
+def test_non_finite_angle_rejected(entry, bad):
+    with pytest.raises(DomainError, match="^angles must be finite$"):
+        ANGLE_ENTRY_POINTS[entry](bad)
