@@ -105,11 +105,6 @@ class FieldEnsemble:
             q[:, col] += np.square(e.imag)
         return q
 
-    def _weighted_moments(self, w) -> np.ndarray:
-        """(1/N) sum_n w_n conj(Ep_n) Eq_n for real weights w, shape (n,)."""
-        xx, yy, re, im = w @ self._features / self.n
-        return np.array([[xx, re + 1j * im], [re - 1j * im, yy]])
-
 
 @dataclass(frozen=True)
 class StokesVector:

@@ -26,7 +26,8 @@ intensity is a quadratic form in the 2x2 second moments J of a run, and the
 both-arms reading adds an interference term in the phase-weighted moments K
 (K = J without jitter).  So the kernel reads stacks of J, K and detector
 offsets, drawn by ``_moment_stacks`` for the source and its bootstrap
-resamples, at an array of settings at once; at population moments it gives
+resamples (each resample's J drawn in moment space from 4 normals), at an
+array of settings at once; at population moments it gives
 the n -> infinity value of every output.
 """
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -83,7 +83,7 @@ CURVE_CSV_HEADER = "a_rad,b_rad,p11,p12,p21,p22,c,c_err"
 # essentially nothing; the protocol falls back to the closed-form path.
 _KAPPA2_FLOOR = 1e-6
 
-# Fixed tag separating bootstrap index streams from measurement streams.
+# Fixed tag separating the bootstrap normals' stream from measurement streams.
 _BOOT_TAG = 715
 
 # Outcomes (k, l) of p11, p12, p21, p22, and the stripping angle of l = 1, 2.
@@ -126,41 +126,60 @@ def _seed_base(seed) -> tuple:
     return seed if isinstance(seed, tuple) else (seed,)
 
 
-def _moment_stacks(ensemble, indices, noise, seeds, keys):
+def _form(v):
+    """2x2 moment matrices of feature-coordinate vectors (xx, yy, re, im), shape (..., 4)."""
+    xx, yy, re, im = np.moveaxis(v, -1, 0)
+    return np.moveaxis(np.array([[xx, re + 1j * im], [re - 1j * im, yy]]), (0, 1), (-2, -1))
+
+
+def _moment_stacks(ensemble, z, noise, seeds, keys):
     """Moment stacks of R runs at M settings: the second moments J, shape
     (R, 2, 2), the phase-weighted moments K, shape (R, M, 2, 2), and the
     detector offsets, shape (R, M, 3), that :func:`_readings` reads.
 
-    Run 0 is the source and run r the resample at the r-th index array of
-    ``indices``, read as counts c over the source's realizations.  Under jitter
-    K = (1/n) sum_n c_n exp(-i phi_n) q_n (q_n the n-th feature row, each draw
-    its own phase) has mean exp(-sigma^2/2) J and uncorrelated real and
-    imaginary parts of covariance Var(cos phi) G/n^2 and E[sin^2 phi] G/n^2,
-    G = sum_n c_n q_n q_n^T; each reading draws K as that Gaussian, with 8
-    normals and then its detector noise from ``default_rng(seeds[r] + keys[m])``.
-    Without jitter K is J, as a broadcast view.
+    Run 0 is the source; run r >= 1 is a bootstrap resample drawn in moment
+    space from row r - 1 of the standard normals ``z``, shape (R - 1, 4):
+    J*_r = J + form(z_r (S/n)^(1/2)), the symmetric root of the exact
+    covariance of a resample's moments, S = G/n - mu mu^T being that of the
+    feature rows q_n (mean mu, G = sum_n q_n q_n^T).  A draw with a negative
+    eigenvalue has it clamped at 0; every other draw is kept as drawn.  Under
+    jitter K = (1/n) sum_n c_n exp(-i phi_n) q_n (c_n the counts, each draw its
+    own phase) has mean exp(-sigma^2/2) J and uncorrelated real and imaginary
+    parts of covariance Var(cos phi) G/n^2 and E[sin^2 phi] G/n^2, with the
+    source's G, the mean of a resample's count-weighted one, for every run;
+    each reading draws K as that Gaussian, with 8 normals and then its
+    detector noise from ``default_rng(seeds[r] + keys[m])``.  Without jitter
+    K is J, as a broadcast view.
     """
     n, sigma, detector = ensemble.n, noise.phase_jitter, noise.detector_noise > 0.0
+    z = np.reshape(z, (-1, 4))
     j = np.empty((len(seeds), 2, 2), dtype=complex)
     k = np.empty((len(seeds), len(keys), 2, 2), dtype=complex) if sigma else \
         np.broadcast_to(j[:, None], (len(seeds), len(keys), 2, 2))
     offsets = np.zeros((len(seeds), len(keys), 3))
+    j[0] = ensemble.second_moments
+    if len(z) or sigma:
+        q = ensemble._features  # G row by row, so no temporary is larger than a column
+        gram = np.array([col @ q for col in q.T])
+    if len(z):
+        mu = np.array([j[0, 0, 0].real, j[0, 1, 1].real, j[0, 0, 1].real, j[0, 0, 1].imag])
+        w, v = np.linalg.eigh(gram / n - np.outer(mu, mu))
+        j[1:] = j[0] + _form(z @ ((v * np.sqrt(np.maximum(w, 0.0))) @ v.T / math.sqrt(n)))
+        w, v = np.linalg.eigh(j[1:])
+        cut = w[:, 0] < 0.0  # outside the PSD cone
+        j[1:][cut] = (v[cut] * np.maximum(w[cut], 0.0)[:, None]) @ v[cut].conj().swapaxes(1, 2)
+    if sigma:
+        w, v = np.linalg.eigh(gram)
+        root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T / n  # principal root of G / n^2
     # E[cos phi] and the stds of cos phi and sin phi, for phi ~ N(0, sigma^2)
     mean, sd_cos = math.exp(-sigma**2 / 2.0), -math.expm1(-sigma**2) / math.sqrt(2.0)
     sd_sin = math.sqrt(-math.expm1(-2.0 * sigma**2) / 2.0)
-    for r, idx in enumerate(chain([None], indices)):  # one index array alive at a time
-        counts = None if idx is None else np.bincount(idx, minlength=n)
-        j[r] = ensemble.second_moments if idx is None else ensemble._weighted_moments(counts)
-        if sigma:
-            q = ensemble._features  # G row by row, so no temporary is larger than a column
-            w, v = np.linalg.eigh([(col if idx is None else counts * col) @ q for col in q.T])
-            root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T / n  # principal root of G / n^2
+    for r in range(len(seeds)):
         for m in range(len(keys) if sigma or detector else 0):
             rng = np.random.default_rng(seeds[r] + keys[m])
             if sigma:
-                z = rng.standard_normal((2, 4))
-                xx, yy, re, im = (sd_cos * z[0] - 1j * sd_sin * z[1]) @ root
-                k[r, m] = mean * j[r] + np.array([[xx, re + 1j * im], [re - 1j * im, yy]])
+                zk = rng.standard_normal((2, 4))
+                k[r, m] = mean * j[r] + _form((sd_cos * zk[0] - 1j * sd_sin * zk[1]) @ root)
             if detector:
                 offsets[r, m] = rng.normal(0.0, noise.detector_noise * np.trace(j[r]).real, 3)
     return j, k, offsets
@@ -370,26 +389,21 @@ def _check_resamples(resamples: int) -> None:
         raise DomainError(f"use at least 10 bootstrap resamples, got {resamples}")
 
 
-def _resample_indices(n: int, resamples: int, base: tuple):
-    """Realization indices of each bootstrap resample, all drawn from the
-    one stream ``base + (_BOOT_TAG,)``."""
-    _check_resamples(resamples)
-    rng = np.random.default_rng(base + (_BOOT_TAG,))
-    return (rng.integers(0, n, n) for _ in range(resamples))
-
-
 def _measure_runs(ensemble, sd, pairs, noise, base, resamples) -> np.ndarray:
     """Joint probabilities (1 + resamples, P, 4), ordered p11 .. p22, at the P
     (a, b) pairs: run 0 reads the source, run r its r-th bootstrap resample;
     outcome (k, l) at pair i of run r draws its noise from base + (r, i, k, l).
-    Whatever the noise model, all runs are read in one kernel call, each as a
-    weight vector over the source's realizations (see :func:`_moment_stacks`).
+    The R resamples draw J* from the R rows of one standard_normal((R, 4)) of
+    the stream base + (_BOOT_TAG,) (see :func:`_moment_stacks`), and all runs
+    are read in one kernel call, whatever the noise model.
     """
     settings = np.array([(a, b, k, l) for a, b in pairs for k, l in _KL]).T
     keys = [(i, k, l) for i in range(len(pairs)) for k, l in _KL]
-    indices = _resample_indices(ensemble.n, resamples, base) if resamples else ()
+    if resamples:
+        _check_resamples(resamples)
+    z = np.random.default_rng(base + (_BOOT_TAG,)).standard_normal((resamples, 4))
     seeds = [base + (r,) for r in range(1 + resamples)]
-    stacks = _moment_stacks(ensemble, indices, noise, seeds, keys)
+    stacks = _moment_stacks(ensemble, z, noise, seeds, keys)
     p = _probabilities(stacks, sd, *settings, noise.extinction_ratio)
     return p.reshape(len(p), len(pairs), 4)
 
@@ -405,9 +419,9 @@ def scan_correlation(
 ) -> CorrelationCurve:
     """Measure C(a, b) over a grid of polarizer angles at fixed b.
 
-    With ``resamples`` > 0, realizations are bootstrap-resampled (holding
-    the apparatus settings fixed) to attach a standard error to each point;
-    the same resample index sets are reused across the grid.
+    With ``resamples`` > 0, the source's second moments are bootstrap-resampled
+    in moment space (holding the apparatus settings fixed) to attach a
+    standard error to each point; each resample's J* is reused across the grid.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1 or a_grid.size < 1:
@@ -462,7 +476,9 @@ class ProtocolConfig:
 
     ``settings=None`` means: measure at the closed-form CHSH-maximizing
     angles of the measured Schmidt weights (``bell.max_chsh``).
-    ``resamples`` is 0 (no bootstrap) or at least 10.  The source is drawn
+    ``resamples`` is 0 (no bootstrap) or at least 10; each resample draws
+    its second moments J* from 4 normals, the normal approximation of
+    resampling the realizations (see ``_moment_stacks``).  The source is drawn
     at unit intensity, since every output is a ratio of intensities.
     """
 

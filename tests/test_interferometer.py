@@ -16,6 +16,7 @@ from wavebell import (
     ProtocolConfig,
     SchmidtDecomposition,
     StrippedBeamError,
+    WavebellError,
     apply,
     beamsplitter_combine,
     beamsplitter_split,
@@ -444,7 +445,7 @@ class TestBootstrap:
         assert abs(slope + 0.5) < 0.1
 
     def test_deterministic(self):
-        # resample indices and noise draws both follow the seed
+        # bootstrap normals and noise draws both follow the seed
         e = synthesize_partially_polarized(0.2, 1.0, 2000, 11)
         sd = schmidt(e)
         curves = [scan_correlation(e, sd, 0.3, [0.2, 0.9], JITTER_AND_DETECTOR, seed, 12)
@@ -452,6 +453,34 @@ class TestBootstrap:
         assert np.array_equal(curves[0].c_err, curves[1].c_err)
         assert np.array_equal(curves[0].c, curves[1].c)
         assert not np.array_equal(curves[0].c_err, curves[2].c_err)
+
+    def test_small_samples_raise_nothing(self):
+        # a Gaussian J* can leave the PSD cone at small n; projected back, no
+        # resample of any source raises
+        failures = []
+        for dop in (0.0, 0.5, 0.95):
+            for n in (2, 3, 5, 10, 20):
+                for seed in range(200):
+                    try:
+                        run_bell_protocol(ProtocolConfig(dop=dop, n=n, seed=seed, resamples=16))
+                    except WavebellError as exc:
+                        failures.append((dop, n, seed, exc))
+        assert failures == []
+
+    @pytest.mark.parametrize("dop", [
+        # CHSH = 2 sqrt(2 - DOP^2) is flat at DOP 0 and the estimated DOP^2 is
+        # non-central there, so a bootstrap holding kappa fixed overstates the
+        # spread, about 2x: the boundary case of Andrews (2000)
+        pytest.param(0.0, marks=pytest.mark.xfail(strict=True, reason="boundary: ratio ~2")),
+        0.125, 0.5, 0.9,
+    ])
+    def test_error_bars_are_calibrated(self, dop):
+        # mean chsh_err over the spread of chsh across 120 seeds
+        reports = [run_bell_protocol(ProtocolConfig(dop=dop, n=10_000, seed=seed, resamples=32))
+                   for seed in range(120)]
+        chsh = np.array([rep.chsh for rep in reports])
+        ratio = np.mean([rep.chsh_err for rep in reports]) / chsh.std(ddof=1)
+        assert 0.75 <= ratio <= 1.33, ratio
 
 
 class TestScanCorrelation:
@@ -608,18 +637,37 @@ def gathered_bootstrap_std(source, correlations, resamples, base):
 
 def protocol_reference(cfg, rep):
     """Gathered-copy bootstrap errors of a run_bell_protocol report:
-    (chsh_err, [c_err per setting])."""
+    (chsh_err, [c_err per setting]).  Each copy is read at the report's
+    settings, under noise streams of its own."""
     source = synthesize_partially_polarized(cfg.dop, 1.0, cfg.n, cfg.seed)
     _, sd = measured_schmidt(source)
     pairs = rep.settings.pairs()
 
     def chsh_and_correlations(e, run):
-        c = [measure_correlation(e, sd, a, b, cfg.noise, (cfg.seed, run, i))[0]
-             for i, (a, b) in enumerate(pairs)]
-        return [c[0] - c[1] + c[2] + c[3], *c]
+        ps = interferometer._measure_runs(e, sd, pairs, cfg.noise, (cfg.seed, run), 0)[0]
+        c = correlation_sum(ps.T)
+        return [chsh_sum(c), *c]
 
     errs = gathered_bootstrap_std(source, chsh_and_correlations, cfg.resamples, (cfg.seed,))
     return errs[0], errs[1:]
+
+
+def assert_errors_match_gathered_copies(noise):
+    """The same 100 sources bootstrapped both ways.  A bootstrap std reads
+    only the mean and covariance of the resampled moments to leading order,
+    which the moment-space draw has exactly, so the mean chsh_err and c_err
+    over seeds agree to 3 standard errors."""
+    new, gathered = [], []
+    for seed in range(100):
+        cfg = ProtocolConfig(dop=0.125, n=2000, seed=seed, noise=noise, resamples=10)
+        rep = run_bell_protocol(cfg)
+        new.append([rep.chsh_err, *(p.c_err for p in rep.probabilities)])
+        chsh_err, c_err = protocol_reference(cfg, rep)
+        gathered.append([chsh_err, *c_err])
+    new, gathered = np.array(new), np.array(gathered)
+    se = np.sqrt((new.var(axis=0, ddof=1) + gathered.var(axis=0, ddof=1)) / len(new))
+    assert np.all(np.abs(new.mean(axis=0) - gathered.mean(axis=0)) <= 3.0 * se), \
+        (new.mean(axis=0), gathered.mean(axis=0), se)
 
 
 JITTER_AND_DETECTOR = NoiseModel(phase_jitter=0.1, detector_noise=1e-3)
@@ -630,49 +678,77 @@ IDEAL_AND_MOMENT_NOISE = [
 ]
 
 
+def feature_coordinates(j):
+    """Feature coordinates (xx, yy, re, im) of Hermitian 2x2 matrices, shape (..., 4)."""
+    return np.stack([j[..., 0, 0].real, j[..., 1, 1].real, j[..., 0, 1].real, j[..., 0, 1].imag],
+                    -1)
+
+
 class TestResampleCounts:
-    """Statistics that read only the second moments are bootstrapped from
-    resample counts; they must agree with gathering each resample's fields."""
+    """Each bootstrap resample draws its second moments J* in moment space,
+    the normal approximation of reading resample counts; over seeds its
+    error bars must match those of gathering each resample's fields."""
 
     @pytest.mark.parametrize("noise", IDEAL_AND_MOMENT_NOISE)
     def test_protocol_errors_match_gathered_copies(self, noise):
-        cfg = ProtocolConfig(dop=0.125, n=2000, seed=38, noise=noise, resamples=12)
-        rep = run_bell_protocol(cfg)
-        chsh_err, c_err = protocol_reference(cfg, rep)
-        assert rep.chsh_err == pytest.approx(chsh_err, rel=1e-10, abs=0.0)
-        assert [p.c_err for p in rep.probabilities] == pytest.approx(c_err, rel=1e-10, abs=0.0)
+        assert_errors_match_gathered_copies(noise)
 
-    @pytest.mark.parametrize(
-        "noise", [*IDEAL_AND_MOMENT_NOISE, JITTER_AND_DETECTOR]
-    )
-    def test_scan_errors_match_gathered_copies(self, noise):
+    @pytest.mark.parametrize("noise", [NoiseModel(phase_jitter=0.1), JITTER_AND_DETECTOR],
+                             ids=["jitter", "jitter-and-detector"])
+    def test_jitter_resamples_gather_fields(self, noise):
+        # a resample's K is centred on its J* and takes the source's G, the
+        # mean of the count-weighted G of a gathered copy
+        assert_errors_match_gathered_copies(noise)
+
+    @pytest.mark.parametrize("noise", [*IDEAL_AND_MOMENT_NOISE, JITTER_AND_DETECTOR])
+    def test_scan_draw_order_is_pinned(self, noise):
+        # The R resamples take the R rows of one standard_normal((R, 4)) from
+        # base + (715,), and resample r reads its noise from base + (r,) + key.
         e = synthesize_partially_polarized(0.125, 1.0, 2000, 39)
         _, sd = measured_schmidt(e)
         # b = 0 crosses polarizer and stripping axes, so the fallback runs too
         b, grid, base = 0.0, np.linspace(0.0, math.pi, 7, endpoint=False), (39, 2)
         curve = scan_correlation(e, sd, b, grid, noise=noise, seed=base, resamples=11)
+        z = np.random.default_rng(base + (715,)).standard_normal((11, 4))
+        keys = [(i, k, l) for i in range(len(grid)) for k, l in interferometer._KL]
+        stacks = interferometer._moment_stacks(e, z, noise, [base + (r,) for r in range(12)], keys)
+        settings = np.array([(a, b, k, l) for a in grid for k, l in interferometer._KL]).T
+        p = interferometer._probabilities(stacks, sd, *settings, noise.extinction_ratio)
+        c = correlation_sum(np.moveaxis(p.reshape(12, len(grid), 4), -1, 0))
+        assert np.array_equal(curve.c, c[0])
+        assert np.array_equal(curve.c_err, np.std(c[1:], axis=0, ddof=1))
 
-        def correlations(resampled, run):
-            return [measure_correlation(resampled, sd, a, b, noise, base + (run, i))[0]
-                    for i, a in enumerate(grid)]
+    def test_bootstrap_draw_has_the_exact_mean_and_covariance(self):
+        # J* is linear in its normals z: z = 0 gives J exactly, and a unit
+        # normal one row of the symmetric root of S/n, S = G/n - mu mu^T the
+        # covariance of the feature rows
+        e = synthesize_partially_polarized(0.3, 1.0, 200, 16)
+        z = np.vstack([np.zeros(4), np.eye(4)])
+        j, _, _ = interferometer._moment_stacks(e, z, NoiseModel(), [(r,) for r in range(6)], [()])
+        assert np.array_equal(j[0], e.second_moments) and np.array_equal(j[1], j[0])
+        rows = feature_coordinates(j[2:] - j[0])
+        mean, gram = features_and_gram(e.realizations, np.ones(e.n))
+        cov = (gram / e.n - np.outer(mean, mean)) / e.n
+        assert np.abs(feature_coordinates(j[0]) - mean).max() <= 1e-12 * np.abs(mean).max()
+        assert np.abs(rows - rows.T).max() <= 1e-12 * np.abs(rows).max()
+        assert np.abs(rows @ rows - cov).max() <= 1e-12 * np.abs(cov).max()
 
-        expected = gathered_bootstrap_std(e, correlations, 11, base)
-        # at a = 0, C = 1 in every resample: c_err there is rounding noise
-        assert curve.c_err[1:] == pytest.approx(expected[1:], rel=1e-10, abs=0.0)
-        assert curve.c_err[0] == pytest.approx(expected[0], abs=1e-14)
-
-    @pytest.mark.parametrize("noise", [NoiseModel(phase_jitter=0.1), JITTER_AND_DETECTOR],
-                             ids=["jitter", "jitter-and-detector"])
-    def test_jitter_resamples_gather_fields(self, noise):
-        cfg = ProtocolConfig(dop=0.125, n=2000, seed=40, noise=noise, resamples=10)
-        rep = run_bell_protocol(cfg)
-        chsh_err, c_err = protocol_reference(cfg, rep)
-        assert rep.chsh_err == pytest.approx(chsh_err, rel=1e-12, abs=0.0)
-        assert [p.c_err for p in rep.probabilities] == pytest.approx(c_err, rel=1e-12, abs=0.0)
-        assert run_bell_protocol(cfg) == rep
+    def test_draws_outside_the_cone_are_projected(self):
+        # a draw with a negative eigenvalue has it clamped at 0; a PSD draw is kept
+        e = synthesize_partially_polarized(0.3, 1.0, 200, 16)
+        z = np.array([[0.5, -0.2, 0.1, 0.3], [40.0, -40.0, 0.0, 0.0], [0.0, 0.0, 60.0, 0.0]])
+        j, _, _ = interferometer._moment_stacks(e, z, NoiseModel(), [(r,) for r in range(4)], [()])
+        mean, gram = features_and_gram(e.realizations, np.ones(e.n))
+        u, w, vt = np.linalg.svd((gram / e.n - np.outer(mean, mean)) / e.n)
+        drawn = e.second_moments + moments_matrix(z @ ((u * np.sqrt(w)) @ vt))
+        lam, vec = np.linalg.eigh(drawn)
+        assert lam[0, 0] > 0.0 and lam[1, 0] < 0.0 and lam[2, 0] < 0.0
+        projected = (vec * np.maximum(lam, 0.0)[:, None]) @ vec.conj().swapaxes(1, 2)
+        assert np.abs(j[1] - drawn[0]).max() <= 1e-12 * np.abs(drawn[0]).max()
+        assert np.abs(j[2:] - projected[1:]).max() <= 1e-12 * np.abs(projected[1:]).max()
 
     def test_jitter_protocol_gathers_no_copy(self, monkeypatch):
-        # every resample is read as weights over the source's realizations,
+        # every resample is drawn from the source's moments,
         # so the source is the only ensemble built
         built = []
         post_init = FieldEnsemble.__post_init__
@@ -714,18 +790,21 @@ class TestJitterDraw:
     @pytest.mark.parametrize("run", [0, 1], ids=["source", "resample"])
     def test_draw_has_the_exact_mean_and_covariance(self, monkeypatch, run):
         # K is linear in its normals z: z = 0 gives the mean, and a unit normal
-        # in z[0] (z[1]) one row of the root of the real (imaginary) covariance
+        # in z[0] (z[1]) one row of the root of the real (imaginary) covariance.
+        # A resample centres K on its own J* and takes the source's G.
         e, sigma = synthesize_partially_polarized(0.3, 1.0, 60, 14), 0.7
-        idx = np.random.default_rng(15).integers(0, e.n, e.n)
-        counts = [np.ones(e.n), np.bincount(idx, minlength=e.n)][run]
+        boot = np.random.default_rng(15).standard_normal((run, 4))
         normals = [np.zeros((2, 4)), *np.eye(8).reshape(8, 2, 4)]
         monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedNormals(normals, seed))
-        _, k, _ = interferometer._moment_stacks(e, [idx][:run], NoiseModel(phase_jitter=sigma),
+        j, k, _ = interferometer._moment_stacks(e, boot, NoiseModel(phase_jitter=sigma),
                                                 [(0,), (1,)][:run + 1], [(m,) for m in range(9)])
         v = np.array([[x[0, 0], x[1, 1], (x[0, 1] + x[1, 0]) / 2, (x[0, 1] - x[1, 0]) / 2j]
                       for x in k[run]])
         mean, re_rows, im_rows = v[0], v[1:5] - v[0], v[5:] - v[0]
-        target_mean, gram = features_and_gram(e.realizations, counts)
+        target_mean, gram = features_and_gram(e.realizations, np.ones(e.n))
+        if run:
+            assert not np.array_equal(j[1], j[0])
+            target_mean = feature_coordinates(j[1])
         var_cos, sin2 = jitter_variances(sigma)
 
         def close(x, target):
