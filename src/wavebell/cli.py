@@ -341,20 +341,10 @@ def cmd_scan(cfg: dict) -> int:
             json.dumps({"config": _echo(cfg)}, indent=2) + "\n", encoding="utf-8"
         )
     else:
-        curves = []
-        for i, curve in _scan_curves(cfg, a_grid):
-            curves.append(
-                {
-                    "b_rad": curve.b,
-                    "a_rad": curve.a.tolist(),
-                    "p11": curve.p11.tolist(),
-                    "p12": curve.p12.tolist(),
-                    "p21": curve.p21.tolist(),
-                    "p22": curve.p22.tolist(),
-                    "c": curve.c.tolist(),
-                    "c_err": curve.c_err.tolist(),
-                }
-            )
+        columns = ("p11", "p12", "p21", "p22", "c", "c_err")
+        curves = [{"b_rad": curve.b, "a_rad": curve.a.tolist(),
+                   **{key: getattr(curve, key).tolist() for key in columns}}
+                  for _, curve in _scan_curves(cfg, a_grid)]
         _write_text(cfg, json.dumps({"curves": curves, "config": _echo(cfg)}, indent=2))
     return 0
 

@@ -10,6 +10,7 @@ structure) are all computable from finite data.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +47,12 @@ def _check_kappas(kappa1: float, kappa2: float) -> None:
             f"need kappa1, kappa2 >= 0 with kappa1^2 + kappa2^2 = 1, got {kappa1}, {kappa2}")
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    # a float fails, even 2.0
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _check_orthonormal(v1, v2, dot=np.vdot) -> None:
     off = [float(abs(dot(v1, v1) - 1)), float(abs(dot(v2, v2) - 1)), float(abs(dot(v1, v2)))]
     if not all(x <= _NORM_TOL for x in off):  # a NaN fails too
@@ -71,7 +78,7 @@ class FieldEnsemble:
         if arr.shape[0] < 2:
             raise DomainError("an ensemble needs at least 2 realizations")
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf gives a NaN, which fails
-            if not np.isfinite(arr.sum()):  # no n-length mask; overflows only where J would
+            if not np.isfinite(arr.sum()):  # no n-length mask; second_moments checks J itself
                 raise DomainError("realizations must be finite")
         object.__setattr__(self, "realizations", arr)
 
@@ -88,22 +95,11 @@ class FieldEnsemble:
         intensity evaluations skip the per-realization pass.
         """
         r = self.realizations
-        j = r.conj().T @ r / self.n
+        with np.errstate(over="ignore", invalid="ignore"):
+            j = r.conj().T @ r / self.n
+        if not np.isfinite(j).all():  # finite fields whose powers pass the float range
+            raise DomainError("second moments overflow: |E|^2 exceeds the float range")
         return (j + j.conj().T) / 2.0
-
-    @cached_property
-    def _features(self) -> np.ndarray:
-        """Rows (|Ex|^2, |Ey|^2, Re Ex* Ey, Im Ex* Ey) per realization, cached;
-        filled in place, so its build makes at most one column-sized temporary."""
-        x, y = self.realizations.T
-        q = np.empty((self.n, 4))
-        xy = q[:, 2:].view(complex)[:, 0]
-        np.conjugate(x, out=xy)
-        xy *= y
-        for col, e in enumerate((x, y)):
-            np.square(e.real, out=q[:, col])
-            q[:, col] += np.square(e.imag)
-        return q
 
 
 @dataclass(frozen=True)
@@ -185,18 +181,18 @@ def synthesize_partially_polarized(
     intensity : float
         Expected ensemble-mean power, in [1e-100, 1e100].
     n : int
-        Number of realizations, >= 2.
+        Number of realizations, an integer >= 2.
     seed : int
-        Generator seed.
+        Generator seed, an integer >= 0.
     """
     if not 0.0 <= dop <= 1.0:
         raise DomainError(f"dop must lie in [0, 1], got {dop}")
     _check_intensity(intensity)
-    if n < 2:
-        raise DomainError(f"need n >= 2 realizations, got {n}")
+    _check_integer("n", n, 2)
+    _check_integer("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(seed))
     # (re Ex, im Ex, re Ey, im Ey) drawn in place; var(Re) = var(Im) = ms/2 so E|E|^2 = ms
-    e = np.empty((int(n), 2), dtype=np.complex128)
+    e = np.empty((n, 2), dtype=np.complex128)
     rng.standard_normal(out=e.view(np.float64))
     e[:, 0] *= math.sqrt(intensity * (1.0 + dop) / 4.0)
     e[:, 1] *= math.sqrt(intensity * (1.0 - dop) / 4.0)
@@ -224,13 +220,13 @@ def synthesize_schmidt_form(
     """
     _check_kappas(kappa1, kappa2)
     _check_intensity(intensity)
-    if n < 2:
-        raise DomainError("need n >= 2 realizations")
+    _check_integer("n", n, 2)
+    _check_integer("seed", seed, 0)
     u1, u2 = np.eye(2, dtype=complex) if u1 is None or u2 is None else np.asarray([u1, u2], complex)
     _check_orthonormal(u1, u2)
 
     rng = np.random.Generator(np.random.Philox(seed))
-    g = rng.standard_normal((int(n), 4))
+    g = rng.standard_normal((n, 4))
     f1 = g[:, 0] + 1j * g[:, 1]
     f2 = g[:, 2] + 1j * g[:, 3]
     f1 = f1 / math.sqrt(inner(f1, f1).real)

@@ -25,10 +25,10 @@ One kernel, ``_probabilities``, reads every probability.  Each shuttered
 intensity is a quadratic form in the 2x2 second moments J of a run, and the
 both-arms reading adds an interference term in the phase-weighted moments K
 (K = J without jitter).  So the kernel reads stacks of J, K and detector
-offsets, drawn by ``_moment_stacks`` for the source and its bootstrap
-resamples (each resample's J drawn in moment space from 4 normals), at an
-array of settings at once; at population moments it gives
-the n -> infinity value of every output.
+offsets, drawn by ``_moment_stacks`` from the source's J and count n alone
+(resamples by the complex Wishart law, jitter by Isserlis' theorem, as for
+circular-Gaussian light), at an array of settings at once; at population
+moments it gives the n -> infinity value of every output.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .bell import AngleSettings, chsh_sum, correlation_sum, joint_probability_ka
 from .ensemble import (
     FieldEnsemble,
     SchmidtDecomposition,
+    _check_integer,
     dop,
     measured_schmidt,
     synthesize_partially_polarized,
@@ -123,7 +124,10 @@ class NoiseModel:
 
 
 def _seed_base(seed) -> tuple:
-    return seed if isinstance(seed, tuple) else (seed,)
+    base = seed if isinstance(seed, tuple) else (seed,)
+    for entry in base:
+        _check_integer("seed entries", entry, 0)
+    return base
 
 
 def _form(v):
@@ -132,45 +136,45 @@ def _form(v):
     return np.moveaxis(np.array([[xx, re + 1j * im], [re - 1j * im, yy]]), (0, 1), (-2, -1))
 
 
-def _moment_stacks(ensemble, z, noise, seeds, keys):
+# Feature coordinates (xx, yy, re, im) of a 2x2 matrix m, read from m.ravel().
+_FEATURES = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0], [0, -0.5j, 0.5j, 0]])
+
+
+def _root(h):
+    """Principal square root of a Hermitian PSD matrix; rounding below 0 reads as 0."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+
+
+def _moment_stacks(j, n, t, noise, seeds, keys):
     """Moment stacks of R runs at M settings: the second moments J, shape
     (R, 2, 2), the phase-weighted moments K, shape (R, M, 2, 2), and the
-    detector offsets, shape (R, M, 3), that :func:`_readings` reads.
+    detector offsets, shape (R, M, 3), that :func:`_readings` reads, from the
+    source's second moments ``j`` over ``n`` realizations alone.
 
-    Run 0 is the source; run r >= 1 is a bootstrap resample drawn in moment
-    space from row r - 1 of the standard normals ``z``, shape (R - 1, 4):
-    J*_r = J + form(z_r (S/n)^(1/2)), the symmetric root of the exact
-    covariance of a resample's moments, S = G/n - mu mu^T being that of the
-    feature rows q_n (mean mu, G = sum_n q_n q_n^T).  A draw with a negative
-    eigenvalue has it clamped at 0; every other draw is kept as drawn.  Under
-    jitter K = (1/n) sum_n c_n exp(-i phi_n) q_n (c_n the counts, each draw its
-    own phase) has mean exp(-sigma^2/2) J and uncorrelated real and imaginary
-    parts of covariance Var(cos phi) G/n^2 and E[sin^2 phi] G/n^2, with the
-    source's G, the mean of a resample's count-weighted one, for every run;
-    each reading draws K as that Gaussian, with 8 normals and then its
-    detector noise from ``default_rng(seeds[r] + keys[m])``.  Without jitter
-    K is J, as a broadcast view.
+    Run 0 is the source; run r >= 1 is a resample from the complex Wishart law
+    CW(n, J)/n of n circular-Gaussian realizations (Goodman 1963),
+    J*_r = L T T+ L+ / n, with L the principal root of J (a singular J too)
+    and T = ``t[r - 1]`` its lower-triangular Bartlett factor: PSD by
+    construction.  Under jitter K = (1/n) sum_n exp(-i phi_n) conj(E_n) E_n^T
+    has mean exp(-sigma^2/2) J and uncorrelated real and imaginary parts of
+    covariance Var(cos phi) G/n^2 and E[sin^2 phi] G/n^2 in the coordinates
+    q = (xx, yy, re, im), where G/n = E[q q^T] follows from the source's J by
+    Isserlis' theorem, E[m_pq m_rs] = J_pq J_rs + J_ps J_rq (m = conj(E) E^T),
+    for every run; each reading draws K as that Gaussian, with 8 normals and
+    then its detector noise from ``default_rng(seeds[r] + keys[m])``.
+    Without jitter K is J, as a broadcast view.
     """
-    n, sigma, detector = ensemble.n, noise.phase_jitter, noise.detector_noise > 0.0
-    z = np.reshape(z, (-1, 4))
-    j = np.empty((len(seeds), 2, 2), dtype=complex)
+    sigma, detector = noise.phase_jitter, noise.detector_noise > 0.0
+    lt = _root(j) @ np.reshape(t, (-1, 2, 2))
+    drawn = lt @ lt.conj().swapaxes(1, 2) / n
+    js = np.concatenate([j[None], (drawn + drawn.conj().swapaxes(1, 2)) / 2.0])
     k = np.empty((len(seeds), len(keys), 2, 2), dtype=complex) if sigma else \
-        np.broadcast_to(j[:, None], (len(seeds), len(keys), 2, 2))
+        np.broadcast_to(js[:, None], (len(seeds), len(keys), 2, 2))
     offsets = np.zeros((len(seeds), len(keys), 3))
-    j[0] = ensemble.second_moments
-    if len(z) or sigma:
-        q = ensemble._features  # G row by row, so no temporary is larger than a column
-        gram = np.array([col @ q for col in q.T])
-    if len(z):
-        mu = np.array([j[0, 0, 0].real, j[0, 1, 1].real, j[0, 0, 1].real, j[0, 0, 1].imag])
-        w, v = np.linalg.eigh(gram / n - np.outer(mu, mu))
-        j[1:] = j[0] + _form(z @ ((v * np.sqrt(np.maximum(w, 0.0))) @ v.T / math.sqrt(n)))
-        w, v = np.linalg.eigh(j[1:])
-        cut = w[:, 0] < 0.0  # outside the PSD cone
-        j[1:][cut] = (v[cut] * np.maximum(w[cut], 0.0)[:, None]) @ v[cut].conj().swapaxes(1, 2)
     if sigma:
-        w, v = np.linalg.eigh(gram)
-        root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T / n  # principal root of G / n^2
+        m4 = np.einsum("pq,rs->pqrs", j, j) + np.einsum("ps,rq->pqrs", j, j)
+        root = _root((_FEATURES @ m4.reshape(4, 4) @ _FEATURES.T).real / n)  # root of G / n^2
     # E[cos phi] and the stds of cos phi and sin phi, for phi ~ N(0, sigma^2)
     mean, sd_cos = math.exp(-sigma**2 / 2.0), -math.expm1(-sigma**2) / math.sqrt(2.0)
     sd_sin = math.sqrt(-math.expm1(-2.0 * sigma**2) / 2.0)
@@ -179,10 +183,10 @@ def _moment_stacks(ensemble, z, noise, seeds, keys):
             rng = np.random.default_rng(seeds[r] + keys[m])
             if sigma:
                 zk = rng.standard_normal((2, 4))
-                k[r, m] = mean * j[r] + _form((sd_cos * zk[0] - 1j * sd_sin * zk[1]) @ root)
+                k[r, m] = mean * js[r] + _form((sd_cos * zk[0] - 1j * sd_sin * zk[1]) @ root)
             if detector:
-                offsets[r, m] = rng.normal(0.0, noise.detector_noise * np.trace(j[r]).real, 3)
-    return j, k, offsets
+                offsets[r, m] = rng.normal(0.0, noise.detector_noise * np.trace(js[r]).real, 3)
+    return js, k, offsets
 
 
 def _readings(j, k, offsets, basis, pol, strip, extinction):
@@ -272,10 +276,12 @@ def measure_intensities(
 
     Every reading is a quadratic form in the cached second moments J but the
     both-arms interference term, which reads the phase-weighted moments
-    K_pq = (1/N) sum_n exp(-i phi_n) conj(Ep_n) Eq_n, drawn from its exact mean
-    and covariance over the phases phi_n (K = J without jitter).
+    K_pq = (1/N) sum_n exp(-i phi_n) conj(Ep_n) Eq_n, drawn as a Gaussian with
+    the mean and covariance of circular-Gaussian fields of this J (K = J
+    without jitter).
     """
-    stacks = _moment_stacks(ensemble, (), noise, [_seed_base(seed)], [()])
+    stacks = _moment_stacks(ensemble.second_moments, ensemble.n, (), noise,
+                            [_seed_base(seed)], [()])
     t = _readings(*stacks, basis, [a], [[s]], noise.extinction_ratio)
     return tuple(map(float, t[0, 0, 0]))
 
@@ -332,7 +338,8 @@ def measure_joint_probability(
     """
     if k not in (1, 2) or l not in (1, 2):
         raise DomainError(f"outcome indices k, l must each be 1 or 2, got ({k}, {l})")
-    stacks = _moment_stacks(ensemble, (), noise, [_seed_base(seed)], [(k, l)])
+    stacks = _moment_stacks(ensemble.second_moments, ensemble.n, (), noise,
+                            [_seed_base(seed)], [(k, l)])
     return float(_probabilities(stacks, sd, [a], [b], [k], [l], noise.extinction_ratio)[0, 0])
 
 
@@ -347,7 +354,8 @@ def measure_correlation(
     """Measure all four joint probabilities at (a, b) and combine them into
     the correlation C = P11 - P12 - P21 + P22; outcome (k, l) draws its
     noise from seed + (k, l)."""
-    stacks = _moment_stacks(ensemble, (), noise, [_seed_base(seed)], _KL)
+    stacks = _moment_stacks(ensemble.second_moments, ensemble.n, (), noise,
+                            [_seed_base(seed)], _KL)
     p = _probabilities(stacks, sd, [a] * 4, [b] * 4, *np.array(_KL).T, noise.extinction_ratio)
     p = tuple(map(float, p[0]))
     return correlation_sum(p), p
@@ -369,23 +377,14 @@ class CorrelationCurve:
     def to_csv(self, path) -> None:
         """Write rows a_rad,b_rad,p11,p12,p21,p22,c,c_err at 12 significant
         digits."""
-        table = np.column_stack(
-            [
-                self.a,
-                np.full_like(self.a, self.b),
-                self.p11,
-                self.p12,
-                self.p21,
-                self.p22,
-                self.c,
-                self.c_err,
-            ]
-        )
+        table = np.column_stack([self.a, np.full_like(self.a, self.b), self.p11, self.p12,
+                                 self.p21, self.p22, self.c, self.c_err])
         np.savetxt(path, table, delimiter=",", header=CURVE_CSV_HEADER, comments="", fmt="%.12g")
 
 
-def _check_resamples(resamples: int) -> None:
-    if resamples < 10:
+def _check_resamples(resamples) -> None:
+    _check_integer("bootstrap resamples", resamples, 0)
+    if 0 < resamples < 10:
         raise DomainError(f"use at least 10 bootstrap resamples, got {resamples}")
 
 
@@ -393,17 +392,23 @@ def _measure_runs(ensemble, sd, pairs, noise, base, resamples) -> np.ndarray:
     """Joint probabilities (1 + resamples, P, 4), ordered p11 .. p22, at the P
     (a, b) pairs: run 0 reads the source, run r its r-th bootstrap resample;
     outcome (k, l) at pair i of run r draws its noise from base + (r, i, k, l).
-    The R resamples draw J* from the R rows of one standard_normal((R, 4)) of
-    the stream base + (_BOOT_TAG,) (see :func:`_moment_stacks`), and all runs
-    are read in one kernel call, whatever the noise model.
+    The R resamples draw their Bartlett factors T (see :func:`_moment_stacks`)
+    from the stream base + (_BOOT_TAG,), one call per entry: |T_11|^2 ~ Gamma(n),
+    |T_22|^2 ~ Gamma(n - 1), then T_21 ~ CN(0, 1) from a standard_normal((2, R)).
+    All runs are read in one kernel call, whatever the noise model.
     """
     settings = np.array([(a, b, k, l) for a, b in pairs for k, l in _KL]).T
     keys = [(i, k, l) for i in range(len(pairs)) for k, l in _KL]
-    if resamples:
-        _check_resamples(resamples)
-    z = np.random.default_rng(base + (_BOOT_TAG,)).standard_normal((resamples, 4))
+    _check_resamples(resamples)
+    n = ensemble.n
+    rng = np.random.default_rng(base + (_BOOT_TAG,))
+    t = np.zeros((resamples, 2, 2), dtype=complex)
+    t[:, 0, 0] = np.sqrt(rng.standard_gamma(n, resamples))
+    t[:, 1, 1] = np.sqrt(rng.standard_gamma(n - 1, resamples))
+    re, im = rng.standard_normal((2, resamples)) / math.sqrt(2.0)
+    t[:, 1, 0] = re + 1j * im
     seeds = [base + (r,) for r in range(1 + resamples)]
-    stacks = _moment_stacks(ensemble, z, noise, seeds, keys)
+    stacks = _moment_stacks(ensemble.second_moments, n, t, noise, seeds, keys)
     p = _probabilities(stacks, sd, *settings, noise.extinction_ratio)
     return p.reshape(len(p), len(pairs), 4)
 
@@ -419,9 +424,10 @@ def scan_correlation(
 ) -> CorrelationCurve:
     """Measure C(a, b) over a grid of polarizer angles at fixed b.
 
-    With ``resamples`` > 0, the source's second moments are bootstrap-resampled
-    in moment space (holding the apparatus settings fixed) to attach a
-    standard error to each point; each resample's J* is reused across the grid.
+    With ``resamples`` > 0 (an integer of at least 10), each resample draws
+    its J* from the complex Wishart law CW(n, J)/n of circular-Gaussian fields
+    at the source's J, holding the settings fixed, to attach a standard error
+    to each point; each resample's J* is reused across the grid.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1 or a_grid.size < 1:
@@ -476,10 +482,11 @@ class ProtocolConfig:
 
     ``settings=None`` means: measure at the closed-form CHSH-maximizing
     angles of the measured Schmidt weights (``bell.max_chsh``).
-    ``resamples`` is 0 (no bootstrap) or at least 10; each resample draws
-    its second moments J* from 4 normals, the normal approximation of
-    resampling the realizations (see ``_moment_stacks``).  The source is drawn
-    at unit intensity, since every output is a ratio of intensities.
+    ``seed``, ``n`` >= 2 and ``resamples`` (0, no bootstrap, or at least 10)
+    are integers.  Each resample draws J* from the complex Wishart law
+    CW(n, J)/n of circular-Gaussian fields at the source's J (see
+    ``_moment_stacks``).  The source is drawn at unit intensity, since every
+    output is a ratio of intensities.
     """
 
     dop: float
@@ -490,8 +497,9 @@ class ProtocolConfig:
     resamples: int = 16
 
     def __post_init__(self):
-        if self.resamples:
-            _check_resamples(self.resamples)
+        _check_integer("seed", self.seed, 0)
+        _check_integer("n", self.n, 2)
+        _check_resamples(self.resamples)
 
 
 def run_bell_protocol(config: ProtocolConfig) -> BellReport:

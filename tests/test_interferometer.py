@@ -59,17 +59,34 @@ def mean_power(e):
     return float(np.trace(e.second_moments).real)
 
 
-def features_and_gram(fields, counts):
-    """Element by element from the realizations: the count-weighted mean
-    feature row sum_n c_n q_n / n, q_n = (|Ex|^2, |Ey|^2, Re Ex* Ey, Im Ex* Ey),
-    and the Gram matrix G = sum_n c_n q_n q_n^T."""
-    rows = []
-    for x, y in fields:
-        xy = x.conjugate() * y
-        rows.append(np.array([abs(x) ** 2, abs(y) ** 2, xy.real, xy.imag]))
-    mean = sum(c * q for c, q in zip(counts, rows)) / len(fields)
-    gram = sum(c * np.outer(q, q) for c, q in zip(counts, rows))
-    return mean, gram
+def feature_rows(e):
+    """Rows q_n = (|Ex|^2, |Ey|^2, Re Ex* Ey, Im Ex* Ey), one per realization."""
+    x, y = e.realizations.T
+    xy = x.conjugate() * y
+    return np.column_stack([x.real**2 + x.imag**2, y.real**2 + y.imag**2, xy.real, xy.imag])
+
+
+# Each feature coordinate as a combination of the entries m_pq of m = conj(E) E^T.
+FEATURE_TERMS = [{(0, 0): 1.0}, {(1, 1): 1.0}, {(0, 1): 0.5, (1, 0): 0.5},
+                 {(0, 1): -0.5j, (1, 0): 0.5j}]
+
+
+def isserlis_gram(j):
+    """E[q q^T] of the feature row q of one circular-Gaussian realization of
+    second moments J, element by element: E[m_pq m_rs] = J_pq J_rs + J_ps J_rq."""
+    g = np.zeros((4, 4), dtype=complex)
+    for a, b in np.ndindex(4, 4):
+        for (p, q), x in FEATURE_TERMS[a].items():
+            for (r, s), y in FEATURE_TERMS[b].items():
+                g[a, b] += x * y * (j[p, q] * j[r, s] + j[p, s] * j[r, q])
+    assert np.abs(g.imag).max() <= 1e-15 * np.abs(g).max()
+    return g.real
+
+
+def principal_root(h):
+    """The symmetric square root of a Hermitian PSD matrix, by SVD."""
+    u, w, vt = np.linalg.svd(h)
+    return (u * np.sqrt(w)) @ vt
 
 
 def jitter_variances(sigma):
@@ -88,20 +105,32 @@ def per_realization_k(e, normals, sigma):
     """K of readings as the per-realization phase pass drew them: reading i
     takes phi = sigma * normals[i], its stream's normal(0, sigma, n), and
     K = (1/n) sum_n exp(-i phi_n) conj(Ep_n) Eq_n.  Shape (readings, 2, 2)."""
-    phi = sigma * normals
-    return moments_matrix((np.cos(phi) @ e._features - 1j * (np.sin(phi) @ e._features)) / e.n)
+    phi, q = sigma * normals, feature_rows(e)
+    return moments_matrix((np.cos(phi) @ q - 1j * (np.sin(phi) @ q)) / e.n)
 
 
-def reference_k(fields, counts, sigma, z):
+def reference_k(j, n, sigma, z):
     """One jitter reading's K from its normals z, shape (2, 4): the mean
-    exp(-sigma^2/2) sum_n c_n q_n / n plus (sqrt(Var cos phi) z[0] -
-    i sqrt(E sin^2 phi) z[1]) G^(1/2) / n, in feature coordinates."""
-    mean, gram = features_and_gram(fields, counts)
-    u, w, vt = np.linalg.svd(gram)
-    root = (u * np.sqrt(w)) @ vt  # the symmetric square root of a PSD matrix
+    exp(-sigma^2/2) J plus (sqrt(Var cos phi) z[0] - i sqrt(E sin^2 phi) z[1])
+    (G/n^2)^(1/2), in feature coordinates, with G/n the Isserlis E[q q^T] of J."""
     var_cos, sin2 = jitter_variances(sigma)
-    draw = (math.sqrt(var_cos) * z[0] - 1j * math.sqrt(sin2) * z[1]) @ root / len(fields)
-    return moments_matrix(math.exp(-sigma**2 / 2.0) * mean + draw)
+    draw = (math.sqrt(var_cos) * z[0] - 1j * math.sqrt(sin2) * z[1]) @ principal_root(
+        isserlis_gram(j) / n)
+    return math.exp(-sigma**2 / 2.0) * j + moments_matrix(draw)
+
+
+def bartlett_factors(base, n, resamples):
+    """The Bartlett factors T of the bootstrap resamples, as drawn from the
+    stream base + (715,): |T_11|^2 ~ Gamma(n), then |T_22|^2 ~ Gamma(n - 1),
+    then T_21 from the two rows of a standard_normal((2, resamples)), each part
+    with variance 1/2."""
+    rng = np.random.default_rng(base + (715,))
+    t11 = np.sqrt(rng.standard_gamma(n, resamples))
+    t22 = np.sqrt(rng.standard_gamma(n - 1, resamples))
+    re, im = rng.standard_normal((2, resamples))
+    h = math.sqrt(2.0)
+    return np.array([[[a, 0.0], [complex(x / h, y / h), b]]
+                     for a, b, x, y in zip(t11, t22, re, im)])
 
 
 class TestMeasureIntensities:
@@ -163,7 +192,7 @@ class TestMeasureIntensities:
         arms = mean_power(FieldEnsemble(aux_out)) + mean_power(FieldEnsemble(test_out))
         # the cross term weights conj(Ep) Eq by K_pq: read each arm at unit input along x, y
         aux_unit, test_unit = outputs(np.eye(2, dtype=complex))
-        k = reference_k(e.realizations, np.ones(e.n), sigma,
+        k = reference_k(e.second_moments, e.n, sigma,
                         np.random.default_rng(seed).standard_normal((2, 4)))
         cross = sum(k[p, q] * np.vdot(aux_unit[p], test_unit[q]) for p in (0, 1) for q in (0, 1))
         assert i_total == pytest.approx(arms + 2.0 * cross.real, abs=1e-12)
@@ -455,8 +484,8 @@ class TestBootstrap:
         assert not np.array_equal(curves[0].c_err, curves[2].c_err)
 
     def test_small_samples_raise_nothing(self):
-        # a Gaussian J* can leave the PSD cone at small n; projected back, no
-        # resample of any source raises
+        # a Wishart J* is PSD at every n >= 2, so no resample of any source
+        # raises
         failures = []
         for dop in (0.0, 0.5, 0.95):
             for n in (2, 3, 5, 10, 20):
@@ -471,7 +500,7 @@ class TestBootstrap:
         # CHSH = 2 sqrt(2 - DOP^2) is flat at DOP 0 and the estimated DOP^2 is
         # non-central there, so a bootstrap holding kappa fixed overstates the
         # spread, about 2x: the boundary case of Andrews (2000)
-        pytest.param(0.0, marks=pytest.mark.xfail(strict=True, reason="boundary: ratio ~2")),
+        pytest.param(0.0, marks=pytest.mark.xfail(strict=True, reason="boundary: ratio 1.97")),
         0.125, 0.5, 0.9,
     ])
     def test_error_bars_are_calibrated(self, dop):
@@ -654,8 +683,9 @@ def protocol_reference(cfg, rep):
 
 def assert_errors_match_gathered_copies(noise):
     """The same 100 sources bootstrapped both ways.  A bootstrap std reads
-    only the mean and covariance of the resampled moments to leading order,
-    which the moment-space draw has exactly, so the mean chsh_err and c_err
+    only the mean and covariance of the resampled moments to leading order;
+    the Wishart draw has the mean exactly and, for these circular-Gaussian
+    sources, the covariance to O(1/sqrt(n)), so the mean chsh_err and c_err
     over seeds agree to 3 standard errors."""
     new, gathered = [], []
     for seed in range(100):
@@ -685,9 +715,9 @@ def feature_coordinates(j):
 
 
 class TestResampleCounts:
-    """Each bootstrap resample draws its second moments J* in moment space,
-    the normal approximation of reading resample counts; over seeds its
-    error bars must match those of gathering each resample's fields."""
+    """Each bootstrap resample draws its second moments J* from the complex
+    Wishart law CW(n, J)/n; over seeds its error bars must match those of
+    gathering each resample's fields."""
 
     @pytest.mark.parametrize("noise", IDEAL_AND_MOMENT_NOISE)
     def test_protocol_errors_match_gathered_copies(self, noise):
@@ -696,22 +726,23 @@ class TestResampleCounts:
     @pytest.mark.parametrize("noise", [NoiseModel(phase_jitter=0.1), JITTER_AND_DETECTOR],
                              ids=["jitter", "jitter-and-detector"])
     def test_jitter_resamples_gather_fields(self, noise):
-        # a resample's K is centred on its J* and takes the source's G, the
-        # mean of the count-weighted G of a gathered copy
+        # a resample's K is centred on its J* and takes the Isserlis G of the
+        # source's J, the large-n mean of the count-weighted G of a gathered copy
         assert_errors_match_gathered_copies(noise)
 
     @pytest.mark.parametrize("noise", [*IDEAL_AND_MOMENT_NOISE, JITTER_AND_DETECTOR])
     def test_scan_draw_order_is_pinned(self, noise):
-        # The R resamples take the R rows of one standard_normal((R, 4)) from
-        # base + (715,), and resample r reads its noise from base + (r,) + key.
+        # The R resamples take their Bartlett factors from base + (715,), one
+        # call per entry, and resample r reads its noise from base + (r,) + key.
         e = synthesize_partially_polarized(0.125, 1.0, 2000, 39)
         _, sd = measured_schmidt(e)
         # b = 0 crosses polarizer and stripping axes, so the fallback runs too
         b, grid, base = 0.0, np.linspace(0.0, math.pi, 7, endpoint=False), (39, 2)
         curve = scan_correlation(e, sd, b, grid, noise=noise, seed=base, resamples=11)
-        z = np.random.default_rng(base + (715,)).standard_normal((11, 4))
+        t = bartlett_factors(base, e.n, 11)
         keys = [(i, k, l) for i in range(len(grid)) for k, l in interferometer._KL]
-        stacks = interferometer._moment_stacks(e, z, noise, [base + (r,) for r in range(12)], keys)
+        stacks = interferometer._moment_stacks(e.second_moments, e.n, t, noise,
+                                               [base + (r,) for r in range(12)], keys)
         settings = np.array([(a, b, k, l) for a in grid for k, l in interferometer._KL]).T
         p = interferometer._probabilities(stacks, sd, *settings, noise.extinction_ratio)
         c = correlation_sum(np.moveaxis(p.reshape(12, len(grid), 4), -1, 0))
@@ -719,33 +750,51 @@ class TestResampleCounts:
         assert np.array_equal(curve.c_err, np.std(c[1:], axis=0, ddof=1))
 
     def test_bootstrap_draw_has_the_exact_mean_and_covariance(self):
-        # J* is linear in its normals z: z = 0 gives J exactly, and a unit
-        # normal one row of the symmetric root of S/n, S = G/n - mu mu^T the
-        # covariance of the feature rows
+        # J* = L T T+ L+ / n, L the principal root of J: T = sqrt(n) I gives J
+        # exactly, and fixed factors give that map to rounding
         e = synthesize_partially_polarized(0.3, 1.0, 200, 16)
-        z = np.vstack([np.zeros(4), np.eye(4)])
-        j, _, _ = interferometer._moment_stacks(e, z, NoiseModel(), [(r,) for r in range(6)], [()])
-        assert np.array_equal(j[0], e.second_moments) and np.array_equal(j[1], j[0])
-        rows = feature_coordinates(j[2:] - j[0])
-        mean, gram = features_and_gram(e.realizations, np.ones(e.n))
-        cov = (gram / e.n - np.outer(mean, mean)) / e.n
-        assert np.abs(feature_coordinates(j[0]) - mean).max() <= 1e-12 * np.abs(mean).max()
-        assert np.abs(rows - rows.T).max() <= 1e-12 * np.abs(rows).max()
-        assert np.abs(rows @ rows - cov).max() <= 1e-12 * np.abs(cov).max()
+        j0, n = e.second_moments, e.n
+        t = np.array([math.sqrt(n) * np.eye(2), [[14.0, 0.0], [0.3 - 0.8j, 13.5]],
+                      [[15.2, 0.0], [-2.0 + 1.0j, 0.1]]])
+        j, _, _ = interferometer._moment_stacks(j0, n, t, NoiseModel(), [(r,) for r in range(4)],
+                                                [()])
+        assert np.array_equal(j[0], j0)
+        assert np.abs(j[1] - j0).max() <= 1e-15
+        root = principal_root(j0)
+        for drawn, factor in zip(j[2:], t[1:]):
+            expected = root @ factor @ factor.conj().T @ root / n
+            assert np.abs(drawn - expected).max() <= 1e-14 * np.abs(expected).max()
+        # over the stream's draws J* has the Wishart mean J and covariance
+        # Cov(q*) = (E[q q^T] - mu mu^T) / n in feature coordinates
+        j, _, _ = interferometer._moment_stacks(j0, n, bartlett_factors((16,), n, 20_000),
+                                                NoiseModel(), [(r,) for r in range(20_001)], [()])
+        q, mu = feature_coordinates(j[1:]), feature_coordinates(j0)
+        cov = (isserlis_gram(j0) - np.outer(mu, mu)) / n
+        se = np.sqrt(np.diag(cov) / len(q))
+        assert np.all(np.abs(q.mean(axis=0) - mu) <= 5.0 * se)
+        sample = np.cov(q.T)
+        se_cov = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / len(q))
+        assert np.all(np.abs(sample - cov) <= 5.0 * se_cov)
 
-    def test_draws_outside_the_cone_are_projected(self):
-        # a draw with a negative eigenvalue has it clamped at 0; a PSD draw is kept
-        e = synthesize_partially_polarized(0.3, 1.0, 200, 16)
-        z = np.array([[0.5, -0.2, 0.1, 0.3], [40.0, -40.0, 0.0, 0.0], [0.0, 0.0, 60.0, 0.0]])
-        j, _, _ = interferometer._moment_stacks(e, z, NoiseModel(), [(r,) for r in range(4)], [()])
-        mean, gram = features_and_gram(e.realizations, np.ones(e.n))
-        u, w, vt = np.linalg.svd((gram / e.n - np.outer(mean, mean)) / e.n)
-        drawn = e.second_moments + moments_matrix(z @ ((u * np.sqrt(w)) @ vt))
-        lam, vec = np.linalg.eigh(drawn)
-        assert lam[0, 0] > 0.0 and lam[1, 0] < 0.0 and lam[2, 0] < 0.0
-        projected = (vec * np.maximum(lam, 0.0)[:, None]) @ vec.conj().swapaxes(1, 2)
-        assert np.abs(j[1] - drawn[0]).max() <= 1e-12 * np.abs(drawn[0]).max()
-        assert np.abs(j[2:] - projected[1:]).max() <= 1e-12 * np.abs(projected[1:]).max()
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 10**6),
+        lam=st.tuples(st.floats(0.0, 1e6), st.sampled_from([0.0, 1e-300, 1.0, 1e6])),
+        theta=st.floats(0.0, math.pi),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        seed=st.integers(0, 2**32),
+    )
+    def test_draws_stay_in_the_cone(self, n, lam, theta, phase, seed):
+        # a Wishart draw is PSD by construction, a rank-1 or zero J included
+        u = np.array([[math.cos(theta), -math.sin(theta) * np.exp(-1j * phase)],
+                      [math.sin(theta) * np.exp(1j * phase), math.cos(theta)]])
+        j0 = (u * np.array(lam)) @ u.conj().T
+        j0 = (j0 + j0.conj().T) / 2.0
+        j, _, _ = interferometer._moment_stacks(j0, n, bartlett_factors((seed,), n, 8),
+                                                NoiseModel(), [(r,) for r in range(9)], [()])
+        assert np.array_equal(j, j.conj().swapaxes(1, 2))
+        traces = np.trace(j, axis1=1, axis2=2).real
+        assert np.all(np.linalg.eigvalsh(j)[:, 0] >= -1e-12 * traces)
 
     def test_jitter_protocol_gathers_no_copy(self, monkeypatch):
         # every resample is drawn from the source's moments,
@@ -771,6 +820,22 @@ class FixedNormals:
         return self.normals
 
 
+def jitter_rows(monkeypatch, e, t, sigma):
+    """J and K's mean and its real and imaginary rows under jitter sigma, in
+    feature coordinates, for the last of the 1 + len(t) runs: K is linear in
+    its normals z, so z = 0 gives the mean, and a unit normal in z[0] (z[1])
+    one row of the root of the real (imaginary) covariance."""
+    normals = [np.zeros((2, 4)), *np.eye(8).reshape(8, 2, 4)]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedNormals(normals, seed))
+    j, k, _ = interferometer._moment_stacks(e.second_moments, e.n, t,
+                                            NoiseModel(phase_jitter=sigma),
+                                            [(r,) for r in range(1 + len(t))],
+                                            [(m,) for m in range(9)])
+    v = np.array([[x[0, 0], x[1, 1], (x[0, 1] + x[1, 0]) / 2, (x[0, 1] - x[1, 0]) / 2j]
+                  for x in k[-1]])
+    return j, v[0], v[1:5] - v[0], v[5:] - v[0]
+
+
 class TestJitterDraw:
     """Each jitter reading draws K from its exact mean and covariance with
     8 normals from its own stream."""
@@ -779,52 +844,62 @@ class TestJitterDraw:
         # 8 normals for K, then 3 detector normals, from default_rng(seed + key)
         e = synthesize_partially_polarized(0.4, 1.0, 300, 12)
         noise, seed, keys = JITTER_AND_DETECTOR, (11, 0), [(0, 1, 1), (3, 2, 1)]
-        j, k, offsets = interferometer._moment_stacks(e, (), noise, [seed], keys)
+        j, k, offsets = interferometer._moment_stacks(e.second_moments, e.n, (), noise, [seed],
+                                                      keys)
         for m, key in enumerate(keys):
             rng = np.random.default_rng(seed + key)
-            expected = reference_k(e.realizations, np.ones(e.n), 0.1, rng.standard_normal((2, 4)))
+            expected = reference_k(e.second_moments, e.n, 0.1, rng.standard_normal((2, 4)))
             assert np.abs(k[0, m] - expected).max() <= 1e-13
             detector = rng.normal(0.0, 1e-3 * np.trace(j[0]).real, 3)
             assert np.array_equal(offsets[0, m], detector)
 
     @pytest.mark.parametrize("run", [0, 1], ids=["source", "resample"])
     def test_draw_has_the_exact_mean_and_covariance(self, monkeypatch, run):
-        # K is linear in its normals z: z = 0 gives the mean, and a unit normal
-        # in z[0] (z[1]) one row of the root of the real (imaginary) covariance.
-        # A resample centres K on its own J* and takes the source's G.
+        # K's mean is exp(-sigma^2/2) J of its run, and its real (imaginary)
+        # part has covariance Var(cos phi) G/n^2 (E[sin^2 phi] G/n^2), with
+        # G/n the Isserlis E[q q^T] of the source's J for every run
         e, sigma = synthesize_partially_polarized(0.3, 1.0, 60, 14), 0.7
-        boot = np.random.default_rng(15).standard_normal((run, 4))
-        normals = [np.zeros((2, 4)), *np.eye(8).reshape(8, 2, 4)]
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedNormals(normals, seed))
-        j, k, _ = interferometer._moment_stacks(e, boot, NoiseModel(phase_jitter=sigma),
-                                                [(0,), (1,)][:run + 1], [(m,) for m in range(9)])
-        v = np.array([[x[0, 0], x[1, 1], (x[0, 1] + x[1, 0]) / 2, (x[0, 1] - x[1, 0]) / 2j]
-                      for x in k[run]])
-        mean, re_rows, im_rows = v[0], v[1:5] - v[0], v[5:] - v[0]
-        target_mean, gram = features_and_gram(e.realizations, np.ones(e.n))
+        t = np.array([[[7.5, 0.0], [0.4 - 0.9j, 8.1]]])[:run]
+        j, mean, re_rows, im_rows = jitter_rows(monkeypatch, e, t, sigma)
         if run:
             assert not np.array_equal(j[1], j[0])
-            target_mean = feature_coordinates(j[1])
+        gram = isserlis_gram(e.second_moments) * e.n
         var_cos, sin2 = jitter_variances(sigma)
 
         def close(x, target):
             return np.abs(x - target).max() <= 1e-12 * np.abs(target).max()
 
-        assert close(mean, math.exp(-sigma**2 / 2.0) * target_mean)
+        assert close(mean, math.exp(-sigma**2 / 2.0) * feature_coordinates(j[run]))
         # a normal of z[0] moves only the real part, one of z[1] only the imaginary part
         assert np.abs(re_rows.imag).max() <= 1e-12 * np.abs(re_rows.real).max()
         assert np.abs(im_rows.real).max() <= 1e-12 * np.abs(im_rows.imag).max()
         assert close(re_rows.real.T @ re_rows.real, var_cos * gram / e.n**2)
         assert close(im_rows.imag.T @ im_rows.imag, sin2 * gram / e.n**2)
 
+    def test_isserlis_gram_matches_the_sample_gram(self, monkeypatch):
+        # the draw's G/n = E[q q^T] of a large circular-Gaussian source, read
+        # back from K's rows, against the sample mean of q q^T over its
+        # realizations: every entry within 5 standard errors
+        # unitary, so J has a complex off-diagonal entry: 0.4 * 0.48 exp(0.7i)
+        rotation = np.array([[0.8, -0.6 * np.exp(-0.7j)], [0.6 * np.exp(0.7j), 0.8]])
+        e = FieldEnsemble(synthesize_partially_polarized(0.4, 1.0, 200_000, 17).realizations
+                          @ rotation.T)
+        sigma = 0.5
+        _, _, re_rows, _ = jitter_rows(monkeypatch, e, (), sigma)
+        drawn = re_rows.real.T @ re_rows.real * e.n / jitter_variances(sigma)[0]
+        q = feature_rows(e)
+        products = (q[:, :, None] * q[:, None, :]).reshape(e.n, 16)
+        sample, se = products.mean(axis=0), products.std(axis=0) / math.sqrt(e.n)
+        assert np.all(np.abs(drawn.ravel() - sample) <= 5.0 * se), (drawn.ravel() - sample) / se
+
     @pytest.mark.parametrize("n", [100, 10_000])
     def test_chsh_distribution_matches_per_realization_phases(self, n):
         # The same 400 reading streams of one source, drawn both ways.  Each p is
         # quadratic in K, so the mean of chsh reads only K's mean and covariance,
-        # which the draw has exactly: the means agree to 3 standard errors at any
-        # n.  The spread also reads K's fourth moments, whose per-realization
-        # excess over the Gaussian falls as 1/n: the sds agree to 3 standard
-        # errors of their ratio, exp(+-3 / sqrt(399)).  One kernel call per side
+        # which the draw has to O(1/sqrt(n)): the means agree to 3 standard
+        # errors at any n.  The spread also reads K's fourth moments, whose
+        # per-realization excess over the Gaussian falls as 1/n: the sds agree
+        # to 3 standard errors of their ratio, exp(+-3 / sqrt(399)).  One kernel call per side
         # and sigma reads all 400 runs, so no run may raise ExtractionError.
         source = synthesize_partially_polarized(0.125, 1.0, n, 3)
         _, sd = measured_schmidt(source)
@@ -838,8 +913,9 @@ class TestJitterDraw:
             normals = np.array([np.random.default_rng((s, 0) + key).standard_normal(n)
                                 for key in keys])
             for i, sigma in enumerate(sigmas):
-                stacks = interferometer._moment_stacks(source, (), NoiseModel(phase_jitter=sigma),
-                                                       [(s, 0)], keys)
+                stacks = interferometer._moment_stacks(source.second_moments, source.n, (),
+                                                       NoiseModel(phase_jitter=sigma), [(s, 0)],
+                                                       keys)
                 gaussian[i, s], per_realization[i, s] = stacks[1][0], per_realization_k(
                     source, normals, sigma)
         j = np.broadcast_to(source.second_moments, (len(seeds), 2, 2))

@@ -4,7 +4,8 @@ Rules: Schmidt weights normalized (kappa1^2 + kappa2^2 = 1 to 1e-12), orthonorma
 vectors and unit polarizer axes (to 1e-12), the coherence cone |S| <= S0 (to 1e-10
 of S0, no absolute floor), the extinction ratio in [0, 1], and finite angles.  An
 input at half the tolerance passes, one at twice the tolerance fails, and NaN and
-inf fail.
+inf fail.  Seeds and counts must be integers in range, and second moments must
+stay in the float range.
 """
 
 import math
@@ -17,6 +18,7 @@ from wavebell import (
     DomainError,
     FieldEnsemble,
     NoiseModel,
+    ProtocolConfig,
     SchmidtDecomposition,
     StokesVector,
     cosine_response_model,
@@ -37,7 +39,9 @@ from wavebell import (
     stokes,
     stripping_angle,
     stripping_angle_orthogonal,
+    synthesize_partially_polarized,
     synthesize_schmidt_form,
+    tomography,
     waveplate_matrix,
 )
 from wavebell.optics import FunctionBasis, LabBasis, polarizer_axis, polarizer_matrix
@@ -260,6 +264,13 @@ class TestFiniteRealizations:
         with pytest.raises(DomainError, match="realizations must be finite"):
             FieldEnsemble(np.array([[bad, 0.0], [-bad, 0.0]], dtype=complex))
 
+    def test_overflowing_second_moments_named(self):
+        # every entry and their sum are finite, but |E|^2 = 1e400 is not
+        e = FieldEnsemble(np.full((4, 2), 1e200))
+        for read in (lambda: e.second_moments, lambda: schmidt(e), lambda: tomography(e)):
+            with pytest.raises(DomainError, match="second moments overflow"):
+                read()
+
 
 FIELD = synthesize_schmidt_form(0.8, 0.6, n=8)
 SD = schmidt(FIELD)
@@ -295,3 +306,30 @@ ANGLE_ENTRY_POINTS = {
 def test_non_finite_angle_rejected(entry, bad):
     with pytest.raises(DomainError, match="^angles must be finite$"):
         ANGLE_ENTRY_POINTS[entry](bad)
+
+
+# Seeds, realization counts and resample counts are integers: a negative seed, a
+# fractional n or fractional resamples is named at the entry point, neither
+# truncated nor left to a numpy error.
+COUNT_ENTRY_POINTS = {
+    "synthesize_partially_polarized-seed": lambda: synthesize_partially_polarized(0.3, 1.0, 8, -1),
+    "synthesize_partially_polarized-n": lambda: synthesize_partially_polarized(0.3, 1.0, 2.5, 0),
+    "synthesize_schmidt_form-seed": lambda: synthesize_schmidt_form(0.8, 0.6, n=8, seed=-1),
+    "synthesize_schmidt_form-n": lambda: synthesize_schmidt_form(0.8, 0.6, n=2.5),
+    "ProtocolConfig-seed": lambda: ProtocolConfig(dop=0.3, n=8, seed=-1),
+    "ProtocolConfig-n": lambda: ProtocolConfig(dop=0.3, n=2.5, seed=0),
+    "ProtocolConfig-resamples": lambda: ProtocolConfig(dop=0.3, n=8, seed=0, resamples=10.5),
+    "scan_correlation-seed": lambda: scan_correlation(FIELD, SD, 0.3, [0.1], seed=-1),
+    "scan_correlation-resamples": lambda: scan_correlation(FIELD, SD, 0.3, [0.1], resamples=10.5),
+    "measure_intensities-seed": lambda: measure_intensities(FIELD, 0.1, 0.3, seed=(2, -1),
+                                                            basis=LabBasis(X, Y)),
+    "measure_joint_probability-seed": lambda: measure_joint_probability(FIELD, SD, 0.1, 0.3, 1, 1,
+                                                                        seed=-1),
+    "measure_correlation-seed": lambda: measure_correlation(FIELD, SD, 0.1, 0.3, seed=-1),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_bad_count_rejected(entry):
+    with pytest.raises(DomainError, match=r"must be an integer >= \d, got "):
+        COUNT_ENTRY_POINTS[entry]()
