@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .ensemble import SchmidtDecomposition, _check_kappas, inner, schmidt_functions
+from .ensemble import (SchmidtDecomposition, _check_integer, _check_kappas, _check_seed, inner,
+                       schmidt_functions)
 from .errors import DomainError, ModelContractError
 from .optics import FunctionBasis, LabBasis, _check_angles, rotate_function_basis, rotate_lab_basis
 
@@ -179,15 +180,16 @@ def lhv_correlation(
     """Monte-Carlo estimate of the correlation of a hidden-variable model.
 
     Samples lambda from the model distribution and averages
-    outcome_a(a, lambda) * outcome_b(b, lambda).  Raises
-    ModelContractError if either response leaves [-1, 1] or is not finite
-    on the sample.
+    outcome_a(a, lambda) * outcome_b(b, lambda).  ``n_samples`` is an
+    integer >= 1 and ``seed`` an integer >= 0 or a tuple of such seeds.
+    Raises ModelContractError if either response leaves [-1, 1] or is not
+    finite on the sample.
     """
     _check_angles(a, b)
-    if n_samples < 1:
-        raise DomainError("need at least one sample")
+    _check_integer("n_samples", n_samples, 1)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
-    lam = model.lambda_sampler(rng, int(n_samples))
+    lam = model.lambda_sampler(rng, n_samples)
     va = _bounded(model.outcome_a(a, lam), "outcome_a")
     vb = _bounded(model.outcome_b(b, lam), "outcome_b")
     return float(np.mean(va * vb))

@@ -4,7 +4,8 @@ A partially polarized beam is modelled by N independent realizations of the
 transverse field (Ex, Ey).  Function-space quantities use the ensemble inner
 product <f|g> = (1/N) sum_n conj(f_n) g_n, so second-order statistics
 (coherence matrix, Stokes parameters, degree of polarization, Schmidt
-structure) are all computable from finite data.
+structure) are all computable from finite data.  Where only the 2x2 second
+moments are read, they can be drawn from their law without the realizations.
 """
 
 from __future__ import annotations
@@ -51,6 +52,27 @@ def _check_integer(name: str, value, least: int) -> None:
     # a float fails, even 2.0
     if not (isinstance(value, numbers.Integral) and value >= least):
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    # an integer >= 0 or a tuple of seeds, nested as numpy's SeedSequence reads them
+    if isinstance(seed, tuple):
+        for entry in seed:
+            _check_seed(entry)
+    else:
+        _check_integer("seed entries", seed, 0)
+
+
+def _check_n(n) -> None:
+    # up to 2**53, n and n - 1 are exact floats: the shapes of the Bartlett draw's Gamma variates
+    _check_integer("n", n, 2)
+    if n > 2**53:
+        raise DomainError(f"n must be at most 2**53, got {n}")
+
+
+def _check_dop(dop: float) -> None:
+    if not 0.0 <= dop <= 1.0:  # a NaN fails too
+        raise DomainError(f"dop must lie in [0, 1], got {dop}")
 
 
 def _check_orthonormal(v1, v2, dot=np.vdot) -> None:
@@ -181,14 +203,13 @@ def synthesize_partially_polarized(
     intensity : float
         Expected ensemble-mean power, in [1e-100, 1e100].
     n : int
-        Number of realizations, an integer >= 2.
+        Number of realizations, an integer in [2, 2**53].
     seed : int
         Generator seed, an integer >= 0.
     """
-    if not 0.0 <= dop <= 1.0:
-        raise DomainError(f"dop must lie in [0, 1], got {dop}")
+    _check_dop(dop)
     _check_intensity(intensity)
-    _check_integer("n", n, 2)
+    _check_n(n)
     _check_integer("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(seed))
     # (re Ex, im Ex, re Ey, im Ey) drawn in place; var(Re) = var(Im) = ms/2 so E|E|^2 = ms
@@ -197,6 +218,43 @@ def synthesize_partially_polarized(
     e[:, 0] *= math.sqrt(intensity * (1.0 + dop) / 4.0)
     e[:, 1] *= math.sqrt(intensity * (1.0 - dop) / 4.0)
     return FieldEnsemble(e, seed=seed)
+
+
+def _bartlett(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """Lower-triangular Bartlett factors T, shape (size, 2, 2), of the complex
+    Wishart law CW(n, I): T T+ is distributed as the sum of n outer products
+    e e+ of standard circular-Gaussian vectors (Goodman 1963).  One call per
+    entry, in this order: |T_11|^2 ~ Gamma(n), |T_22|^2 ~ Gamma(n - 1), then
+    T_21 ~ CN(0, 1) from the two rows of a standard_normal((2, size))."""
+    t = np.zeros((size, 2, 2), dtype=np.complex128)
+    t[:, 0, 0] = np.sqrt(rng.standard_gamma(n, size))
+    t[:, 1, 1] = np.sqrt(rng.standard_gamma(n - 1, size))
+    re, im = rng.standard_normal((2, size)) / math.sqrt(2.0)
+    t[:, 1, 0] = re + 1j * im
+    return t
+
+
+@dataclass(frozen=True, eq=False)
+class _Moments:
+    """A source read only through its second moments J and realization count n,
+    the two attributes of a :class:`FieldEnsemble` that tomography, the Schmidt
+    calibration and the measurement kernel read."""
+
+    second_moments: np.ndarray
+    n: int
+
+
+def _draw_partially_polarized(dop: float, n: int, seed: int) -> _Moments:
+    """The second moments of ``synthesize_partially_polarized(dop, 1.0, n, .)``
+    drawn from their law rather than from n realizations: n J follows the
+    complex Wishart law CW(n, Sigma), Sigma = diag(1 + dop, 1 - dop) / 2, so
+    J = L T T+ L+ / n with L = Sigma^(1/2) and T one Bartlett factor
+    (:func:`_bartlett`) from ``default_rng(seed)``.  The cost does not grow
+    with n.  Arguments are checked by the caller."""
+    t = _bartlett(np.random.default_rng(seed), n, 1)[0]
+    lt = np.sqrt([[(1.0 + dop) / 2.0], [(1.0 - dop) / 2.0]]) * t
+    j = lt @ lt.conj().T / n
+    return _Moments((j + j.conj().T) / 2.0, n)
 
 
 def synthesize_schmidt_form(
@@ -220,7 +278,7 @@ def synthesize_schmidt_form(
     """
     _check_kappas(kappa1, kappa2)
     _check_intensity(intensity)
-    _check_integer("n", n, 2)
+    _check_n(n)
     _check_integer("seed", seed, 0)
     u1, u2 = np.eye(2, dtype=complex) if u1 is None or u2 is None else np.asarray([u1, u2], complex)
     _check_orthonormal(u1, u2)
@@ -268,8 +326,7 @@ def dop(s: StokesVector) -> float:
 
 def kappa_from_dop(dop: float) -> tuple[float, float]:
     """Schmidt weights (kappa1, kappa2) = sqrt((1 +/- DOP)/2)."""
-    if not 0.0 <= dop <= 1.0:
-        raise DomainError(f"dop must lie in [0, 1], got {dop}")
+    _check_dop(dop)
     return math.sqrt((1.0 + dop) / 2.0), math.sqrt((1.0 - dop) / 2.0)
 
 

@@ -44,10 +44,14 @@ from .bell import AngleSettings, chsh_sum, correlation_sum, joint_probability_ka
 from .ensemble import (
     FieldEnsemble,
     SchmidtDecomposition,
+    _bartlett,
+    _check_dop,
     _check_integer,
+    _check_n,
+    _check_seed,
+    _draw_partially_polarized,
     dop,
     measured_schmidt,
-    synthesize_partially_polarized,
 )
 from .errors import DomainError, ExtractionError, StrippedBeamError
 from .optics import (
@@ -98,6 +102,9 @@ _MAX_NOISE = 1e6
 # An auxiliary reading at most this fraction of the beam counts as stripped (no light).
 _STRIPPED = 1e-15
 
+# Below this trace of J (and above 0) squares of the moments are no longer normal floats.
+_TINY_TRACE = math.sqrt(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -124,10 +131,8 @@ class NoiseModel:
 
 
 def _seed_base(seed) -> tuple:
-    base = seed if isinstance(seed, tuple) else (seed,)
-    for entry in base:
-        _check_integer("seed entries", entry, 0)
-    return base
+    _check_seed(seed)
+    return seed if isinstance(seed, tuple) else (seed,)
 
 
 def _form(v):
@@ -163,8 +168,13 @@ def _moment_stacks(j, n, t, noise, seeds, keys):
     Isserlis' theorem, E[m_pq m_rs] = J_pq J_rs + J_ps J_rq (m = conj(E) E^T),
     for every run; each reading draws K as that Gaussian, with 8 normals and
     then its detector noise from ``default_rng(seeds[r] + keys[m])``.
-    Without jitter K is J, as a broadcast view.
+    Without jitter K is J, as a broadcast view.  A J whose trace is positive
+    but below sqrt of the smallest normal float raises DomainError.
     """
+    trace = float(np.trace(j).real)
+    if 0.0 < trace < _TINY_TRACE:
+        raise DomainError(f"second moments underflow: tr J = {trace:.3g} is below "
+                          f"{_TINY_TRACE:.3g}, where its square is no longer a normal float")
     sigma, detector = noise.phase_jitter, noise.detector_noise > 0.0
     lt = _root(j) @ np.reshape(t, (-1, 2, 2))
     drawn = lt @ lt.conj().swapaxes(1, 2) / n
@@ -392,23 +402,17 @@ def _measure_runs(ensemble, sd, pairs, noise, base, resamples) -> np.ndarray:
     """Joint probabilities (1 + resamples, P, 4), ordered p11 .. p22, at the P
     (a, b) pairs: run 0 reads the source, run r its r-th bootstrap resample;
     outcome (k, l) at pair i of run r draws its noise from base + (r, i, k, l).
-    The R resamples draw their Bartlett factors T (see :func:`_moment_stacks`)
-    from the stream base + (_BOOT_TAG,), one call per entry: |T_11|^2 ~ Gamma(n),
-    |T_22|^2 ~ Gamma(n - 1), then T_21 ~ CN(0, 1) from a standard_normal((2, R)).
-    All runs are read in one kernel call, whatever the noise model.
+    The R resamples draw their Bartlett factors T (see :func:`_moment_stacks`
+    and ``ensemble._bartlett``) from the stream base + (_BOOT_TAG,).  All runs
+    are read in one kernel call, whatever the noise model.  ``ensemble`` is
+    read only through its ``second_moments`` and ``n``.
     """
     settings = np.array([(a, b, k, l) for a, b in pairs for k, l in _KL]).T
     keys = [(i, k, l) for i in range(len(pairs)) for k, l in _KL]
     _check_resamples(resamples)
-    n = ensemble.n
-    rng = np.random.default_rng(base + (_BOOT_TAG,))
-    t = np.zeros((resamples, 2, 2), dtype=complex)
-    t[:, 0, 0] = np.sqrt(rng.standard_gamma(n, resamples))
-    t[:, 1, 1] = np.sqrt(rng.standard_gamma(n - 1, resamples))
-    re, im = rng.standard_normal((2, resamples)) / math.sqrt(2.0)
-    t[:, 1, 0] = re + 1j * im
+    t = _bartlett(np.random.default_rng(base + (_BOOT_TAG,)), ensemble.n, resamples)
     seeds = [base + (r,) for r in range(1 + resamples)]
-    stacks = _moment_stacks(ensemble.second_moments, n, t, noise, seeds, keys)
+    stacks = _moment_stacks(ensemble.second_moments, ensemble.n, t, noise, seeds, keys)
     p = _probabilities(stacks, sd, *settings, noise.extinction_ratio)
     return p.reshape(len(p), len(pairs), 4)
 
@@ -482,11 +486,12 @@ class ProtocolConfig:
 
     ``settings=None`` means: measure at the closed-form CHSH-maximizing
     angles of the measured Schmidt weights (``bell.max_chsh``).
-    ``seed``, ``n`` >= 2 and ``resamples`` (0, no bootstrap, or at least 10)
-    are integers.  Each resample draws J* from the complex Wishart law
-    CW(n, J)/n of circular-Gaussian fields at the source's J (see
-    ``_moment_stacks``).  The source is drawn at unit intensity, since every
-    output is a ratio of intensities.
+    ``dop`` lies in [0, 1]; ``seed``, ``n`` in [2, 2**53] and ``resamples``
+    (0, no bootstrap, or at least 10) are integers.  The source's second
+    moments J are drawn at unit intensity, since every output is a ratio of
+    intensities, from the complex Wishart law of n circular-Gaussian
+    realizations at that DOP, and each resample draws J* from the law
+    CW(n, J)/n at the source's J (see ``_moment_stacks``).
     """
 
     dop: float
@@ -497,15 +502,19 @@ class ProtocolConfig:
     resamples: int = 16
 
     def __post_init__(self):
+        _check_dop(self.dop)
         _check_integer("seed", self.seed, 0)
-        _check_integer("n", self.n, 2)
+        _check_n(self.n)
         _check_resamples(self.resamples)
 
 
 def run_bell_protocol(config: ProtocolConfig) -> BellReport:
-    """Synthesize a source, characterize it, and evaluate the CHSH value.
+    """Draw a source, characterize it, and evaluate the CHSH value.
 
-    Pipeline: draw the stochastic source, run polarization tomography,
+    Pipeline: draw the source's second moments J from the complex Wishart
+    law of n circular-Gaussian realizations at the requested DOP (one
+    Bartlett draw from ``default_rng(seed)``, at a cost that does not grow
+    with n), run polarization tomography,
     convert the measured degree of polarization to Schmidt weights, pick
     angle settings (optimized unless given), measure the four joint
     probabilities per setting interferometrically, and attach bootstrap
@@ -515,7 +524,7 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
     the report falls back to closed-form probabilities (method
     "closed-form") with the separable maximum chsh = 2.
     """
-    source = synthesize_partially_polarized(config.dop, 1.0, config.n, config.seed)
+    source = _draw_partially_polarized(config.dop, config.n, config.seed)
     stokes_est, sd = measured_schmidt(source)
     dop_est = dop(stokes_est)
     k1, k2 = sd.kappa1, sd.kappa2

@@ -497,7 +497,12 @@ BAD_INPUTS = {
     # 10**15 realizations or samples lie beyond the 128 TB address space, so
     # the allocation fails at once under any overcommit setting
     "unallocatable-source-n": lambda tmp: ["source", "--n", str(10**15)],
-    "unallocatable-chsh-n": lambda tmp: ["chsh", "--n", str(10**15)],
+    # above 2**53 a count and its predecessor are no longer exact floats
+    "huge-source-n": lambda tmp: ["source", "--n", str(10**18)],
+    "huge-scan-n": lambda tmp: ["scan", "--n", str(10**18), "--format", "json"],
+    "huge-chsh-n": lambda tmp: ["chsh", "--n", str(10**18)],
+    "chsh-n-above-2**53": lambda tmp: ["chsh", "--n", str(2**53 + 1)],
+    "chsh-dop-above-one": lambda tmp: ["chsh", "--dop", "2"],
     # raised on the hidden-variable worker thread
     "unallocatable-lhv-samples": lambda tmp: ["validate", "--n", "2000", "--tuples", "1",
                                               "--lhv-samples", str(10**15)],
@@ -526,6 +531,18 @@ def test_bad_input_exits_1_with_one_line(tmp_path, case):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("wavebell: error:"), proc.stderr
+
+
+def test_chsh_at_1e15_realizations_meets_its_bound():
+    # chsh draws its source as moments, so 10**15 realizations cost what 10**3 do
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavebell.cli", "chsh", "--n", str(10**15)],
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["n"] == 10**15
+    assert abs(report["chsh"] - 2.0 * math.sqrt(2.0 - report["dop"] ** 2)) <= 1e-12
 
 
 @pytest.mark.parametrize("a_start, a_stop", [("1", "1"), ("-30deg", "-1")])

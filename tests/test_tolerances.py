@@ -22,6 +22,7 @@ from wavebell import (
     SchmidtDecomposition,
     StokesVector,
     cosine_response_model,
+    lhv_chsh,
     dop,
     joint_probability_kappa,
     joint_probability_projected,
@@ -274,6 +275,7 @@ class TestFiniteRealizations:
 
 FIELD = synthesize_schmidt_form(0.8, 0.6, n=8)
 SD = schmidt(FIELD)
+SETTINGS = AngleSettings(0.1, 0.2, 0.3, 0.4)
 
 ANGLE_ENTRY_POINTS = {
     "AngleSettings": lambda x: AngleSettings(0.1, 0.2, 0.3, x),
@@ -326,6 +328,14 @@ COUNT_ENTRY_POINTS = {
     "measure_joint_probability-seed": lambda: measure_joint_probability(FIELD, SD, 0.1, 0.3, 1, 1,
                                                                         seed=-1),
     "measure_correlation-seed": lambda: measure_correlation(FIELD, SD, 0.1, 0.3, seed=-1),
+    "lhv_correlation-seed": lambda: lhv_correlation(cosine_response_model(), 0.1, 0.2, 10, -1),
+    "lhv_correlation-seed-entry": lambda: lhv_correlation(cosine_response_model(), 0.1, 0.2, 10,
+                                                          ((2, -1), 0)),
+    "lhv_correlation-n_samples": lambda: lhv_correlation(cosine_response_model(), 0.1, 0.2,
+                                                         10.5, 0),
+    "lhv_chsh-seed": lambda: lhv_chsh(cosine_response_model(), SETTINGS, 10, -1),
+    "lhv_chsh-seed-entry": lambda: lhv_chsh(cosine_response_model(), SETTINGS, 10, (2, -1)),
+    "lhv_chsh-n_samples": lambda: lhv_chsh(cosine_response_model(), SETTINGS, 10.5, 0),
 }
 
 
@@ -333,3 +343,27 @@ COUNT_ENTRY_POINTS = {
 def test_bad_count_rejected(entry):
     with pytest.raises(DomainError, match=r"must be an integer >= \d, got "):
         COUNT_ENTRY_POINTS[entry]()
+
+
+# Realization counts stop at 2**53, where n and n - 1 are still exact floats.
+N_BOUND_ENTRY_POINTS = {
+    "synthesize_partially_polarized": lambda n: synthesize_partially_polarized(0.3, 1.0, n, 0),
+    "synthesize_schmidt_form": lambda n: synthesize_schmidt_form(0.8, 0.6, n=n),
+    "ProtocolConfig": lambda n: ProtocolConfig(dop=0.3, n=n, seed=0),
+}
+
+
+@pytest.mark.parametrize("entry", N_BOUND_ENTRY_POINTS)
+@pytest.mark.parametrize("n", [2**53 + 1, 10**18, 10**400], ids=["2**53+1", "1e18", "1e400"])
+def test_realization_count_above_2_53_rejected(entry, n):
+    with pytest.raises(DomainError, match=r"^n must be at most 2\*\*53, got "):
+        N_BOUND_ENTRY_POINTS[entry](n)
+
+
+def test_protocol_config_checks_dop():
+    # the protocol no longer synthesizes its source, so the config checks the DOP itself
+    for ok in (0.0, 0.5, 1.0):
+        assert ProtocolConfig(dop=ok, n=2**53, seed=0).dop == ok
+    for bad in (-1e-300, np.nextafter(1.0, 2.0), 2.0) + BAD + (-math.inf,):
+        with pytest.raises(DomainError, match=r"^dop must lie in \[0, 1\], got "):
+            ProtocolConfig(dop=bad, n=8, seed=0)
