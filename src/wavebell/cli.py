@@ -42,6 +42,8 @@ from .bell import (
     lhv_chsh,
 )
 from .ensemble import (
+    _check_n,
+    _draw_partially_polarized,
     kappa_from_dop,
     measured_schmidt,
     polarization_report,
@@ -398,23 +400,24 @@ def _field_checks(cfg: dict, analytic: list, sampled: list):
     yield ("triple-path-analytic-projected", worst_projected <= 1e-12,
            f"max |projected - oracle| = {worst_projected:.3e} (tol 1e-12)")
 
-    # 2: sampled ensembles vs the requested-dop oracle, statistical tolerance.
+    # 2: sampled sources vs the requested-dop oracle, statistical tolerance.
+    # A sampled source is its second moments, drawn by Bartlett as chsh draws them.
     tol = 5.0 / math.sqrt(n)
     worst_sampled = 0.0
     for t, (d, a, b, k, l) in enumerate(sampled):
         k1, k2 = kappa_from_dop(d)
-        field = synthesize_partially_polarized(d, 1.0, n, 2000 + t)
-        sd = schmidt(field)
+        source = _draw_partially_polarized(d, n, 2000 + t)
+        sd = schmidt(source)
         oracle = joint_probability_kappa(k1, k2, a, b, k, l)
-        measured = measure_joint_probability(field, sd, a, b, k, l)
+        measured = measure_joint_probability(source, sd, a, b, k, l)
         worst_sampled = np.maximum(worst_sampled, abs(measured - oracle))
     yield ("triple-path-sampled", worst_sampled <= tol,
            f"max |measured - oracle| = {worst_sampled:.3e} (tol {tol:.3e})")
 
     # 3: the four measured probabilities at one setting sum to 1.
-    field = synthesize_partially_polarized(0.125, 1.0, n, cfg["seed"] + 17)
-    sd = schmidt(field)
-    total = sum(measure_correlation(field, sd, 0.37, 0.81)[1])
+    source = _draw_partially_polarized(0.125, n, cfg["seed"] + 17)
+    sd = schmidt(source)
+    total = sum(measure_correlation(source, sd, 0.37, 0.81)[1])
     yield ("probability-completeness-measured", abs(total - 1.0) <= tol,
            f"|sum - 1| = {abs(total - 1.0):.3e} (tol {tol:.3e})")
 
@@ -436,8 +439,10 @@ def _field_checks(cfg: dict, analytic: list, sampled: list):
 def _validate_checks(cfg: dict):
     from concurrent.futures import ThreadPoolExecutor
 
+    # the moment draw of checks 2-3 leaves n to its caller: reject a bad n before any check runs
+    _check_n(cfg["n"])
     # every random parameter first, in the order the checks take them, so
-    # check 5 can run on a worker beside checks 1-4: they share no data
+    # check 5 can run on workers beside checks 1-4: they share no data
     rng = np.random.default_rng((cfg["seed"], 29))
 
     def draw():
@@ -447,18 +452,18 @@ def _validate_checks(cfg: dict):
 
     analytic = [draw() for _ in range(int(cfg["tuples"]))]
     sampled = [draw() for _ in analytic]
-    lhv_runs = [(model, AngleSettings(*rng.uniform(0.0, math.pi, 4)), (cfg["seed"], 5, t))
+    samples = int(cfg["lhv_samples"])
+    lhv_runs = [(model, AngleSettings(*rng.uniform(0.0, math.pi, 4)), samples, (cfg["seed"], 5, t))
                 for model in [factory() for factory in SHIPPED_LHV_MODELS.values()]
                 for t in range(8)]
 
     # 5: shipped hidden-variable models respect |B| <= 2.
-    samples = int(cfg["lhv_samples"])
     lhv_tol = 2.0 + 5.0 / math.sqrt(samples)
-    with ThreadPoolExecutor(1) as pool:
-        lhv = pool.submit(lambda: np.max([abs(lhv_chsh(model, settings, samples, seed))
-                                          for model, settings, seed in lhv_runs]))
+    with ThreadPoolExecutor(2) as pool:
+        # the max does not depend on which run finishes first
+        lhv = pool.map(lambda run: abs(lhv_chsh(*run)), lhv_runs)
         yield from _field_checks(cfg, analytic, sampled)
-        worst_lhv = lhv.result()
+        worst_lhv = np.max(list(lhv))
     yield ("lhv-bound", worst_lhv <= lhv_tol,
            f"max |B| = {worst_lhv:.6f} (bound {lhv_tol:.6f})")
 

@@ -13,7 +13,7 @@ import pytest
 import wavebell
 from wavebell import bell, cli
 from wavebell.bell import SHIPPED_LHV_MODELS, AngleSettings, lhv_chsh
-from wavebell.ensemble import kappa_from_dop, schmidt
+from wavebell.ensemble import _draw_partially_polarized, kappa_from_dop, schmidt
 from wavebell.cli import main, parse_angle
 
 
@@ -320,14 +320,14 @@ def sequential_validate(cfg):
         k1, k2 = kappa_from_dop(d)
         a, b = rng.uniform(-math.pi, math.pi, 2)
         k, l = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        field = cli.synthesize_partially_polarized(d, 1.0, n, 2000 + t)
+        field = _draw_partially_polarized(d, n, 2000 + t)
         sd = schmidt(field)
         oracle = cli.joint_probability_kappa(k1, k2, a, b, k, l)
         measured = cli.measure_joint_probability(field, sd, a, b, k, l)
         worst_sampled = max(worst_sampled, abs(measured - oracle))
     yield ("triple-path-sampled", worst_sampled <= tol,
            f"max |measured - oracle| = {worst_sampled:.3e} (tol {tol:.3e})")
-    field = cli.synthesize_partially_polarized(0.125, 1.0, n, cfg["seed"] + 17)
+    field = _draw_partially_polarized(0.125, n, cfg["seed"] + 17)
     sd = schmidt(field)
     total = sum(cli.measure_correlation(field, sd, 0.37, 0.81)[1])
     yield ("probability-completeness-measured", abs(total - 1.0) <= tol,
@@ -355,7 +355,7 @@ def sequential_validate(cfg):
 
 
 class TestValidateWorker:
-    """The hidden-variable check runs on one worker beside the field checks."""
+    """The hidden-variable runs share two workers beside the field checks."""
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_matches_sequential_reference(self, capsys, tmp_path, seed):
@@ -364,13 +364,14 @@ class TestValidateWorker:
         cfg = {**cli._DEFAULTS["validate"], "seed": seed, "n": 20000, "tuples": 6,
                "lhv_samples": 20000}
         expected = [(name, bool(ok), detail) for name, ok, detail in sequential_validate(cfg)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the two threads as finely as possible
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the three threads as finely as possible
         try:
             code = run_cli([*argv, "--out", str(tmp_path / "validate.json")])
         finally:
             sys.setswitchinterval(interval)
         assert code == 0
+        assert threading.active_count() == before
         checks = json.loads((tmp_path / "validate.json").read_text())["checks"]
         assert [(c["check"], c["pass"], c["detail"]) for c in checks] == expected
         printed = capsys.readouterr().out.splitlines()
@@ -501,6 +502,8 @@ BAD_INPUTS = {
     "huge-source-n": lambda tmp: ["source", "--n", str(10**18)],
     "huge-scan-n": lambda tmp: ["scan", "--n", str(10**18), "--format", "json"],
     "huge-chsh-n": lambda tmp: ["chsh", "--n", str(10**18)],
+    # rejected before any check runs, so no PASS line comes first
+    "huge-validate-n": lambda tmp: ["validate", "--n", str(10**18)],
     "chsh-n-above-2**53": lambda tmp: ["chsh", "--n", str(2**53 + 1)],
     "chsh-dop-above-one": lambda tmp: ["chsh", "--dop", "2"],
     # raised on the hidden-variable worker thread
@@ -531,6 +534,8 @@ def test_bad_input_exits_1_with_one_line(tmp_path, case):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("wavebell: error:"), proc.stderr
+    if case == "huge-validate-n":
+        assert proc.stdout == ""
 
 
 def test_chsh_at_1e15_realizations_meets_its_bound():
@@ -543,6 +548,18 @@ def test_chsh_at_1e15_realizations_meets_its_bound():
     report = json.loads(proc.stdout)
     assert report["n"] == 10**15
     assert abs(report["chsh"] - 2.0 * math.sqrt(2.0 - report["dop"] ** 2)) <= 1e-12
+
+
+def test_validate_at_1e15_realizations_passes():
+    # the sampled checks draw their sources as moments, so 10**15 realizations
+    # cost what 10**3 do
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavebell.cli", "validate", "--n", str(10**15)],
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6 and all(line.startswith("PASS ") for line in lines), proc.stdout
 
 
 @pytest.mark.parametrize("a_start, a_stop", [("1", "1"), ("-30deg", "-1")])
