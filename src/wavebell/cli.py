@@ -470,10 +470,11 @@ def _validate_checks(cfg: dict):
 
 def cmd_validate(cfg: dict) -> int:
     """run the internal consistency and bound suite"""
-    results = []
-    for name, ok, detail in _validate_checks(cfg):
-        results.append({"check": name, "pass": bool(ok), "detail": detail})
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    # print once every check has finished, so a check that raises leaves stdout empty
+    results = [{"check": name, "pass": bool(ok), "detail": detail}
+               for name, ok, detail in _validate_checks(cfg)]
+    for r in results:
+        print(f"{'PASS' if r['pass'] else 'FAIL'} {r['check']}: {r['detail']}")
     failed = [r["check"] for r in results if not r["pass"]]
     if cfg["out"] is not None:
         payload = {"checks": results, "failed": failed, "config": _echo(cfg)}

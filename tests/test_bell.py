@@ -329,6 +329,84 @@ class TestLhv:
             assert est == pytest.approx(1 - 4 * delta / math.pi, abs=4.0 / math.sqrt(n))
 
 
+# the shipped responses on numpy's cos 2x: the reference for the models,
+# which read cos 2x through tan x
+NP_COS_RESPONSES = {
+    "cosine": lambda angle, lam: np.cos(2.0 * (angle - lam)),
+    "sign": lambda angle, lam: np.where(np.cos(2.0 * (angle - lam)) >= 0.0, 1.0, -1.0),
+}
+
+
+def reference_lhv_chsh(response, settings, n, seed):
+    """lhv_chsh written out on the streams it draws from: correlation i
+    samples lambda uniform on [0, pi) from default_rng((seed, i))."""
+    c = []
+    for i, (a, b) in enumerate(settings.pairs()):
+        lam = np.random.default_rng((seed, i)).uniform(0.0, math.pi, n)
+        c.append(np.mean(response(a, lam) * response(b, lam)))
+    return c[0] - c[1] + c[2] + c[3]
+
+
+class TestResponseIdentity:
+    """Both shipped models read cos 2x through t = tan x: the cosine model as
+    (1 - t^2) / (1 + t^2), the sign model as |t| <= 1."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        rng = np.random.default_rng(19)
+        zeros = math.pi / 4 + math.pi / 2 * rng.integers(-4, 4, 200_000)
+        return np.concatenate([
+            rng.uniform(-math.pi, math.pi, 1_000_000),
+            rng.uniform(-1e6, 1e6, 200_000),
+            # beside the zeros of cos 2x, where the sign flips
+            zeros + rng.uniform(-1e-14, 1e-14, zeros.size),
+            math.pi / 4 + math.pi / 2 * rng.integers(-600_000, 600_000, 100_000),
+        ])
+
+    def test_cosine_response(self, points):
+        # 0 - (-x) is x exactly, so the model sees the reference's argument
+        v = cosine_response_model().outcome_a(0.0, -points)
+        assert np.max(np.abs(v - np.cos(2.0 * points))) <= 4.5e-16
+        assert np.max(np.abs(v)) <= 1.0 + 1e-15
+
+    def test_sign_response(self, points):
+        v = sign_response_model().outcome_a(0.0, -points)
+        reference = np.cos(2.0 * points)
+        expected = np.where(reference >= 0.0, 1.0, -1.0)  # np.sign with 0 read as +1
+        clear = np.abs(reference) > 1e-15
+        assert np.count_nonzero(~clear) > 1000  # the zeros are sampled
+        assert np.array_equal(v[clear], expected[clear])
+        assert np.all(np.abs(v) == 1.0)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
+    def test_nan_hidden_variable_fails_the_contract(self, name):
+        shipped = SHIPPED_LHV_MODELS[name]()
+        model = LhvModel(shipped.outcome_a, shipped.outcome_b,
+                         lambda rng, size: np.where(rng.uniform(size=size) < 0.5, np.nan, 0.3))
+        with pytest.raises(ModelContractError):
+            lhv_correlation(model, 0.1, 0.2, 100, 0)
+
+    def test_scalar_hidden_variable(self):
+        assert cosine_response_model().outcome_b(0.3, 0.5) == pytest.approx(math.cos(-0.4),
+                                                                           abs=1e-15)
+        assert sign_response_model().outcome_b(0.3, 1.5) == -1.0
+
+
+@pytest.mark.parametrize("seed", [0, (7, 5, 3)], ids=["seed-0", "seed-7-5-3"])
+@pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
+def test_lhv_chsh_matches_np_cos_reference(name, seed):
+    model, response = SHIPPED_LHV_MODELS[name](), NP_COS_RESPONSES[name]
+    rng = np.random.default_rng(23)
+    for _ in range(8):
+        settings = AngleSettings(*rng.uniform(0.0, math.pi, 4))
+        value = lhv_chsh(model, settings, 100_000, seed)
+        reference = reference_lhv_chsh(response, settings, 100_000, seed)
+        if name == "sign":
+            assert value == reference
+        else:
+            assert abs(value - reference) <= 1e-14
+
+
 def test_joint_probability_kappa_matches_direct():
     # the squared amplitudes of the Schmidt form, written out
     sd = schmidt_of(0.3, seed=9)
