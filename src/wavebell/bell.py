@@ -40,6 +40,10 @@ __all__ = [
     "SHIPPED_LHV_MODELS",
 ]
 
+# 8192 float64 values take 64 KiB, below glibc's 128 KiB mmap threshold, so
+# a freed block stays on the heap and the next one reuses it without page faults
+_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class AngleSettings:
@@ -158,7 +162,7 @@ class LhvModel:
     ``outcome_a(angle, lam)`` and ``outcome_b(angle, lam)`` map a setting
     angle and an array of hidden-variable samples to response values in
     [-1, 1] (vectorized over ``lam``).  ``lambda_sampler(rng, size)`` draws
-    hidden-variable samples.
+    hidden-variable samples, at most 8192 per call (see :func:`lhv_correlation`).
     """
 
     outcome_a: Callable[[float, np.ndarray], np.ndarray]
@@ -183,16 +187,23 @@ def lhv_correlation(
     outcome_a(a, lambda) * outcome_b(b, lambda).  ``n_samples`` is an
     integer >= 1 and ``seed`` an integer >= 0 or a tuple of such seeds.
     Raises ModelContractError if either response leaves [-1, 1] or is not
-    finite on the sample.
+    finite on the sample.  The samples are drawn and summed in blocks of at
+    most 8192, one ``lambda_sampler`` call each, so memory does not grow with
+    ``n_samples``; a sampler that draws the same values in chunks as in one
+    call (``rng.uniform`` does) gives the samples of one call.
     """
     _check_angles(a, b)
     _check_integer("n_samples", n_samples, 1)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    lam = model.lambda_sampler(rng, n_samples)
-    va = _bounded(model.outcome_a(a, lam), "outcome_a")
-    vb = _bounded(model.outcome_b(b, lam), "outcome_b")
-    return float(np.mean(va * vb))
+    total = 0.0
+    for start in range(0, n_samples, _BLOCK):
+        lam = model.lambda_sampler(rng, min(_BLOCK, n_samples - start))
+        va = _bounded(model.outcome_a(a, lam), "outcome_a")
+        vb = _bounded(model.outcome_b(b, lam), "outcome_b")
+        # numpy's sum, not BLAS's thread-dependent one; a scalar response counts once per sample
+        total += float(np.add.reduce(np.broadcast_to(va * vb, np.shape(lam))))
+    return total / n_samples
 
 
 def lhv_chsh(model: LhvModel, settings: AngleSettings, n_samples: int, seed: int) -> float:

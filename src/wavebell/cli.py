@@ -65,6 +65,9 @@ _DEFAULT_N = 100_000
 _DEFAULT_B_LIST = ",".join(f"{i * math.pi / 12.0!r}" for i in range(12))
 # Largest scan grid: 111 times the default 90 points.
 _MAX_A_POINTS = 10_000
+# Largest --lhv-samples: blocks keep memory fixed, so only time bounds a run.
+# 10**9 is about what a 64 GB host could run when validate held 64 B per sample.
+_MAX_LHV_SAMPLES = 10**9
 
 
 def parse_angle(text: str) -> float:
@@ -101,11 +104,13 @@ def _checked_text(parse):
     return check
 
 
-def _int_at_least(minimum: int):
+def _int_in(minimum: int, maximum: float = math.inf):
     def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return integer
@@ -132,8 +137,8 @@ class _Parser(argparse.ArgumentParser):
 
 # Every option once: config key -> (flag, argparse keywords).
 _OPTIONS = {
-    "seed": ("--seed", {"type": _int_at_least(0)}),
-    "n": ("--n", {"type": _int_at_least(2), "help": f"realization count (default {_DEFAULT_N})"}),
+    "seed": ("--seed", {"type": _int_in(0)}),
+    "n": ("--n", {"type": _int_in(2), "help": f"realization count (default {_DEFAULT_N})"}),
     "dop": ("--dop", {"type": float, "help": "requested degree of polarization"}),
     "intensity": ("--intensity", {"type": float}),
     "noise_extinction": ("--noise-extinction",
@@ -155,8 +160,8 @@ _OPTIONS = {
     "optimize": ("--optimize", {"action": "store_true", "default": None,
                                 "help": "use the closed-form CHSH-maximizing angles (default)"}),
     "resamples": ("--resamples", {"type": int, "help": "bootstrap resamples (0 = none)"}),
-    "tuples": ("--tuples", {"type": _int_at_least(1), "help": "random tuples per agreement check"}),
-    "lhv_samples": ("--lhv-samples", {"type": _int_at_least(1),
+    "tuples": ("--tuples", {"type": _int_in(1), "help": "random tuples per agreement check"}),
+    "lhv_samples": ("--lhv-samples", {"type": _int_in(1, _MAX_LHV_SAMPLES),
                                       "help": "Monte-Carlo samples per LHV correlation"}),
 }
 # --optimize and --settings exclude each other
@@ -380,13 +385,22 @@ def cmd_chsh(cfg: dict) -> int:
     return 0
 
 
-def _field_checks(cfg: dict, analytic: list, sampled: list):
-    # np.maximum, unlike max, keeps a NaN, so a NaN reading fails its check
+def _validate_checks(cfg: dict):
+    # the moment draw of checks 2-3 leaves n to its caller: reject a bad n before any check runs
+    _check_n(cfg["n"])
     n = int(cfg["n"])
+    rng = np.random.default_rng((cfg["seed"], 29))
 
+    def draw():
+        d = rng.uniform(0.02, 0.95)
+        a, b = rng.uniform(-math.pi, math.pi, 2)
+        return d, a, b, int(rng.integers(1, 3)), int(rng.integers(1, 3))
+
+    # np.maximum, unlike max, keeps a NaN, so a NaN reading fails its check
     # 1: analytic-amplitude fields: all three paths agree at float accuracy.
     worst_measured = worst_projected = 0.0
-    for t, (d, a, b, k, l) in enumerate(analytic):
+    for t in range(int(cfg["tuples"])):
+        d, a, b, k, l = draw()
         k1, k2 = kappa_from_dop(d)
         field = synthesize_schmidt_form(k1, k2, n=512, seed=1000 + t)
         sd = schmidt(field)
@@ -404,7 +418,8 @@ def _field_checks(cfg: dict, analytic: list, sampled: list):
     # A sampled source is its second moments, drawn by Bartlett as chsh draws them.
     tol = 5.0 / math.sqrt(n)
     worst_sampled = 0.0
-    for t, (d, a, b, k, l) in enumerate(sampled):
+    for t in range(int(cfg["tuples"])):
+        d, a, b, k, l = draw()
         k1, k2 = kappa_from_dop(d)
         source = _draw_partially_polarized(d, n, 2000 + t)
         sd = schmidt(source)
@@ -435,35 +450,13 @@ def _field_checks(cfg: dict, analytic: list, sampled: list):
     yield ("no-signaling-oracle", worst_ns <= 1e-12,
            f"max marginal variation = {worst_ns:.3e} (tol 1e-12)")
 
-
-def _validate_checks(cfg: dict):
-    from concurrent.futures import ThreadPoolExecutor
-
-    # the moment draw of checks 2-3 leaves n to its caller: reject a bad n before any check runs
-    _check_n(cfg["n"])
-    # every random parameter first, in the order the checks take them, so
-    # check 5 can run on workers beside checks 1-4: they share no data
-    rng = np.random.default_rng((cfg["seed"], 29))
-
-    def draw():
-        d = rng.uniform(0.02, 0.95)
-        a, b = rng.uniform(-math.pi, math.pi, 2)
-        return d, a, b, int(rng.integers(1, 3)), int(rng.integers(1, 3))
-
-    analytic = [draw() for _ in range(int(cfg["tuples"]))]
-    sampled = [draw() for _ in analytic]
-    samples = int(cfg["lhv_samples"])
-    lhv_runs = [(model, AngleSettings(*rng.uniform(0.0, math.pi, 4)), samples, (cfg["seed"], 5, t))
-                for model in [factory() for factory in SHIPPED_LHV_MODELS.values()]
-                for t in range(8)]
-
     # 5: shipped hidden-variable models respect |B| <= 2.
+    samples = int(cfg["lhv_samples"])
     lhv_tol = 2.0 + 5.0 / math.sqrt(samples)
-    with ThreadPoolExecutor(2) as pool:
-        # the max does not depend on which run finishes first
-        lhv = pool.map(lambda run: abs(lhv_chsh(*run)), lhv_runs)
-        yield from _field_checks(cfg, analytic, sampled)
-        worst_lhv = np.max(list(lhv))
+    models = [factory() for factory in SHIPPED_LHV_MODELS.values()]
+    worst_lhv = np.max([abs(lhv_chsh(model, AngleSettings(*rng.uniform(0.0, math.pi, 4)), samples,
+                                     (cfg["seed"], 5, t)))
+                        for model in models for t in range(8)])
     yield ("lhv-bound", worst_lhv <= lhv_tol,
            f"max |B| = {worst_lhv:.6f} (bound {lhv_tol:.6f})")
 

@@ -269,6 +269,12 @@ class TestLhv:
         )
         assert lhv_correlation(model, 0.1, 0.2, 1000, 0) == pytest.approx(1.0)
 
+    def test_scalar_responses_count_once_per_sample(self):
+        # over more than one block, as over one
+        model = LhvModel(outcome_a=lambda a, lam: 1.0, outcome_b=lambda b, lam: -0.5,
+                         lambda_sampler=lambda rng, size: rng.uniform(0, 1, size))
+        assert lhv_correlation(model, 0.1, 0.2, 20_000, 0) == -0.5
+
     def test_cosine_model_against_quadrature(self):
         # independent oracle: periodic trapezoid average over the hidden angle
         lam = np.linspace(0.0, math.pi, 20001, endpoint=False)
@@ -390,6 +396,49 @@ class TestResponseIdentity:
         assert cosine_response_model().outcome_b(0.3, 0.5) == pytest.approx(math.cos(-0.4),
                                                                            abs=1e-15)
         assert sign_response_model().outcome_b(0.3, 1.5) == -1.0
+
+
+def recording(model, n, nan_last=False):
+    """``model`` with a sampler that records each call's size and, with
+    ``nan_last``, makes the n-th hidden variable NaN."""
+    sizes = []
+
+    def sampler(rng, size):
+        lam = model.lambda_sampler(rng, size)
+        sizes.append(size)
+        if nan_last and sum(sizes) == n:
+            lam[-1] = np.nan
+        return lam
+
+    return LhvModel(model.outcome_a, model.outcome_b, sampler), sizes
+
+
+class TestBlockedCorrelation:
+    """lhv_correlation draws and sums its samples in blocks of at most 8192."""
+
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 100_000])
+    @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
+    def test_matches_unblocked_mean(self, name, n):
+        shipped = SHIPPED_LHV_MODELS[name]()
+        model, sizes = recording(shipped, n)
+        a, b = 0.4, 1.3
+        value = lhv_correlation(model, a, b, n, (5, 2))
+        assert all(1 <= size <= 8192 for size in sizes) and sum(sizes) == n
+        # one call on the same stream, one mean over all n samples
+        lam = np.random.default_rng((5, 2)).uniform(0.0, math.pi, n)
+        reference = float(np.mean(shipped.outcome_a(a, lam) * shipped.outcome_b(b, lam)))
+        if name == "sign":
+            assert value == reference
+        else:
+            assert abs(value - reference) <= 1e-15
+
+    @pytest.mark.parametrize("n", [8193, 20_000])
+    @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
+    def test_nan_in_last_partial_block_fails_the_contract(self, name, n):
+        model, sizes = recording(SHIPPED_LHV_MODELS[name](), n, nan_last=True)
+        with pytest.raises(ModelContractError):
+            lhv_correlation(model, 0.1, 0.2, n, 0)
+        assert sum(sizes) == n and sizes[-1] < 8192
 
 
 @pytest.mark.parametrize("seed", [0, (7, 5, 3)], ids=["seed-0", "seed-7-5-3"])

@@ -292,8 +292,8 @@ class TestValidate:
 
 
 def sequential_validate(cfg):
-    """The validate checks as one loop on one thread, each check drawing its
-    random parameters as it runs: the reference for the worker path."""
+    """The validate checks written out one after another, each drawing its
+    random parameters as it runs: the reference for validate's output."""
     rng = np.random.default_rng((cfg["seed"], 29))
     tuples, n = int(cfg["tuples"]), int(cfg["n"])
     worst_measured = worst_projected = 0.0
@@ -355,7 +355,7 @@ def sequential_validate(cfg):
 
 
 class TestValidateWorker:
-    """The hidden-variable runs share two workers beside the field checks."""
+    """validate runs its checks in order on the calling thread and starts none."""
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_matches_sequential_reference(self, capsys, tmp_path, seed):
@@ -364,12 +364,8 @@ class TestValidateWorker:
         cfg = {**cli._DEFAULTS["validate"], "seed": seed, "n": 20000, "tuples": 6,
                "lhv_samples": 20000}
         expected = [(name, bool(ok), detail) for name, ok, detail in sequential_validate(cfg)]
-        before, interval = threading.active_count(), sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the three threads as finely as possible
-        try:
-            code = run_cli([*argv, "--out", str(tmp_path / "validate.json")])
-        finally:
-            sys.setswitchinterval(interval)
+        before = threading.active_count()
+        code = run_cli([*argv, "--out", str(tmp_path / "validate.json")])
         assert code == 0
         assert threading.active_count() == before
         checks = json.loads((tmp_path / "validate.json").read_text())["checks"]
@@ -377,6 +373,13 @@ class TestValidateWorker:
         printed = capsys.readouterr().out.splitlines()
         assert printed == [f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
                            for name, ok, detail in expected]
+
+    def test_starts_no_thread(self, capsys, monkeypatch):
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: (started.append(self), start(self))[1])
+        assert run_cli(["validate", "--n", "4000", "--tuples", "2", "--lhv-samples", "2000"]) == 0
+        assert started == []
 
     def test_worker_error_reaches_caller(self, capsys, monkeypatch):
         class LhvFailed(Exception):
@@ -506,9 +509,14 @@ BAD_INPUTS = {
     "huge-validate-n": lambda tmp: ["validate", "--n", str(10**18)],
     "chsh-n-above-2**53": lambda tmp: ["chsh", "--n", str(2**53 + 1)],
     "chsh-dop-above-one": lambda tmp: ["chsh", "--dop", "2"],
-    # raised on the hidden-variable worker thread, after the field checks have run
+    # --lhv-samples is at most 10**9, checked when the arguments are read, so
+    # 10**15 (days of work, though the blocked sum would not run out of memory)
+    # exits before any check runs
     "unallocatable-lhv-samples": lambda tmp: ["validate", "--n", "2000", "--tuples", "1",
                                               "--lhv-samples", str(10**15)],
+    "lhv-samples-above-bound": lambda tmp: ["validate", "--lhv-samples", str(10**9 + 1)],
+    "config-lhv-samples-above-bound": lambda tmp: ["validate", "--config",
+                                                   _write_config(tmp, {"lhv_samples": 10**9 + 1})],
     # outside [1e-100, 1e100] a squared Stokes parameter overflows or goes subnormal
     "source-intensity-inf": lambda tmp: ["source", "--n", "2000", "--intensity", "inf"],
     "source-intensity-nan": lambda tmp: ["source", "--n", "2000", "--intensity", "nan"],
@@ -534,8 +542,14 @@ def test_bad_input_exits_1_with_one_line(tmp_path, case):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("wavebell: error:"), proc.stderr
-    if case in ("huge-validate-n", "unallocatable-lhv-samples"):
+    if case in ("huge-validate-n", "unallocatable-lhv-samples", "lhv-samples-above-bound",
+                "config-lhv-samples-above-bound"):
         assert proc.stdout == ""
+
+
+def test_lhv_samples_bound_is_inclusive():
+    convert = cli._OPTIONS["lhv_samples"][1]["type"]
+    assert convert(str(10**9)) == 10**9 == cli._MAX_LHV_SAMPLES
 
 
 def test_chsh_at_1e15_realizations_meets_its_bound():
@@ -628,7 +642,7 @@ def test_removed_options_are_rejected(capsys):
 
 
 def test_cli_import_loads_no_thread_pool():
-    # the thread pools are imported where they run, so a CLI start does not pay for them
+    # the program runs no thread pool, so a CLI start does not pay for importing one
     code = "import sys, wavebell.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=CHILD_ENV)
