@@ -17,8 +17,9 @@ Squaring makes the extraction insensitive to the sign of the interference
 term.
 
 An optional noise model injects polarizer leakage, additive detector noise,
-and auxiliary-arm phase jitter (drawn in moment space, see ``_moment_stacks``);
-all noise streams are derived from explicit seeds so every simulated
+and auxiliary-arm phase jitter (drawn in moment space, see ``_moment_stacks``).
+Each run of a call (the source, then each bootstrap resample) draws the noise
+of all its readings from one stream derived from the seed, so every simulated
 measurement is reproducible.
 
 One kernel, ``_probabilities``, reads every probability.  Each shuttered
@@ -91,6 +92,12 @@ _KAPPA2_FLOOR = 1e-6
 # Fixed tag separating the bootstrap normals' stream from measurement streams.
 _BOOT_TAG = 715
 
+# Fixed last entry of each run's noise stream base + (r, _NOISE_TAG).  numpy's
+# SeedSequence pads a short seed with zeros, so base + (0,) would be the stream
+# of base itself (the source draw's), and base + (715,) the bootstrap stream; a
+# nonzero last entry keeps every run's stream apart from both.
+_NOISE_TAG = 716
+
 # Outcomes (k, l) of p11, p12, p21, p22, and the stripping angle of l = 1, 2.
 _KL = ((1, 1), (1, 2), (2, 1), (2, 2))
 _STRIP = (stripping_angle, stripping_angle_orthogonal)
@@ -151,9 +158,9 @@ def _root(h):
     return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
 
 
-def _moment_stacks(j, n, t, noise, seeds, keys):
-    """Moment stacks of R runs at M settings: the second moments J, shape
-    (R, 2, 2), the phase-weighted moments K, shape (R, M, 2, 2), and the
+def _moment_stacks(j, n, t, noise, seeds, m):
+    """Moment stacks of R runs at M = ``m`` settings: the second moments J,
+    shape (R, 2, 2), the phase-weighted moments K, shape (R, M, 2, 2), and the
     detector offsets, shape (R, M, 3), that :func:`_readings` reads, from the
     source's second moments ``j`` over ``n`` realizations alone.
 
@@ -166,36 +173,36 @@ def _moment_stacks(j, n, t, noise, seeds, keys):
     covariance Var(cos phi) G/n^2 and E[sin^2 phi] G/n^2 in the coordinates
     q = (xx, yy, re, im), where G/n = E[q q^T] follows from the source's J by
     Isserlis' theorem, E[m_pq m_rs] = J_pq J_rs + J_ps J_rq (m = conj(E) E^T),
-    for every run; each reading draws K as that Gaussian, with 8 normals and
-    then its detector noise from ``default_rng(seeds[r] + keys[m])``.
-    Without jitter K is J, as a broadcast view.  A J whose trace is positive
-    but below sqrt of the smallest normal float raises DomainError.
+    for every run; each reading draws K as that Gaussian from 8 normals.  Run r
+    draws all its noise from one stream, ``default_rng(seeds[r])``: the normals
+    of its M readings, standard_normal((M, 2, 4)), then their detector
+    offsets, normal(0, sigma_d tr J_r, (M, 3)).  Without jitter K is J, as a
+    broadcast view.  A J whose trace is positive but below sqrt of the
+    smallest normal float raises DomainError.
     """
     trace = float(np.trace(j).real)
     if 0.0 < trace < _TINY_TRACE:
         raise DomainError(f"second moments underflow: tr J = {trace:.3g} is below "
                           f"{_TINY_TRACE:.3g}, where its square is no longer a normal float")
-    sigma, detector = noise.phase_jitter, noise.detector_noise > 0.0
+    sigma, detector = noise.phase_jitter, noise.detector_noise
     lt = _root(j) @ np.reshape(t, (-1, 2, 2))
     drawn = lt @ lt.conj().swapaxes(1, 2) / n
     js = np.concatenate([j[None], (drawn + drawn.conj().swapaxes(1, 2)) / 2.0])
-    k = np.empty((len(seeds), len(keys), 2, 2), dtype=complex) if sigma else \
-        np.broadcast_to(js[:, None], (len(seeds), len(keys), 2, 2))
-    offsets = np.zeros((len(seeds), len(keys), 3))
-    if sigma:
-        m4 = np.einsum("pq,rs->pqrs", j, j) + np.einsum("ps,rq->pqrs", j, j)
-        root = _root((_FEATURES @ m4.reshape(4, 4) @ _FEATURES.T).real / n)  # root of G / n^2
+    z, offsets = np.empty((len(seeds), m, 2, 4)), np.zeros((len(seeds), m, 3))
+    for r, seed in enumerate(seeds if sigma or detector else ()):
+        rng = np.random.default_rng(seed)
+        if sigma:
+            z[r] = rng.standard_normal((m, 2, 4))
+        if detector:
+            offsets[r] = rng.normal(0.0, detector * np.trace(js[r]).real, (m, 3))
+    if not sigma:
+        return js, np.broadcast_to(js[:, None], (len(seeds), m, 2, 2)), offsets
+    m4 = np.einsum("pq,rs->pqrs", j, j) + np.einsum("ps,rq->pqrs", j, j)
+    root = _root((_FEATURES @ m4.reshape(4, 4) @ _FEATURES.T).real / n)  # root of G / n^2
     # E[cos phi] and the stds of cos phi and sin phi, for phi ~ N(0, sigma^2)
     mean, sd_cos = math.exp(-sigma**2 / 2.0), -math.expm1(-sigma**2) / math.sqrt(2.0)
     sd_sin = math.sqrt(-math.expm1(-2.0 * sigma**2) / 2.0)
-    for r in range(len(seeds)):
-        for m in range(len(keys) if sigma or detector else 0):
-            rng = np.random.default_rng(seeds[r] + keys[m])
-            if sigma:
-                zk = rng.standard_normal((2, 4))
-                k[r, m] = mean * js[r] + _form((sd_cos * zk[0] - 1j * sd_sin * zk[1]) @ root)
-            if detector:
-                offsets[r, m] = rng.normal(0.0, noise.detector_noise * np.trace(js[r]).real, 3)
+    k = mean * js[:, None] + _form((sd_cos * z[:, :, 0] - 1j * sd_sin * z[:, :, 1]) @ root)
     return js, k, offsets
 
 
@@ -290,8 +297,7 @@ def measure_intensities(
     the mean and covariance of circular-Gaussian fields of this J (K = J
     without jitter).
     """
-    stacks = _moment_stacks(ensemble.second_moments, ensemble.n, (), noise,
-                            [_seed_base(seed)], [()])
+    stacks = _moment_stacks(ensemble.second_moments, ensemble.n, (), noise, [_seed_base(seed)], 1)
     t = _readings(*stacks, basis, [a], [[s]], noise.extinction_ratio)
     return tuple(map(float, t[0, 0, 0]))
 
@@ -343,14 +349,20 @@ def measure_joint_probability(
     0/0.  The two stripping angles for a given b are never mutually crossed,
     so the value is recovered from measurable quantities as
     P_kl = P(u_k^a) - P_k,l' with the lab marginal P(u_k^a) read off the
-    test arm alone; both stripping angles are read under the same noise,
-    drawn from seed + (k, l) as :func:`measure_correlation` draws it.
+    test arm alone; both stripping angles are read under the same noise.
+
+    The value is the (k, l) entry of :func:`measure_correlation` at the same
+    seed, noise or not: the noise of all four outcomes is drawn from the
+    stream seed + (0, _NOISE_TAG) as there, and only outcome (k, l) is read.
     """
     if k not in (1, 2) or l not in (1, 2):
         raise DomainError(f"outcome indices k, l must each be 1 or 2, got ({k}, {l})")
-    stacks = _moment_stacks(ensemble.second_moments, ensemble.n, (), noise,
-                            [_seed_base(seed)], [(k, l)])
-    return float(_probabilities(stacks, sd, [a], [b], [k], [l], noise.extinction_ratio)[0, 0])
+    i = _KL.index((k, l))
+    j, kk, offsets = _moment_stacks(ensemble.second_moments, ensemble.n, (), noise,
+                                    [_seed_base(seed) + (0, _NOISE_TAG)], 4)
+    p = _probabilities((j, kk[:, i:i + 1], offsets[:, i:i + 1]), sd, [a], [b], [k], [l],
+                       noise.extinction_ratio)
+    return float(p[0, 0])
 
 
 def measure_correlation(
@@ -362,12 +374,9 @@ def measure_correlation(
     seed=0,
 ) -> tuple[float, tuple[float, float, float, float]]:
     """Measure all four joint probabilities at (a, b) and combine them into
-    the correlation C = P11 - P12 - P21 + P22; outcome (k, l) draws its
-    noise from seed + (k, l)."""
-    stacks = _moment_stacks(ensemble.second_moments, ensemble.n, (), noise,
-                            [_seed_base(seed)], _KL)
-    p = _probabilities(stacks, sd, [a] * 4, [b] * 4, *np.array(_KL).T, noise.extinction_ratio)
-    p = tuple(map(float, p[0]))
+    the correlation C = P11 - P12 - P21 + P22: run 0 of :func:`scan_correlation`
+    at the one angle a, so its noise is drawn from seed + (0, _NOISE_TAG)."""
+    p = tuple(map(float, _measure_runs(ensemble, sd, [(a, b)], noise, _seed_base(seed), 0)[0, 0]))
     return correlation_sum(p), p
 
 
@@ -400,19 +409,21 @@ def _check_resamples(resamples) -> None:
 
 def _measure_runs(ensemble, sd, pairs, noise, base, resamples) -> np.ndarray:
     """Joint probabilities (1 + resamples, P, 4), ordered p11 .. p22, at the P
-    (a, b) pairs: run 0 reads the source, run r its r-th bootstrap resample;
-    outcome (k, l) at pair i of run r draws its noise from base + (r, i, k, l).
-    The R resamples draw their Bartlett factors T (see :func:`_moment_stacks`
-    and ``ensemble._bartlett``) from the stream base + (_BOOT_TAG,).  All runs
-    are read in one kernel call, whatever the noise model.  ``ensemble`` is
-    read only through its ``second_moments`` and ``n``.
+    (a, b) pairs: run 0 reads the source, run r its r-th bootstrap resample.
+    Run r draws the noise of all its 4P readings, in this order, from the one
+    stream base + (r, _NOISE_TAG) (see :func:`_moment_stacks`), so a reading's
+    noise depends on its position among the pairs.  The R resamples draw their
+    Bartlett factors T (see ``ensemble._bartlett``) from the stream
+    base + (_BOOT_TAG,), which is not built when R is 0.  All runs are read in
+    one kernel call, whatever the noise model.  ``ensemble`` is read only
+    through its ``second_moments`` and ``n``.
     """
     settings = np.array([(a, b, k, l) for a, b in pairs for k, l in _KL]).T
-    keys = [(i, k, l) for i in range(len(pairs)) for k, l in _KL]
     _check_resamples(resamples)
-    t = _bartlett(np.random.default_rng(base + (_BOOT_TAG,)), ensemble.n, resamples)
-    seeds = [base + (r,) for r in range(1 + resamples)]
-    stacks = _moment_stacks(ensemble.second_moments, ensemble.n, t, noise, seeds, keys)
+    t = _bartlett(np.random.default_rng(base + (_BOOT_TAG,)), ensemble.n, resamples) \
+        if resamples else ()
+    seeds = [base + (r, _NOISE_TAG) for r in range(1 + resamples)]
+    stacks = _moment_stacks(ensemble.second_moments, ensemble.n, t, noise, seeds, len(settings[0]))
     p = _probabilities(stacks, sd, *settings, noise.extinction_ratio)
     return p.reshape(len(p), len(pairs), 4)
 

@@ -1,0 +1,74 @@
+"""Golden outputs: the CLI matrix of tests/golden/rewrite.py against its manifest.
+
+Floats compare exactly where numpy's version and CPU dispatch are those the
+manifest records, and to rtol 1e-12 elsewhere.  A change that moves outputs
+on purpose rewrites the manifest with ``PYTHONPATH=src python
+tests/golden/rewrite.py --write`` and records the table it prints.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from wavebell import NoiseModel, measure_intensities, schmidt, synthesize_partially_polarized
+from wavebell.optics import LabBasis
+
+_SPEC = importlib.util.spec_from_file_location(
+    "golden_rewrite", Path(__file__).parent / "golden" / "rewrite.py")
+golden = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(golden)
+
+
+def test_cli_outputs_match_the_manifest():
+    manifest = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
+    old = manifest["entries"]
+    assert [(e["name"], e["argv"]) for e in old] == \
+        [(e["name"], e["argv"]) for e in golden.matrix()]
+    exact = manifest["environment"] == golden.environment()
+    problems = [p for entry, fresh in zip(old, golden.run_matrix())
+                for p in golden.mismatches(entry, fresh, exact)]
+    assert not problems, "\n".join(problems[:20])
+
+
+def test_mismatches_name_each_moved_value():
+    entry = {"name": "e", "argv": ["chsh"], "exit": 0, "stderr": "",
+             "outputs": {"stdout": {"chsh": [2.5], "config.fmt": ["json"]}}}
+    moved = {**entry, "outputs": {"stdout": {"chsh": [2.5 + 2.5e-13], "config.fmt": ["json"]}}}
+    assert golden.mismatches(entry, entry, exact=True) == []
+    assert golden.mismatches(entry, moved, exact=True) == [
+        f"e stdout chsh: [2.5] -> [{2.5 + 2.5e-13!r}]"]
+    assert golden.mismatches(entry, moved, exact=False) == []
+    far = {**entry, "outputs": {"stdout": {"chsh": [2.6], "config.fmt": ["json"]}}}
+    assert len(golden.mismatches(entry, far, exact=False)) == 1
+
+
+# measure_intensities(e, 0.3, 0.8, noise, (5, 2)) of a 300-realization source
+# (DOP 0.4, seed 12) in its Schmidt basis, as float.hex: one reading, whose
+# stream default_rng((5, 2)) gives 8 normals for K, then 3 detector offsets
+PINNED_TRIPLES = {
+    NoiseModel(): ("0x1.d517a9f225eecp-2", "0x1.36f816957ed2fp-2", "0x1.74fc5e07a6684p-3"),
+    NoiseModel(extinction_ratio=1e-3):
+        ("0x1.d9331ef1450f5p-2", "0x1.3725aa5a5c16ap-2", "0x1.797da302a7388p-3"),
+    NoiseModel(detector_noise=1e-3):
+        ("0x1.d700da184d033p-2", "0x1.3619c8a580d7ep-2", "0x1.7b17a57d50547p-3"),
+    NoiseModel(phase_jitter=0.1):
+        ("0x1.d3d7bcd910038p-2", "0x1.36f816957ed2fp-2", "0x1.74fc5e07a6684p-3"),
+    NoiseModel(1e-3, 1e-3, 0.1):
+        ("0x1.d803692636d79p-2", "0x1.34d56ff3b1ff4p-2", "0x1.797315145d7dfp-3"),
+}
+
+
+@pytest.mark.parametrize("noise", PINNED_TRIPLES, ids=["ideal", "extinction", "detector",
+                                                       "jitter", "all"])
+def test_measure_intensities_is_pinned(noise):
+    e = synthesize_partially_polarized(0.4, 1.0, 300, 12)
+    sd = schmidt(e)
+    triple = measure_intensities(e, 0.3, 0.8, noise, (5, 2), basis=LabBasis(sd.u1, sd.u2))
+    expected = tuple(map(float.fromhex, PINNED_TRIPLES[noise]))
+    manifest = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
+    if manifest["environment"] == golden.environment():
+        assert triple == expected
+    else:
+        assert triple == pytest.approx(expected, rel=golden.RTOL, abs=golden.RTOL)

@@ -347,11 +347,12 @@ class TestTriplePathAgreement:
         sd = schmidt(field)
         b, noise, seed = 0.6, NoiseModel(detector_noise=1e-3), (5, 1)
         a = stripping_angle(sd.kappa1, sd.kappa2, b) - math.pi / 2.0
+        # outcome (1, 1) is the first reading of run 0, whose stream is seed + (0, 716)
         crossed = measure_intensities(field, a, stripping_angle(sd.kappa1, sd.kappa2, b),
-                                      noise, seed + (1, 1), basis=basis_of(sd))
+                                      noise, seed + (0, 716), basis=basis_of(sd))
         assert crossed[2] == 0.0  # the aux reading's draw is negative and clamps
         s_other = stripping_angle_orthogonal(sd.kappa1, sd.kappa2, b)
-        i_total, i_test, i_aux = measure_intensities(field, a, s_other, noise, seed + (1, 1),
+        i_total, i_test, i_aux = measure_intensities(field, a, s_other, noise, seed + (0, 716),
                                                      basis=basis_of(sd))
         beam = mean_power(field) / 2.0
         expected = i_test / beam - extract_probability(i_total, i_test, i_aux, beam)
@@ -359,12 +360,14 @@ class TestTriplePathAgreement:
         assert measure_joint_probability(field, sd, a, b, 1, 1, noise, seed) == expected
 
     def test_outcomes_draw_noise_like_measure_correlation(self):
-        # outcome (k, l) draws its noise from seed + (k, l) in both functions
+        # measure_joint_probability reads the (k, l) entry of measure_correlation
+        # at the same seed, under every noise model
         e = synthesize_partially_polarized(0.3, 1.0, 4000, 7)
         _, sd = measured_schmidt(e)
-        _, p = measure_correlation(e, sd, 0.4, 0.3, JITTER_AND_DETECTOR, (7, 1))
-        assert [measure_joint_probability(e, sd, 0.4, 0.3, k, l, JITTER_AND_DETECTOR, (7, 1))
-                for k, l in interferometer._KL] == list(p)
+        for noise in [JITTER_AND_DETECTOR, *NOISE_MODELS]:
+            _, p = measure_correlation(e, sd, 0.4, 0.3, noise, (7, 1))
+            assert [measure_joint_probability(e, sd, 0.4, 0.3, k, l, noise, (7, 1))
+                    for k, l in interferometer._KL] == list(p)
 
     def test_crossed_polarizer_recovery_at_quarter_turn(self):
         # b = pi/2 puts the stripping polarizer at pi/2, crossed with a = 0
@@ -482,10 +485,19 @@ class TestBootstrap:
         e = synthesize_partially_polarized(0.2, 1.0, 2000, 11)
         sd = schmidt(e)
         curves = [scan_correlation(e, sd, 0.3, [0.2, 0.9], JITTER_AND_DETECTOR, seed, 12)
-                  for seed in (3, 3, 4)]
+                  for seed in (4, 4, 5)]
         assert np.array_equal(curves[0].c_err, curves[1].c_err)
         assert np.array_equal(curves[0].c, curves[1].c)
         assert not np.array_equal(curves[0].c_err, curves[2].c_err)
+
+    @pytest.mark.xfail(strict=True, raises=ExtractionError,
+                       reason="ROADMAP item 3: noisy extraction bound")
+    def test_noisy_resample_extracts(self):
+        # test_deterministic's scan at seed 3: under detector offsets resample 12
+        # extracts p = 1.285, past the bound of 1 + 1e-6 for noiseless readings
+        e = synthesize_partially_polarized(0.2, 1.0, 2000, 11)
+        curve = scan_correlation(e, schmidt(e), 0.3, [0.2, 0.9], JITTER_AND_DETECTOR, 3, 12)
+        assert np.all(np.isfinite(curve.c_err))
 
     def test_small_samples_raise_nothing(self):
         # a Wishart J* is PSD at every n >= 2, so no resample of any source
@@ -791,6 +803,85 @@ def feature_coordinates(j):
                     -1)
 
 
+NOISE_MODELS = [*IDEAL_AND_MOMENT_NOISE, NoiseModel(phase_jitter=0.1),
+                NoiseModel(extinction_ratio=1e-3, detector_noise=1e-3, phase_jitter=0.1)]
+NOISE_IDS = ["ideal", "extinction", "detector", "jitter", "all"]
+DEFAULT_RNG = np.random.default_rng
+
+
+class RecordingGenerator:
+    """Stands in for ``np.random.default_rng(seed)`` and logs the seed and the
+    shape of each draw before it draws from the real generator."""
+
+    def __init__(self, seed, log):
+        self.rng, self.log = DEFAULT_RNG(seed), log
+        log.append(("default_rng", seed))
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def logged(*args):
+            self.log.append((name, args[-1]))
+            return draw(*args)
+
+        return logged
+
+
+def record_draws(monkeypatch):
+    log = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: RecordingGenerator(seed, log))
+    return log
+
+
+class TestRunZero:
+    """Run 0 reads the source from its own stream base + (0, 716), and the
+    resamples from streams of their own, so adding resamples leaves every
+    run-0 output unchanged, byte for byte, whatever the noise model."""
+
+    @pytest.mark.parametrize("noise", NOISE_MODELS, ids=NOISE_IDS)
+    def test_protocol_does_not_depend_on_resamples(self, noise):
+        reports = [run_bell_protocol(ProtocolConfig(dop=0.125, n=2000, seed=41, noise=noise,
+                                                    resamples=resamples))
+                   for resamples in (0, 16)]
+        p = [np.array([[s.p11, s.p12, s.p21, s.p22] for s in rep.probabilities]).tobytes()
+             for rep in reports]
+        assert p[0] == p[1]
+        assert np.float64(reports[0].chsh).tobytes() == np.float64(reports[1].chsh).tobytes()
+
+    @pytest.mark.parametrize("noise", NOISE_MODELS, ids=NOISE_IDS)
+    # b = 0 crosses polarizer and stripping axes, so the recovery runs too
+    @pytest.mark.parametrize("b", [0.0, 0.3])
+    def test_scan_does_not_depend_on_resamples(self, b, noise):
+        # the scan without resamples against run 0 of the 17 runs a scan with
+        # 16 resamples draws; run 0 is read alone, so a resample's reading that
+        # cannot be extracted (ROADMAP item 3) does not enter
+        e = synthesize_partially_polarized(0.125, 1.0, 2000, 42)
+        _, sd = measured_schmidt(e)
+        grid, base = np.linspace(0.0, math.pi, 7, endpoint=False), (42, 1)
+        curve = scan_correlation(e, sd, b, grid, noise, base, 0)
+        settings = np.array([(a, b, k, l) for a in grid for k, l in interferometer._KL]).T
+        j, k, offsets = interferometer._moment_stacks(
+            e.second_moments, e.n, bartlett_factors(base + (715,), e.n, 16), noise,
+            [base + (r, 716) for r in range(17)], len(settings[0]))
+        p = interferometer._probabilities((j[:1], k[:1], offsets[:1]), sd, *settings,
+                                          noise.extinction_ratio).reshape(len(grid), 4)
+        for i, name in enumerate(("p11", "p12", "p21", "p22")):
+            assert getattr(curve, name).tobytes() == p[:, i].tobytes(), name
+        assert curve.c.tobytes() == correlation_sum(p.T).tobytes()
+
+    def test_streams_are_distinct(self, monkeypatch):
+        # numpy pads a short seed with zeros, so base + (0,) would be the source
+        # draw's stream and base + (715,) the Bartlett stream: with 716
+        # resamples every stream a protocol makes has a state of its own
+        log = record_draws(monkeypatch)
+        run_bell_protocol(ProtocolConfig(dop=0.3, n=200, seed=8, resamples=716,
+                                         noise=NoiseModel(detector_noise=1e-6)))
+        made = [seed for call, seed in log if call == "default_rng"]
+        assert made == [8, (8, 715), *[(8, r, 716) for r in range(717)]]
+        states = {json.dumps(DEFAULT_RNG(seed).bit_generator.state) for seed in made}
+        assert len(states) == len(made) == 719
+
+
 class TestResampleCounts:
     """Each bootstrap resample draws its second moments J* from the complex
     Wishart law CW(n, J)/n; over seeds its error bars must match those of
@@ -810,21 +901,36 @@ class TestResampleCounts:
     @pytest.mark.parametrize("noise", [*IDEAL_AND_MOMENT_NOISE, JITTER_AND_DETECTOR])
     def test_scan_draw_order_is_pinned(self, noise):
         # The R resamples take their Bartlett factors from base + (715,), one
-        # call per entry, and resample r reads its noise from base + (r,) + key.
+        # call per entry, and run r draws all its readings' noise from base + (r, 716).
         e = synthesize_partially_polarized(0.125, 1.0, 2000, 39)
         _, sd = measured_schmidt(e)
         # b = 0 crosses polarizer and stripping axes, so the fallback runs too
         b, grid, base = 0.0, np.linspace(0.0, math.pi, 7, endpoint=False), (39, 2)
         curve = scan_correlation(e, sd, b, grid, noise=noise, seed=base, resamples=11)
         t = bartlett_factors(base + (715,), e.n, 11)
-        keys = [(i, k, l) for i in range(len(grid)) for k, l in interferometer._KL]
-        stacks = interferometer._moment_stacks(e.second_moments, e.n, t, noise,
-                                               [base + (r,) for r in range(12)], keys)
         settings = np.array([(a, b, k, l) for a in grid for k, l in interferometer._KL]).T
+        stacks = interferometer._moment_stacks(e.second_moments, e.n, t, noise,
+                                               [base + (r, 716) for r in range(12)], len(settings[0]))
         p = interferometer._probabilities(stacks, sd, *settings, noise.extinction_ratio)
         c = correlation_sum(np.moveaxis(p.reshape(12, len(grid), 4), -1, 0))
         assert np.array_equal(curve.c, c[0])
         assert np.array_equal(curve.c_err, np.std(c[1:], axis=0, ddof=1))
+
+    @pytest.mark.parametrize("noise", [NoiseModel(), JITTER_AND_DETECTOR], ids=["ideal", "noisy"])
+    def test_one_generator_per_run(self, monkeypatch, noise):
+        # the Bartlett stream, then under noise one stream per run, not one per reading
+        e = synthesize_partially_polarized(0.125, 1.0, 2000, 39)
+        _, sd = measured_schmidt(e)
+        grid = np.linspace(0.0, math.pi, 7, endpoint=False)
+        log = record_draws(monkeypatch)
+        scan_correlation(e, sd, 0.3, grid, noise, (39, 2), 11)
+        made = [seed for call, seed in log if call == "default_rng"]
+        runs = [(39, 2, r, 716) for r in range(12)] if noise != NoiseModel() else []
+        assert made == [(39, 2, 715), *runs]
+        # the same scan without resamples makes no Bartlett stream
+        log.clear()
+        scan_correlation(e, sd, 0.3, grid, noise, (39, 2), 0)
+        assert [seed for call, seed in log if call == "default_rng"] == runs[:1]
 
     def test_bootstrap_draw_has_the_exact_mean_and_covariance(self):
         # J* = L T T+ L+ / n, L the principal root of J: T = sqrt(n) I gives J
@@ -834,7 +940,7 @@ class TestResampleCounts:
         t = np.array([math.sqrt(n) * np.eye(2), [[14.0, 0.0], [0.3 - 0.8j, 13.5]],
                       [[15.2, 0.0], [-2.0 + 1.0j, 0.1]]])
         j, _, _ = interferometer._moment_stacks(j0, n, t, NoiseModel(), [(r,) for r in range(4)],
-                                                [()])
+                                                1)
         assert np.array_equal(j[0], j0)
         assert np.abs(j[1] - j0).max() <= 1e-15
         root = principal_root(j0)
@@ -844,7 +950,7 @@ class TestResampleCounts:
         # over the stream's draws J* has the Wishart mean J and covariance
         # Cov(q*) = (E[q q^T] - mu mu^T) / n in feature coordinates
         j, _, _ = interferometer._moment_stacks(j0, n, bartlett_factors((16, 715), n, 20_000),
-                                                NoiseModel(), [(r,) for r in range(20_001)], [()])
+                                                NoiseModel(), [(r,) for r in range(20_001)], 1)
         q, mu = feature_coordinates(j[1:]), feature_coordinates(j0)
         cov = (isserlis_gram(j0) - np.outer(mu, mu)) / n
         se = np.sqrt(np.diag(cov) / len(q))
@@ -873,7 +979,7 @@ class TestResampleCounts:
 
         def draw():
             return interferometer._moment_stacks(j0, n, bartlett_factors((seed, 715), n, 8),
-                                                 NoiseModel(), [(r,) for r in range(9)], [()])
+                                                 NoiseModel(), [(r,) for r in range(9)], 1)
 
         if 0.0 < np.trace(j0).real < math.sqrt(np.finfo(float).tiny):
             with pytest.raises(DomainError, match="second moments underflow"):
@@ -903,11 +1009,11 @@ class TestResampleCounts:
 
 
 class FixedNormals:
-    """Stands in for ``np.random.default_rng(seed)``: ``standard_normal``
-    returns the normals stored under the seed's last entry."""
+    """Stands in for ``np.random.default_rng(seed)`` of every run:
+    ``standard_normal`` returns the fixed normals of the run's readings."""
 
-    def __init__(self, normals, seed):
-        self.normals = normals[seed[-1]]
+    def __init__(self, normals):
+        self.normals = normals
 
     def standard_normal(self, shape):
         assert shape == self.normals.shape
@@ -918,13 +1024,13 @@ def jitter_rows(monkeypatch, e, t, sigma):
     """J and K's mean and its real and imaginary rows under jitter sigma, in
     feature coordinates, for the last of the 1 + len(t) runs: K is linear in
     its normals z, so z = 0 gives the mean, and a unit normal in z[0] (z[1])
-    one row of the root of the real (imaginary) covariance."""
-    normals = [np.zeros((2, 4)), *np.eye(8).reshape(8, 2, 4)]
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedNormals(normals, seed))
+    one row of the root of the real (imaginary) covariance.  Each run reads 9
+    settings: reading 0 takes z = 0, reading m >= 1 the m-th unit normal."""
+    normals = np.concatenate([np.zeros((1, 2, 4)), np.eye(8).reshape(8, 2, 4)])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedNormals(normals))
     j, k, _ = interferometer._moment_stacks(e.second_moments, e.n, t,
                                             NoiseModel(phase_jitter=sigma),
-                                            [(r,) for r in range(1 + len(t))],
-                                            [(m,) for m in range(9)])
+                                            [(r,) for r in range(1 + len(t))], 9)
     v = np.array([[x[0, 0], x[1, 1], (x[0, 1] + x[1, 0]) / 2, (x[0, 1] - x[1, 0]) / 2j]
                   for x in k[-1]])
     return j, v[0], v[1:5] - v[0], v[5:] - v[0]
@@ -932,20 +1038,25 @@ def jitter_rows(monkeypatch, e, t, sigma):
 
 class TestJitterDraw:
     """Each jitter reading draws K from its exact mean and covariance with
-    8 normals from its own stream."""
+    8 normals from its run's stream."""
 
-    def test_draw_order_is_pinned(self):
-        # 8 normals for K, then 3 detector normals, from default_rng(seed + key)
+    def test_draw_order_is_pinned(self, monkeypatch):
+        # one stream per run, default_rng(seed): the 8 normals of K of every
+        # reading, then the 3 detector normals of every reading
         e = synthesize_partially_polarized(0.4, 1.0, 300, 12)
-        noise, seed, keys = JITTER_AND_DETECTOR, (11, 0), [(0, 1, 1), (3, 2, 1)]
-        j, k, offsets = interferometer._moment_stacks(e.second_moments, e.n, (), noise, [seed],
-                                                      keys)
-        for m, key in enumerate(keys):
-            rng = np.random.default_rng(seed + key)
-            expected = reference_k(e.second_moments, e.n, 0.1, rng.standard_normal((2, 4)))
-            assert np.abs(k[0, m] - expected).max() <= 1e-13
-            detector = rng.normal(0.0, 1e-3 * np.trace(j[0]).real, 3)
-            assert np.array_equal(offsets[0, m], detector)
+        noise, seed, m = JITTER_AND_DETECTOR, (11, 0), 2
+        j, k, offsets = interferometer._moment_stacks(e.second_moments, e.n, (), noise, [seed], m)
+        rng = np.random.default_rng(seed)
+        normals = rng.standard_normal((m, 2, 4))
+        detector = rng.normal(0.0, 1e-3 * np.trace(j[0]).real, (m, 3))
+        for reading in range(m):
+            expected = reference_k(e.second_moments, e.n, 0.1, normals[reading])
+            assert np.abs(k[0, reading] - expected).max() <= 1e-13
+        assert np.array_equal(offsets[0], detector)
+        # measure_intensities is one reading: 8 normals, then 3 offsets, from default_rng(seed)
+        log = record_draws(monkeypatch)
+        measure_intensities(e, 0.3, 0.8, noise, seed, basis=basis_of(schmidt(e)))
+        assert log == [("default_rng", seed), ("standard_normal", (1, 2, 4)), ("normal", (1, 3))]
 
     @pytest.mark.parametrize("run", [0, 1], ids=["source", "resample"])
     def test_draw_has_the_exact_mean_and_covariance(self, monkeypatch, run):
@@ -999,6 +1110,7 @@ class TestJitterDraw:
         _, sd = measured_schmidt(source)
         pairs = max_chsh(sd.kappa1, sd.kappa2)[1].pairs()
         settings = np.array([(a, b, k, l) for a, b in pairs for k, l in interferometer._KL]).T
+        # the per-realization phases of each reading come from a stream of its own
         keys = [(i, k, l) for i in range(4) for k, l in interferometer._KL]
         seeds, sigmas = range(400), (0.05, 0.3, 1.0)
         gaussian = np.empty((len(sigmas), len(seeds), len(keys), 2, 2), dtype=complex)
@@ -1009,7 +1121,7 @@ class TestJitterDraw:
             for i, sigma in enumerate(sigmas):
                 stacks = interferometer._moment_stacks(source.second_moments, source.n, (),
                                                        NoiseModel(phase_jitter=sigma), [(s, 0)],
-                                                       keys)
+                                                       len(keys))
                 gaussian[i, s], per_realization[i, s] = stacks[1][0], per_realization_k(
                     source, normals, sigma)
         j = np.broadcast_to(source.second_moments, (len(seeds), 2, 2))
