@@ -12,7 +12,6 @@ from .bell import (
     AngleSettings,
     LhvModel,
     SHIPPED_LHV_MODELS,
-    chsh_closed_form_max,
     chsh_sum,
     correlation_closed_form,
     correlation_sum,
@@ -55,7 +54,6 @@ from .interferometer import (
     ProtocolConfig,
     SettingResult,
     extract_probability,
-    measure_correlation,
     measure_intensities,
     measure_joint_probability,
     run_bell_protocol,

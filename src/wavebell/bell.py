@@ -31,7 +31,6 @@ __all__ = [
     "correlation_sum",
     "correlation_closed_form",
     "chsh_sum",
-    "chsh_closed_form_max",
     "max_chsh",
     "lhv_correlation",
     "lhv_chsh",
@@ -68,32 +67,30 @@ class AngleSettings:
         )
 
 
-def _amplitude(kappa1: float, kappa2: float, a: float, b: float, k: int, l: int) -> float:
-    _check_angles(a, b)
-    ca, sa = math.cos(a), math.sin(a)
-    cb, sb = math.cos(b), math.sin(b)
-    if (k, l) == (1, 1):
-        return kappa1 * ca * cb + kappa2 * sa * sb
-    if (k, l) == (1, 2):
-        return kappa1 * ca * sb - kappa2 * sa * cb
-    if (k, l) == (2, 1):
-        return kappa1 * sa * cb - kappa2 * ca * sb
-    if (k, l) == (2, 2):
-        return kappa1 * sa * sb + kappa2 * ca * cb
-    raise DomainError(f"outcome indices k, l must each be 1 or 2, got ({k}, {l})")
+def _check_outcomes(k, l) -> None:
+    """Raise DomainError unless every outcome index k, l, a scalar or an array, is 1 or 2."""
+    if not all(np.all((np.asarray(x) == 1) | (np.asarray(x) == 2)) for x in (k, l)):
+        raise DomainError(f"outcome indices k, l must each be 1 or 2, got ({k}, {l})")
 
 
-def joint_probability_kappa(
-    kappa1: float, kappa2: float, a: float, b: float, k: int, l: int
-) -> float:
+def joint_probability_kappa(kappa1: float, kappa2: float, a, b, k, l) -> float | np.ndarray:
     """Closed-form joint probability P_kl(a, b) of a Schmidt-form field with
     Schmidt weights kappa1, kappa2.
 
     Probability of finding the field in the k-th rotated polarization basis
     vector together with the l-th rotated function basis vector.  The four
-    values at any (a, b) are nonnegative and sum to 1.
+    values at any (a, b) are nonnegative and sum to 1.  ``a, b, k, l``
+    broadcast against each other and give an array; scalars give a float.
     """
-    return _amplitude(kappa1, kappa2, a, b, k, l) ** 2
+    _check_angles(a, b)
+    _check_outcomes(k, l)
+    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    # the Schmidt amplitudes amp[k - 1][l - 1]; np.float_power squares with libm pow, as ** does
+    amp = [[kappa1 * ca * cb + kappa2 * sa * sb, kappa1 * ca * sb - kappa2 * sa * cb],
+           [kappa1 * sa * cb - kappa2 * ca * sb, kappa1 * sa * sb + kappa2 * ca * cb]]
+    l1 = np.equal(l, 1)
+    p = np.float_power(np.where(np.equal(k, 1), np.where(l1, *amp[0]), np.where(l1, *amp[1])), 2)
+    return float(p) if p.ndim == 0 else p
 
 
 def joint_probability_projected(
@@ -106,8 +103,7 @@ def joint_probability_projected(
     function-space vector.  Independent of the interferometric measurement
     path; used for cross-validation.
     """
-    if k not in (1, 2) or l not in (1, 2):
-        raise DomainError(f"outcome indices k, l must each be 1 or 2, got ({k}, {l})")
+    _check_outcomes(k, l)
     lab = rotate_lab_basis(LabBasis(sd.u1, sd.u2), a)
     fun = rotate_function_basis(FunctionBasis(*schmidt_functions(ensemble, sd)), b)
     u = lab.v1 if k == 1 else lab.v2
@@ -134,11 +130,6 @@ def chsh_sum(c):
     return c[0] - c[1] + c[2] + c[3]
 
 
-def chsh_closed_form_max(kappa1: float, kappa2: float) -> float:
-    """Maximum attainable CHSH value 2 sqrt(1 + 4 kappa1^2 kappa2^2)."""
-    return 2.0 * math.sqrt(1.0 + 4.0 * kappa1**2 * kappa2**2)
-
-
 def max_chsh(kappa1: float, kappa2: float) -> tuple[float, AngleSettings]:
     """Maximum CHSH value over all four angles, and settings that attain it.
 
@@ -146,13 +137,14 @@ def max_chsh(kappa1: float, kappa2: float) -> tuple[float, AngleSettings]:
     C(a, b) = cos 2a cos 2b + k sin 2a sin 2b, a correlation matrix with
     singular values 1 and k, so the maximum is 2 sqrt(1 + k^2)
     (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)),
-    i.e. :func:`chsh_closed_form_max`.  It is attained at a = pi/4, a' = 0,
+    i.e. 2 sqrt(1 + 4 kappa1^2 kappa2^2).  It is attained at a = pi/4, a' = 0,
     b = -b' = atan(k) / 2.  Raises DomainError unless kappa1, kappa2 >= 0
     with kappa1^2 + kappa2^2 = 1 to 1e-12.
     """
     _check_kappas(kappa1, kappa2)
     h = 0.5 * math.atan(2.0 * kappa1 * kappa2)
-    return chsh_closed_form_max(kappa1, kappa2), AngleSettings(math.pi / 4, 0.0, h, -h)
+    return (2.0 * math.sqrt(1.0 + 4.0 * kappa1**2 * kappa2**2),
+            AngleSettings(math.pi / 4, 0.0, h, -h))
 
 
 @dataclass(frozen=True)

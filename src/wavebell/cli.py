@@ -55,7 +55,6 @@ from .errors import WavebellError
 from .interferometer import (
     NoiseModel,
     ProtocolConfig,
-    measure_correlation,
     measure_joint_probability,
     run_bell_protocol,
     scan_correlation,
@@ -421,7 +420,7 @@ def _validate_checks(cfg: dict):
     for t in range(int(cfg["tuples"])):
         d, a, b, k, l = draw()
         k1, k2 = kappa_from_dop(d)
-        source = _draw_partially_polarized(d, n, 2000 + t)
+        source = _draw_partially_polarized(d, n, (cfg["seed"], 2000 + t))
         sd = schmidt(source)
         oracle = joint_probability_kappa(k1, k2, a, b, k, l)
         measured = measure_joint_probability(source, sd, a, b, k, l)
@@ -430,23 +429,18 @@ def _validate_checks(cfg: dict):
            f"max |measured - oracle| = {worst_sampled:.3e} (tol {tol:.3e})")
 
     # 3: the four measured probabilities at one setting sum to 1.
-    source = _draw_partially_polarized(0.125, n, cfg["seed"] + 17)
+    source = _draw_partially_polarized(0.125, n, (cfg["seed"], 17))
     sd = schmidt(source)
-    total = sum(measure_correlation(source, sd, 0.37, 0.81)[1])
+    curve = scan_correlation(source, sd, 0.81, [0.37])
+    total = float(curve.p11[0] + curve.p12[0] + curve.p21[0] + curve.p22[0])
     yield ("probability-completeness-measured", abs(total - 1.0) <= tol,
            f"|sum - 1| = {abs(total - 1.0):.3e} (tol {tol:.3e})")
 
     # 4: oracle marginals carry no signal across the other space's angle.
     grid = np.linspace(0.0, math.pi, 20, endpoint=False)
     k1, k2 = kappa_from_dop(0.125)
-    worst_ns = 0.0
-    for a in grid:
-        m = [
-            joint_probability_kappa(k1, k2, a, b, 1, 1)
-            + joint_probability_kappa(k1, k2, a, b, 1, 2)
-            for b in grid
-        ]
-        worst_ns = np.maximum(worst_ns, np.ptp(m))
+    p = joint_probability_kappa(k1, k2, grid[:, None, None], grid[:, None], 1, [1, 2])
+    worst_ns = np.max(np.ptp(p[..., 0] + p[..., 1], axis=1))  # p[a, b, l - 1]
     yield ("no-signaling-oracle", worst_ns <= 1e-12,
            f"max marginal variation = {worst_ns:.3e} (tol 1e-12)")
 

@@ -41,7 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import AngleSettings, chsh_sum, correlation_sum, joint_probability_kappa, max_chsh
+from .bell import (AngleSettings, _check_outcomes, chsh_sum, correlation_sum,
+                   joint_probability_kappa, max_chsh)
 from .ensemble import (
     FieldEnsemble,
     SchmidtDecomposition,
@@ -77,7 +78,6 @@ __all__ = [
     "measure_intensities",
     "extract_probability",
     "measure_joint_probability",
-    "measure_correlation",
     "scan_correlation",
     "run_bell_protocol",
 ]
@@ -351,33 +351,18 @@ def measure_joint_probability(
     P_kl = P(u_k^a) - P_k,l' with the lab marginal P(u_k^a) read off the
     test arm alone; both stripping angles are read under the same noise.
 
-    The value is the (k, l) entry of :func:`measure_correlation` at the same
-    seed, noise or not: the noise of all four outcomes is drawn from the
-    stream seed + (0, _NOISE_TAG) as there, and only outcome (k, l) is read.
+    The value is the (k, l) probability of :func:`scan_correlation` at the
+    one angle a, same seed, noise or not: the noise of all four outcomes is
+    drawn from the stream seed + (0, _NOISE_TAG) as there, and only outcome
+    (k, l) is read.
     """
-    if k not in (1, 2) or l not in (1, 2):
-        raise DomainError(f"outcome indices k, l must each be 1 or 2, got ({k}, {l})")
+    _check_outcomes(k, l)
     i = _KL.index((k, l))
     j, kk, offsets = _moment_stacks(ensemble.second_moments, ensemble.n, (), noise,
                                     [_seed_base(seed) + (0, _NOISE_TAG)], 4)
     p = _probabilities((j, kk[:, i:i + 1], offsets[:, i:i + 1]), sd, [a], [b], [k], [l],
                        noise.extinction_ratio)
     return float(p[0, 0])
-
-
-def measure_correlation(
-    ensemble: FieldEnsemble,
-    sd: SchmidtDecomposition,
-    a: float,
-    b: float,
-    noise: NoiseModel = NoiseModel(),
-    seed=0,
-) -> tuple[float, tuple[float, float, float, float]]:
-    """Measure all four joint probabilities at (a, b) and combine them into
-    the correlation C = P11 - P12 - P21 + P22: run 0 of :func:`scan_correlation`
-    at the one angle a, so its noise is drawn from seed + (0, _NOISE_TAG)."""
-    p = tuple(map(float, _measure_runs(ensemble, sd, [(a, b)], noise, _seed_base(seed), 0)[0, 0]))
-    return correlation_sum(p), p
 
 
 @dataclass(frozen=True)
@@ -546,8 +531,8 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
 
     if k2 < _KAPPA2_FLOOR:
         method = "closed-form"
-        ps = np.array([[joint_probability_kappa(k1, k2, a, b, k, l) for k, l in _KL]
-                       for a, b in pairs])
+        a, b = np.array(pairs).T[..., None]
+        ps = joint_probability_kappa(k1, k2, a, b, *np.array(_KL).T)
     else:
         method = "interferometer"
         runs = _measure_runs(source, sd, pairs, config.noise, (config.seed,), config.resamples)

@@ -2,12 +2,13 @@
 
 The matrix runs every command in-process on small inputs: ``source`` and
 ``validate``, and ``chsh`` and ``scan`` ideal (with resamples), under each
-noise model alone, and under phase jitter with resamples; each at seeds 0
-and 1, in csv and json.  Every output (stdout and each file written) is
-stored in ``manifest.json`` as fields: a JSON output by key path (list
-indices dropped), a CSV by column, a ``validate`` line by its check, with
-the numbers of its detail.  Values keep their order, so equal fields mean
-equal outputs, token for token.
+noise model alone, under phase jitter with resamples, and ``chsh`` of a
+source so nearly fully polarized that it takes the closed-form fallback; each
+at seeds 0 and 1, in csv and json.  Every output (stdout and each file
+written) is stored in ``manifest.json`` as fields: a JSON output by key path
+(list indices dropped), a CSV by column, a ``validate`` line by its check,
+with the numbers of its detail.  Values keep their order, so equal fields
+mean equal outputs, token for token.
 
 ``tests/test_golden.py`` reruns the matrix against the manifest.  This script
 prints, per command and field, how far the outputs of the code as it stands
@@ -69,6 +70,10 @@ def matrix() -> list[dict]:
                 entries.append({"name": f"scan-{noise}-{fmt}-s{seed}",
                                 "argv": ["scan", "--n", "3000", "--seed", seed, "--format", fmt,
                                          *_SCAN_GRID, *flags, *out]})
+        for fmt in ("csv", "json"):  # kappa2 ~ 2.2e-7: below the floor, so method "closed-form"
+            entries.append({"name": f"chsh-closed-form-{fmt}-s{seed}",
+                            "argv": ["chsh", "--n", "3000", "--seed", seed, "--format", fmt,
+                                     "--dop", "0.9999999999999"]})
     return entries
 
 

@@ -12,7 +12,6 @@ from wavebell import (
     ModelContractError,
     SHIPPED_LHV_MODELS,
     SchmidtDecomposition,
-    chsh_closed_form_max,
     chsh_sum,
     correlation_closed_form,
     correlation_sum,
@@ -88,6 +87,29 @@ class TestJointProbability:
             joint_probability_kappa(sd.kappa1, sd.kappa2, 0.0, 0.0, 0, 1)
         with pytest.raises(DomainError):
             joint_probability_kappa(sd.kappa1, sd.kappa2, 0.0, 0.0, 1, 3)
+
+    def test_array_call_equals_scalar_calls(self):
+        # bit for bit: the broadcast is the scalar formula, elementwise
+        rng = np.random.default_rng(23)
+        k, l = np.array([1, 1, 2, 2]), np.array([1, 2, 1, 2])
+        for dop in rng.uniform(0.0, 1.0, 5):
+            k1, k2 = kappa_from_dop(float(dop))
+            a, b = rng.uniform(-10.0, 10.0, (2, 50, 1))
+            table = joint_probability_kappa(k1, k2, a, b, k, l)
+            assert table.shape == (50, 4)
+            scalar = [[joint_probability_kappa(k1, k2, float(x), float(y), int(kk), int(ll)).hex()
+                       for kk, ll in zip(k, l)] for x, y in zip(a[:, 0], b[:, 0])]
+            assert [[float(p).hex() for p in row] for row in table] == scalar
+
+    def test_scalar_call_returns_a_float(self):
+        assert type(joint_probability_kappa(0.8, 0.6, 0.1, 0.2, 2, 1)) is float
+
+    @pytest.mark.parametrize("bad", [3, 1.5, math.nan])
+    @pytest.mark.parametrize("side", ["k", "l"])
+    def test_bad_index_in_an_array_is_named(self, side, bad):
+        outcomes = {"k": np.array([1, 2]), "l": np.array([2, 1]), side: np.array([1, bad])}
+        with pytest.raises(DomainError, match=r"^outcome indices k, l must each be 1 or 2, got "):
+            joint_probability_kappa(0.8, 0.6, 0.1, 0.2, outcomes["k"], outcomes["l"])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_projected_estimator_matches(self, seed):
@@ -231,9 +253,9 @@ class TestChsh:
     def test_grid_matches_closed_form(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
-            k1, k2 = kappa_from_dop(float(rng.uniform(0, 1)))
-            value, _ = max_chsh(k1, k2)
-            assert value == pytest.approx(chsh_closed_form_max(k1, k2), abs=1e-12)
+            d = float(rng.uniform(0, 1))
+            value, _ = max_chsh(*kappa_from_dop(d))
+            assert value == pytest.approx(2.0 * math.sqrt(2.0 - d**2), abs=1e-12)
 
     @hypothesis_settings(max_examples=200, deadline=None)
     @given(

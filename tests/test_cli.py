@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wavebell
-from wavebell import bell, cli
+from wavebell import CorrelationCurve, bell, cli
 from wavebell.bell import SHIPPED_LHV_MODELS, AngleSettings, lhv_chsh
 from wavebell.ensemble import _draw_partially_polarized, kappa_from_dop, schmidt
 from wavebell.cli import main, parse_angle
@@ -272,18 +272,40 @@ class TestValidate:
         assert "FAIL triple-path-analytic-interferometric" in captured.out
         assert "validation failed" in captured.err
 
+    def test_sampled_sources_follow_the_seed(self, monkeypatch):
+        # checks 2 and 3 draw their sources from streams of --seed: no two seeds share one,
+        # and check 3's never repeats one of check 2's (the last draw is check 3's)
+        seeds, draw = [], cli._draw_partially_polarized
+        monkeypatch.setattr(cli, "_draw_partially_polarized",
+                            lambda d, n, seed: (seeds.append(seed), draw(d, n, seed))[1])
+
+        def source_seeds(seed):
+            seeds.clear()
+            assert run_cli(["validate", "--seed", str(seed), "--n", "2000", "--tuples", "3",
+                            "--lhv-samples", "1000"]) == 0
+            return list(seeds)
+
+        assert not set(source_seeds(0)) & set(source_seeds(1))
+        *check2, check3 = source_seeds(1983)
+        assert len(check2) == 3 and check3 not in check2
+
     @pytest.mark.parametrize("module, name, reading, check", [
         (cli, "measure_joint_probability", math.nan, "triple-path-analytic-interferometric"),
         (bell, "joint_probability_projected", math.nan, "triple-path-analytic-projected"),
         (cli, "joint_probability_kappa", math.nan, "triple-path-sampled"),
-        (cli, "measure_correlation", (math.nan, [math.nan] * 4),
+        (cli, "scan_correlation", CorrelationCurve(np.zeros(1), 0.0, *[np.full(1, math.nan)] * 6),
          "probability-completeness-measured"),
         (cli, "joint_probability_kappa", math.nan, "no-signaling-oracle"),
         (cli, "lhv_chsh", math.nan, "lhv-bound"),
     ])
     def test_nan_reading_fails_its_check(self, capsys, monkeypatch, module, name, reading, check):
         # max(worst, nan) keeps worst, so a NaN once passed every check but completeness
-        monkeypatch.setattr(module, name, lambda *a: reading)
+        def stub(*args):
+            if name == "joint_probability_kappa":  # it broadcasts: a NaN of the call's shape
+                return np.full(np.broadcast_shapes(*map(np.shape, args[2:])), reading)
+            return reading
+
+        monkeypatch.setattr(module, name, stub)
         code = run_cli(["validate", "--n", "4000", "--tuples", "2", "--lhv-samples", "2000"])
         captured = capsys.readouterr()
         assert code == 2
@@ -320,16 +342,17 @@ def sequential_validate(cfg):
         k1, k2 = kappa_from_dop(d)
         a, b = rng.uniform(-math.pi, math.pi, 2)
         k, l = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        field = _draw_partially_polarized(d, n, 2000 + t)
+        field = _draw_partially_polarized(d, n, (cfg["seed"], 2000 + t))
         sd = schmidt(field)
         oracle = cli.joint_probability_kappa(k1, k2, a, b, k, l)
         measured = cli.measure_joint_probability(field, sd, a, b, k, l)
         worst_sampled = max(worst_sampled, abs(measured - oracle))
     yield ("triple-path-sampled", worst_sampled <= tol,
            f"max |measured - oracle| = {worst_sampled:.3e} (tol {tol:.3e})")
-    field = _draw_partially_polarized(0.125, n, cfg["seed"] + 17)
+    field = _draw_partially_polarized(0.125, n, (cfg["seed"], 17))
     sd = schmidt(field)
-    total = sum(cli.measure_correlation(field, sd, 0.37, 0.81)[1])
+    curve = cli.scan_correlation(field, sd, 0.81, [0.37])
+    total = sum(float(p[0]) for p in (curve.p11, curve.p12, curve.p21, curve.p22))
     yield ("probability-completeness-measured", abs(total - 1.0) <= tol,
            f"|sum - 1| = {abs(total - 1.0):.3e} (tol {tol:.3e})")
     grid = np.linspace(0.0, math.pi, 20, endpoint=False)

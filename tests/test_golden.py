@@ -8,11 +8,14 @@ tests/golden/rewrite.py --write`` and records the table it prints.
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wavebell import NoiseModel, measure_intensities, schmidt, synthesize_partially_polarized
+from wavebell import (NoiseModel, ensemble, interferometer, measure_intensities, schmidt,
+                      synthesize_partially_polarized)
 from wavebell.optics import LabBasis
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -72,3 +75,54 @@ def test_measure_intensities_is_pinned(noise):
         assert triple == expected
     else:
         assert triple == pytest.approx(expected, rel=golden.RTOL, abs=golden.RTOL)
+
+
+def _bartlett_gammas_swapped(rng, n, size):
+    # ensemble._bartlett with its two standard_gamma calls in the other order
+    t = np.zeros((size, 2, 2), dtype=np.complex128)
+    t[:, 1, 1] = np.sqrt(rng.standard_gamma(n - 1, size))
+    t[:, 0, 0] = np.sqrt(rng.standard_gamma(n, size))
+    re, im = rng.standard_normal((2, size)) / math.sqrt(2.0)
+    t[:, 1, 0] = re + 1j * im
+    return t
+
+
+def _swap_bartlett_gammas(monkeypatch):
+    monkeypatch.setattr(ensemble, "_bartlett", _bartlett_gammas_swapped)
+    monkeypatch.setattr(interferometer, "_bartlett", _bartlett_gammas_swapped)
+
+
+def _reverse_run0_offsets(monkeypatch):
+    # run 0's detector offsets, one row per reading, in reverse reading order
+    stacks = interferometer._moment_stacks
+
+    def mutated(*args):
+        j, k, offsets = stacks(*args)
+        return j, k, np.concatenate([offsets[:1, ::-1], offsets[1:]])
+
+    monkeypatch.setattr(interferometer, "_moment_stacks", mutated)
+
+
+# Each mutation with the prefixes of the entries it must move: every source or
+# resample drawn by Bartlett (chsh, validate, scans with resamples), and every
+# run under detector noise.
+MUTATIONS = {
+    "bartlett-gammas-swapped": (_swap_bartlett_gammas,
+                                ("chsh-", "validate-", "scan-ideal-", "scan-jitter-resampled-")),
+    "run0-offsets-reversed": (_reverse_run0_offsets, ("chsh-detector-", "scan-detector-")),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_the_manifest_catches_a_mutation(mutation, monkeypatch, tmp_path):
+    apply, prefixes = MUTATIONS[mutation]
+    apply(monkeypatch)
+    manifest = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
+    exact = manifest["environment"] == golden.environment()
+    entries = [e for e in manifest["entries"] if e["name"].startswith(prefixes)]
+    assert entries
+    for i, entry in enumerate(entries):
+        workdir = tmp_path / str(i)
+        workdir.mkdir()
+        fresh = {**entry, **golden.run(entry["argv"], workdir)}
+        assert golden.mismatches(entry, fresh, exact), f"{mutation} left {entry['name']} unmoved"

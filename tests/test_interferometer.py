@@ -27,7 +27,6 @@ from wavebell import (
     joint_probability_kappa,
     joint_probability_projected,
     kappa_from_dop,
-    measure_correlation,
     measure_intensities,
     measure_joint_probability,
     max_chsh,
@@ -359,15 +358,16 @@ class TestTriplePathAgreement:
         assert 0.0 < expected < 1.0
         assert measure_joint_probability(field, sd, a, b, 1, 1, noise, seed) == expected
 
-    def test_outcomes_draw_noise_like_measure_correlation(self):
-        # measure_joint_probability reads the (k, l) entry of measure_correlation
-        # at the same seed, under every noise model
+    def test_outcomes_draw_noise_like_scan_correlation(self):
+        # measure_joint_probability reads the (k, l) probability of a one-point
+        # scan_correlation at the same seed, under every noise model
         e = synthesize_partially_polarized(0.3, 1.0, 4000, 7)
         _, sd = measured_schmidt(e)
         for noise in [JITTER_AND_DETECTOR, *NOISE_MODELS]:
-            _, p = measure_correlation(e, sd, 0.4, 0.3, noise, (7, 1))
+            curve = scan_correlation(e, sd, 0.3, [0.4], noise, (7, 1))
             assert [measure_joint_probability(e, sd, 0.4, 0.3, k, l, noise, (7, 1))
-                    for k, l in interferometer._KL] == list(p)
+                    for k, l in interferometer._KL] == \
+                [float(p[0]) for p in (curve.p11, curve.p12, curve.p21, curve.p22)]
 
     def test_crossed_polarizer_recovery_at_quarter_turn(self):
         # b = pi/2 puts the stripping polarizer at pi/2, crossed with a = 0
@@ -1147,10 +1147,11 @@ class TestJitterDraw:
         assert started == []
 
 
-def test_measure_correlation_consistency():
+def test_one_point_scan_consistency():
     e = synthesize_partially_polarized(0.125, 1.0, 5000, 41)
     sd = schmidt(e)
-    c, p = measure_correlation(e, sd, 0.3, 0.7)
+    curve = scan_correlation(e, sd, 0.7, [0.3])
+    c, p = curve.c[0], [float(p[0]) for p in (curve.p11, curve.p12, curve.p21, curve.p22)]
     assert c == pytest.approx(p[0] - p[1] - p[2] + p[3], abs=1e-15)
     oracle = joint_probability_kappa(sd.kappa1, sd.kappa2, 0.3, 0.7, 1, 1)
     assert p[0] == pytest.approx(oracle, abs=1e-10)

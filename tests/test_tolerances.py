@@ -28,7 +28,6 @@ from wavebell import (
     joint_probability_projected,
     lhv_correlation,
     max_chsh,
-    measure_correlation,
     measure_intensities,
     measure_joint_probability,
     reduce_polarizer_angle,
@@ -294,8 +293,6 @@ ANGLE_ENTRY_POINTS = {
     "measure_intensities-s": lambda x: measure_intensities(FIELD, 0.3, x, basis=LabBasis(X, Y)),
     "measure_joint_probability-a": lambda x: measure_joint_probability(FIELD, SD, x, 0.3, 1, 1),
     "measure_joint_probability-b": lambda x: measure_joint_probability(FIELD, SD, 0.3, x, 1, 1),
-    "measure_correlation-a": lambda x: measure_correlation(FIELD, SD, x, 0.3),
-    "measure_correlation-b": lambda x: measure_correlation(FIELD, SD, 0.3, x),
     "scan_correlation-a": lambda x: scan_correlation(FIELD, SD, 0.3, [0.1, x]),
     "scan_correlation-b": lambda x: scan_correlation(FIELD, SD, x, [0.1]),
     "lhv_correlation-a": lambda x: lhv_correlation(cosine_response_model(), x, 0.3, 10, 0),
@@ -327,7 +324,6 @@ COUNT_ENTRY_POINTS = {
                                                             basis=LabBasis(X, Y)),
     "measure_joint_probability-seed": lambda: measure_joint_probability(FIELD, SD, 0.1, 0.3, 1, 1,
                                                                         seed=-1),
-    "measure_correlation-seed": lambda: measure_correlation(FIELD, SD, 0.1, 0.3, seed=-1),
     "lhv_correlation-seed": lambda: lhv_correlation(cosine_response_model(), 0.1, 0.2, 10, -1),
     "lhv_correlation-seed-entry": lambda: lhv_correlation(cosine_response_model(), 0.1, 0.2, 10,
                                                           ((2, -1), 0)),
