@@ -293,6 +293,9 @@ ANGLE_ENTRY_POINTS = {
     "measure_intensities-s": lambda x: measure_intensities(FIELD, 0.3, x, basis=LabBasis(X, Y)),
     "measure_joint_probability-a": lambda x: measure_joint_probability(FIELD, SD, x, 0.3, 1, 1),
     "measure_joint_probability-b": lambda x: measure_joint_probability(FIELD, SD, 0.3, x, 1, 1),
+    # measure_correlation(a, b) was a one-point scan; the cases keep their names.
+    "measure_correlation-a": lambda x: scan_correlation(FIELD, SD, 0.3, [x]),
+    "measure_correlation-b": lambda x: scan_correlation(FIELD, SD, x, [0.3]),
     "scan_correlation-a": lambda x: scan_correlation(FIELD, SD, 0.3, [0.1, x]),
     "scan_correlation-b": lambda x: scan_correlation(FIELD, SD, x, [0.1]),
     "lhv_correlation-a": lambda x: lhv_correlation(cosine_response_model(), x, 0.3, 10, 0),
@@ -324,6 +327,8 @@ COUNT_ENTRY_POINTS = {
                                                             basis=LabBasis(X, Y)),
     "measure_joint_probability-seed": lambda: measure_joint_probability(FIELD, SD, 0.1, 0.3, 1, 1,
                                                                         seed=-1),
+    # measure_correlation's seed check, on the one-point scan that replaced it.
+    "measure_correlation-seed": lambda: scan_correlation(FIELD, SD, 0.3, [0.1], seed=-1),
     "lhv_correlation-seed": lambda: lhv_correlation(cosine_response_model(), 0.1, 0.2, 10, -1),
     "lhv_correlation-seed-entry": lambda: lhv_correlation(cosine_response_model(), 0.1, 0.2, 10,
                                                           ((2, -1), 0)),
