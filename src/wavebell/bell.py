@@ -81,7 +81,10 @@ def joint_probability_kappa(kappa1: float, kappa2: float, a, b, k, l) -> float |
     vector together with the l-th rotated function basis vector.  The four
     values at any (a, b) are nonnegative and sum to 1.  ``a, b, k, l``
     broadcast against each other and give an array; scalars give a float.
+    Raises DomainError unless kappa1, kappa2 >= 0 with kappa1^2 + kappa2^2 = 1
+    to 1e-12.
     """
+    _check_kappas(kappa1, kappa2)
     _check_angles(a, b)
     _check_outcomes(k, l)
     ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
@@ -119,7 +122,9 @@ def correlation_sum(p):
 
 
 def correlation_closed_form(kappa1: float, kappa2: float, a, b):
-    """cos(2a) cos(2b) + 2 kappa1 kappa2 sin(2a) sin(2b); broadcasts."""
+    """cos(2a) cos(2b) + 2 kappa1 kappa2 sin(2a) sin(2b); broadcasts.  Raises
+    DomainError unless kappa1, kappa2 >= 0 with kappa1^2 + kappa2^2 = 1 to 1e-12."""
+    _check_kappas(kappa1, kappa2)
     return np.cos(2 * np.asarray(a)) * np.cos(2 * np.asarray(b)) + (
         2.0 * kappa1 * kappa2
     ) * np.sin(2 * np.asarray(a)) * np.sin(2 * np.asarray(b))

@@ -207,29 +207,28 @@ def _moment_stacks(j, n, t, noise, seeds, m):
 
 
 def _readings(j, k, offsets, basis, pol, strip, extinction):
-    """Shutter triples (i_total, i_test, i_aux), shape (R, M, S, 3), as
+    """Shutter triples (i_total, i_test, i_aux), shape (R, M, 3), as
     :func:`measure_intensities` describes, from the stacks of
     :func:`_moment_stacks` and the optics: the M test polarizer angles ``pol``
-    and the (M, S) stripping angles ``strip`` behind each, relative to
-    ``basis``, at one extinction ratio.  The both-arms reading is the two
-    shuttered readings plus the interference term 2 Re tr(out_aux+ out_test K),
-    out_aux and out_test being each arm's share of the recombiner output.
-    Under detector noise every reading is clamped at 0."""
-    pol_a = polarizer_matrix(polarizer_axis(basis, np.asarray(pol)[:, None]), extinction)
+    and the M stripping angles ``strip`` behind them, relative to ``basis``,
+    at one extinction ratio.  The both-arms reading is the two shuttered
+    readings plus the interference term 2 Re tr(out_aux+ out_test K), out_aux
+    and out_test being each arm's share of the recombiner output.  Under
+    detector noise every reading is clamped at 0."""
+    pol_a = polarizer_matrix(polarizer_axis(basis, pol), extinction)
     pol_s = polarizer_matrix(polarizer_axis(basis, strip), extinction)
     test_chain, _ = beamsplitter_split(pol_a)         # split transmit, polarizer a
     _, aux_chain = beamsplitter_split(pol_a @ pol_s)  # split reflect, polarizers s then a
-    test_chain = np.broadcast_to(test_chain, aux_chain.shape)
-    jj = j[:, None, None]
+    jj = j[:, None]
     # shuttered readings: each arm alone, at half power behind the recombiner
     test, aux = chain_power(test_chain, jj) / 2.0, chain_power(aux_chain, jj) / 2.0
     zero = np.zeros(aux_chain.shape)
     out_aux = beamsplitter_combine(aux_chain, zero)
     out_test = beamsplitter_combine(zero, test_chain)
-    cross = _entry_sum((out_aux.conj().swapaxes(-1, -2) @ out_test) * k[:, :, None]).real
+    cross = _entry_sum((out_aux.conj().swapaxes(-1, -2) @ out_test) * k).real
     readings = np.stack([test + aux + 2.0 * cross, test, aux], axis=-1)
     if offsets.any():
-        readings = np.maximum(readings + offsets[:, :, None], 0.0)
+        readings = np.maximum(readings + offsets, 0.0)
     readings[..., 1:] *= 2.0
     return readings
 
@@ -248,28 +247,31 @@ def _extract(i_total, i_test, i_aux, beam_intensity):
     return np.minimum(p, 1.0)
 
 
-def _probabilities(stacks, sd, a, b, k, l, extinction) -> np.ndarray:
-    """Joint probabilities P_kl(a, b), shape (R, M), of the R runs whose
-    moment stacks (J, K, offsets) :func:`_moment_stacks` built, at the M
-    settings ``a, b, k, l``, read as :func:`measure_joint_probability`
-    describes: both stripping angles of a setting under its one set of
-    noise draws (see :func:`_readings`)."""
-    a, b, k, l = map(np.asarray, (a, b, k, l))
+def _probabilities(stacks, sd, a, b, extinction) -> np.ndarray:
+    """Joint probabilities (R, P, 4), ordered p11 .. p22, of the R runs whose
+    moment stacks (J, K, offsets) :func:`_moment_stacks` built, at the P
+    pairs ``a, b``, read as :func:`measure_joint_probability` describes:
+    setting 4p + 2(k - 1) + (l - 1) reads outcome (k, l) of pair p, one
+    shutter sequence each (see :func:`_readings`)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     distinct_b, which = np.unique(b, return_inverse=True)
     strips = np.array([[f(sd.kappa1, sd.kappa2, x) for f in _STRIP] for x in distinct_b.tolist()])
-    strip = np.where((l == 1)[:, None], strips[which], strips[which, ::-1])  # selected, other
-    pol = np.where(k == 1, a, a + math.pi / 2.0)
-    t = _readings(*stacks, LabBasis(sd.u1, sd.u2), pol, strip, extinction)
+    pol = np.stack([a, a, a + math.pi / 2.0, a + math.pi / 2.0], axis=-1).ravel()
+    t = _readings(*stacks, LabBasis(sd.u1, sd.u2), pol, strips[which][:, [0, 1, 0, 1]].ravel(),
+                  extinction)
     beam = np.broadcast_to(np.trace(stacks[0], axis1=1, axis2=2).real[:, None] / 2.0, t.shape[:2])
-    own, other = t[:, :, 0], t[:, :, 1]
-    stripped = own[..., 2] <= _STRIPPED * beam
+    stripped = t[..., 2] <= _STRIPPED * beam
     p = np.empty(stripped.shape)
-    p[~stripped] = _extract(*own[~stripped].T, beam[~stripped])
+    p[~stripped] = _extract(*t[~stripped].T, beam[~stripped])
     if np.any(stripped):
-        other, beam = other[stripped], beam[stripped]
-        p_other = _extract(*other.T, beam)
-        p[stripped] = np.clip(other[:, 1] / beam - p_other, 0.0, 1.0)
-    return p
+        partner = np.arange(len(pol)) ^ 1  # outcome (k, l') of outcome (k, l)
+        # a pair with both outcomes stripped (kappa2 -> 0) has no partner: _extract
+        # raises on its readings, DomainError at zero power, else StrippedBeamError
+        both = stripped & stripped[:, partner]
+        _extract(*t[both].T, beam[both])
+        p[stripped] = np.clip(t[stripped][:, 1] / beam[stripped] - p[:, partner][stripped],
+                              0.0, 1.0)
+    return p.reshape(len(p), len(a), 4)
 
 
 def measure_intensities(
@@ -298,8 +300,8 @@ def measure_intensities(
     without jitter).
     """
     stacks = _moment_stacks(ensemble.second_moments, ensemble.n, (), noise, [_seed_base(seed)], 1)
-    t = _readings(*stacks, basis, [a], [[s]], noise.extinction_ratio)
-    return tuple(map(float, t[0, 0, 0]))
+    t = _readings(*stacks, basis, [a], [s], noise.extinction_ratio)
+    return tuple(map(float, t[0, 0]))
 
 
 def extract_probability(i_total: float, i_test: float, i_aux: float,
@@ -347,22 +349,20 @@ def measure_joint_probability(
     When polarizer a sits exactly crossed with the stripping polarizer the
     auxiliary beam is extinguished and the intensity formula degenerates to
     0/0.  The two stripping angles for a given b are never mutually crossed,
-    so the value is recovered from measurable quantities as
-    P_kl = P(u_k^a) - P_k,l' with the lab marginal P(u_k^a) read off the
-    test arm alone; both stripping angles are read under the same noise.
+    so the value is recovered from the partner outcome, as the lab does:
+    P_kl = P(u_k^a) - P_k,l', with the marginal P(u_k^a) read off the test
+    arm of the crossed sequence itself and P_k,l' extracted from the partner's
+    own shutter sequence.
 
-    The value is the (k, l) probability of :func:`scan_correlation` at the
-    one angle a, same seed, noise or not: the noise of all four outcomes is
-    drawn from the stream seed + (0, _NOISE_TAG) as there, and only outcome
-    (k, l) is read.
+    This is the one-point :func:`scan_correlation` at the same seed, noise or
+    not: all four outcomes at (a, b) are read, each from one shutter
+    sequence, under the noise of the stream seed + (0, _NOISE_TAG), and
+    outcome (k, l) is returned.  So under noise it raises ExtractionError
+    when any of the four readings trips the bound, as the scan does.
     """
     _check_outcomes(k, l)
-    i = _KL.index((k, l))
-    j, kk, offsets = _moment_stacks(ensemble.second_moments, ensemble.n, (), noise,
-                                    [_seed_base(seed) + (0, _NOISE_TAG)], 4)
-    p = _probabilities((j, kk[:, i:i + 1], offsets[:, i:i + 1]), sd, [a], [b], [k], [l],
-                       noise.extinction_ratio)
-    return float(p[0, 0])
+    p = _measure_runs(ensemble, sd, [(a, b)], noise, _seed_base(seed), 0)
+    return float(p[0, 0, _KL.index((k, l))])
 
 
 @dataclass(frozen=True)
@@ -403,14 +403,12 @@ def _measure_runs(ensemble, sd, pairs, noise, base, resamples) -> np.ndarray:
     one kernel call, whatever the noise model.  ``ensemble`` is read only
     through its ``second_moments`` and ``n``.
     """
-    settings = np.array([(a, b, k, l) for a, b in pairs for k, l in _KL]).T
     _check_resamples(resamples)
     t = _bartlett(np.random.default_rng(base + (_BOOT_TAG,)), ensemble.n, resamples) \
         if resamples else ()
     seeds = [base + (r, _NOISE_TAG) for r in range(1 + resamples)]
-    stacks = _moment_stacks(ensemble.second_moments, ensemble.n, t, noise, seeds, len(settings[0]))
-    p = _probabilities(stacks, sd, *settings, noise.extinction_ratio)
-    return p.reshape(len(p), len(pairs), 4)
+    stacks = _moment_stacks(ensemble.second_moments, ensemble.n, t, noise, seeds, 4 * len(pairs))
+    return _probabilities(stacks, sd, *np.array(pairs, dtype=float).T, noise.extinction_ratio)
 
 
 def scan_correlation(
@@ -527,24 +525,21 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
 
     settings = max_chsh(k1, k2)[1] if config.settings is None else config.settings
     pairs = settings.pairs()
-    errs = np.zeros(5)  # chsh, then the four correlations
 
     if k2 < _KAPPA2_FLOOR:
         method = "closed-form"
         a, b = np.array(pairs).T[..., None]
-        ps = joint_probability_kappa(k1, k2, a, b, *np.array(_KL).T)
+        runs = joint_probability_kappa(k1, k2, a, b, *np.array(_KL).T)[None]
     else:
         method = "interferometer"
         runs = _measure_runs(source, sd, pairs, config.noise, (config.seed,), config.resamples)
-        ps = runs[0]
-        if config.resamples:
-            c = correlation_sum(np.moveaxis(runs[1:], -1, 0))
-            errs = np.std(np.column_stack([chsh_sum(c.T), c]), axis=0, ddof=1)
 
-    c = correlation_sum(ps.T)
+    c = correlation_sum(np.moveaxis(runs, -1, 0))
+    values = np.column_stack([chsh_sum(c.T), c])  # per run: chsh, then the four correlations
+    errs = np.std(values[1:], axis=0, ddof=1) if len(runs) > 1 else np.zeros(5)
     results = tuple(
         SettingResult(alpha, beta, *map(float, p), c=float(c_i), c_err=float(err))
-        for (alpha, beta), p, c_i, err in zip(pairs, ps, c, errs[1:])
+        for (alpha, beta), p, c_i, err in zip(pairs, runs[0], c[0], errs[1:])
     )
     return BellReport(
         dop=dop_est,
@@ -554,7 +549,7 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
         seed=config.seed,
         noise=config.noise,
         settings=settings,
-        chsh=float(chsh_sum(c)),
+        chsh=float(values[0, 0]),
         chsh_err=float(errs[0]),
         probabilities=results,
         method=method,

@@ -138,9 +138,9 @@ class TestCorrelation:
             )
 
     def test_frozen_reference_value(self):
-        # 2 * 0.750 * 0.661 with the literal rounded weights = 0.9915
-        value = correlation_closed_form(0.750, 0.661, math.pi / 4, math.pi / 4)
-        assert value == pytest.approx(0.9915, abs=1e-12)
+        # 2 kappa1 kappa2 = 2 * 0.75 * sqrt(7) / 4 at the weights of DOP 0.125
+        value = correlation_closed_form(0.75, math.sqrt(7.0) / 4.0, math.pi / 4, math.pi / 4)
+        assert value == pytest.approx(0.9921567416492, abs=1e-12)
         sd = schmidt_of(0.125)
         assert correlation_of(sd, math.pi / 4, math.pi / 4) == pytest.approx(
             2 * sd.kappa1 * sd.kappa2, abs=1e-12

@@ -338,25 +338,61 @@ class TestTriplePathAgreement:
         measured = measure_joint_probability(field, sd, a, b, 1, 1)
         assert measured == pytest.approx(oracle, abs=1e-12)
 
-    def test_crossed_polarizer_recovery_under_detector_noise(self):
-        # the recovery reads the other stripping angle under the same draws:
-        # P_kl = i_test / I - P_kl' from two shutter sequences with one seed
+    @staticmethod
+    def crossed_recovery(noise):
+        # A crossed point reads two real shutter sequences: its own, whose test
+        # arm gives the marginal, and its partner outcome's, whose extraction
+        # gives P_kl'.  Returns the crossed triple, the recovered value and
+        # i_test / I - P_12 from measure_joint_probability at the same seed.
         k1, k2 = kappa_from_dop(0.62)
         field = synthesize_schmidt_form(k1, k2, n=512, seed=77)
         sd = schmidt(field)
-        b, noise, seed = 0.6, NoiseModel(detector_noise=1e-3), (5, 1)
+        b, seed = 0.6, (5, 1)
         a = stripping_angle(sd.kappa1, sd.kappa2, b) - math.pi / 2.0
-        # outcome (1, 1) is the first reading of run 0, whose stream is seed + (0, 716)
+        # outcome (1, 1) is the first reading of run 0, whose stream is seed + (0, 716):
+        # the first of its K normals, then the first of its detector offsets
         crossed = measure_intensities(field, a, stripping_angle(sd.kappa1, sd.kappa2, b),
                                       noise, seed + (0, 716), basis=basis_of(sd))
-        assert crossed[2] == 0.0  # the aux reading's draw is negative and clamps
-        s_other = stripping_angle_orthogonal(sd.kappa1, sd.kappa2, b)
-        i_total, i_test, i_aux = measure_intensities(field, a, s_other, noise, seed + (0, 716),
-                                                     basis=basis_of(sd))
         beam = mean_power(field) / 2.0
-        expected = i_test / beam - extract_probability(i_total, i_test, i_aux, beam)
+        expected = crossed[1] / beam - measure_joint_probability(field, sd, a, b, 1, 2, noise,
+                                                                 seed)
         assert 0.0 < expected < 1.0
-        assert measure_joint_probability(field, sd, a, b, 1, 1, noise, seed) == expected
+        return crossed, measure_joint_probability(field, sd, a, b, 1, 1, noise, seed), expected
+
+    def test_crossed_polarizer_recovery_under_detector_noise(self):
+        crossed, measured, expected = self.crossed_recovery(NoiseModel(detector_noise=1e-3))
+        assert crossed[2] == 0.0  # the aux reading's draw is negative and clamps
+        assert measured == expected
+
+    def test_crossed_polarizer_recovery_under_jitter(self):
+        crossed, measured, expected = self.crossed_recovery(NoiseModel(phase_jitter=0.3))
+        assert crossed[2] <= 1e-15  # no light reaches the aux arm, whatever K draws
+        assert measured == expected
+
+    def test_pair_with_both_outcomes_stripped_raises(self):
+        # near full polarization (kappa2 ~ 7e-6) one point of the default
+        # 90-point grid at b = 0.3 reads both stripping angles below the
+        # threshold, so the crossed outcome has no partner to recover from
+        source = synthesize_partially_polarized(1.0 - 1e-10, 1.0, 100_000, 0)
+        _, sd = measured_schmidt(source)
+        grid = np.arange(0.0, math.pi - 1e-12, math.pi / 90.0)
+        assert len(grid) == 90
+        with pytest.raises(StrippedBeamError, match="^auxiliary beam extinguished; intensity "
+                                                    "extraction undefined$"):
+            scan_correlation(source, sd, 0.3, grid)
+
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(detector_noise=1e-3)],
+                             ids=["ideal", "detector"])
+    def test_dark_source_is_named_before_the_crossed_test(self, noise):
+        # every auxiliary reading of a dark source is stripped, partners included
+        dark = FieldEnsemble(np.zeros((10, 2), dtype=complex))
+        k1, k2 = kappa_from_dop(0.3)
+        sd = SchmidtDecomposition(k1, k2, np.array([1, 0j]), np.array([0, 1 + 0j]),
+                                  intensity=1.0)
+        with pytest.raises(DomainError, match="^source intensity must be positive$"):
+            scan_correlation(dark, sd, 0.3, [0.1, 0.2], noise)
+        with pytest.raises(DomainError, match="^source intensity must be positive$"):
+            measure_joint_probability(dark, sd, 0.3, 0.2, 1, 1, noise)
 
     def test_outcomes_draw_noise_like_scan_correlation(self):
         # measure_joint_probability reads the (k, l) probability of a one-point
@@ -421,18 +457,19 @@ class TestNoiseDegradation:
         assert noisy.chsh == pytest.approx(base.chsh * math.exp(-sigma**2), rel=0.01)
 
 
-def population_probabilities(dop, sigma, a, b, k, l):
+def population_probabilities(dop, sigma, a, b):
     """The kernel at the population moments of a source of degree of
     polarization ``dop``, in its Schmidt basis, under phase jitter ``sigma``:
     J = diag(1 + dop, 1 - dop) / 2 and K = exp(-sigma^2 / 2) J, with no
-    detector noise and no extinction.  Returns P_kl(a, b) at the M settings."""
+    detector noise and no extinction.  Returns p11 .. p22, shape (P, 4), at
+    the P pairs ``a, b``."""
     k1, k2 = kappa_from_dop(dop)
     sd = SchmidtDecomposition(k1, k2, np.array([1, 0j]), np.array([0, 1 + 0j]), intensity=1.0)
     j = np.diag([1.0 + dop, 1.0 - dop]).astype(complex)[None] / 2.0
-    m = len(a)
+    m = 4 * len(a)
     k_pop = np.broadcast_to(math.exp(-sigma**2 / 2.0) * j[:, None], (1, m, 2, 2))
     stacks = (j, k_pop, np.zeros((1, m, 3)))
-    return interferometer._probabilities(stacks, sd, a, b, k, l, 0.0)[0]
+    return interferometer._probabilities(stacks, sd, a, b, 0.0)[0]
 
 
 class TestNoiseOracle:
@@ -455,7 +492,7 @@ class TestNoiseOracle:
         # neither stripping polarizer sits crossed with the test polarizer
         assume(all(math.cos(pol - f(k1, k2, b)) ** 2 > 1e-4
                    for f in (stripping_angle, stripping_angle_orthogonal)))
-        p = population_probabilities(dop, sigma, [a], [b], [k], [l])[0]
+        p = population_probabilities(dop, sigma, [a], [b])[0, interferometer._KL.index((k, l))]
         expected = math.exp(-sigma**2) * joint_probability_kappa(k1, k2, a, b, k, l)
         assert abs(p - expected) <= 1e-12
 
@@ -859,12 +896,11 @@ class TestRunZero:
         _, sd = measured_schmidt(e)
         grid, base = np.linspace(0.0, math.pi, 7, endpoint=False), (42, 1)
         curve = scan_correlation(e, sd, b, grid, noise, base, 0)
-        settings = np.array([(a, b, k, l) for a in grid for k, l in interferometer._KL]).T
         j, k, offsets = interferometer._moment_stacks(
             e.second_moments, e.n, bartlett_factors(base + (715,), e.n, 16), noise,
-            [base + (r, 716) for r in range(17)], len(settings[0]))
-        p = interferometer._probabilities((j[:1], k[:1], offsets[:1]), sd, *settings,
-                                          noise.extinction_ratio).reshape(len(grid), 4)
+            [base + (r, 716) for r in range(17)], 4 * len(grid))
+        p = interferometer._probabilities((j[:1], k[:1], offsets[:1]), sd, grid,
+                                          np.full(len(grid), b), noise.extinction_ratio)[0]
         for i, name in enumerate(("p11", "p12", "p21", "p22")):
             assert getattr(curve, name).tobytes() == p[:, i].tobytes(), name
         assert curve.c.tobytes() == correlation_sum(p.T).tobytes()
@@ -908,11 +944,11 @@ class TestResampleCounts:
         b, grid, base = 0.0, np.linspace(0.0, math.pi, 7, endpoint=False), (39, 2)
         curve = scan_correlation(e, sd, b, grid, noise=noise, seed=base, resamples=11)
         t = bartlett_factors(base + (715,), e.n, 11)
-        settings = np.array([(a, b, k, l) for a in grid for k, l in interferometer._KL]).T
         stacks = interferometer._moment_stacks(e.second_moments, e.n, t, noise,
-                                               [base + (r, 716) for r in range(12)], len(settings[0]))
-        p = interferometer._probabilities(stacks, sd, *settings, noise.extinction_ratio)
-        c = correlation_sum(np.moveaxis(p.reshape(12, len(grid), 4), -1, 0))
+                                               [base + (r, 716) for r in range(12)], 4 * len(grid))
+        p = interferometer._probabilities(stacks, sd, grid, np.full(len(grid), b),
+                                          noise.extinction_ratio)
+        c = correlation_sum(np.moveaxis(p, -1, 0))
         assert np.array_equal(curve.c, c[0])
         assert np.array_equal(curve.c_err, np.std(c[1:], axis=0, ddof=1))
 
@@ -1108,8 +1144,7 @@ class TestJitterDraw:
         # and sigma reads all 400 runs, so no run may raise ExtractionError.
         source = synthesize_partially_polarized(0.125, 1.0, n, 3)
         _, sd = measured_schmidt(source)
-        pairs = max_chsh(sd.kappa1, sd.kappa2)[1].pairs()
-        settings = np.array([(a, b, k, l) for a, b in pairs for k, l in interferometer._KL]).T
+        a, b = np.array(max_chsh(sd.kappa1, sd.kappa2)[1].pairs()).T
         # the per-realization phases of each reading come from a stream of its own
         keys = [(i, k, l) for i in range(4) for k, l in interferometer._KL]
         seeds, sigmas = range(400), (0.05, 0.3, 1.0)
@@ -1128,8 +1163,8 @@ class TestJitterDraw:
         offsets = np.zeros((len(seeds), len(keys), 3))
 
         def chsh(k):
-            p = interferometer._probabilities((j, k, offsets), sd, *settings, 0.0)
-            return chsh_sum(correlation_sum(np.moveaxis(p.reshape(len(seeds), 4, 4), -1, 0)).T)
+            p = interferometer._probabilities((j, k, offsets), sd, a, b, 0.0)
+            return chsh_sum(correlation_sum(np.moveaxis(p, -1, 0)).T)
 
         for sigma, k_gaussian, k_per_realization in zip(sigmas, gaussian, per_realization):
             new, old = chsh(k_gaussian), chsh(k_per_realization)

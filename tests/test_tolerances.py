@@ -21,6 +21,7 @@ from wavebell import (
     ProtocolConfig,
     SchmidtDecomposition,
     StokesVector,
+    correlation_closed_form,
     cosine_response_model,
     lhv_chsh,
     dop,
@@ -58,6 +59,8 @@ KAPPA_ENTRY_POINTS = {
     "max_chsh": max_chsh,
     "stripping_angle": lambda k1, k2: stripping_angle(k1, k2, 0.3),
     "stripping_angle_orthogonal": lambda k1, k2: stripping_angle_orthogonal(k1, k2, 0.3),
+    "joint_probability_kappa": lambda k1, k2: joint_probability_kappa(k1, k2, 0.3, 0.2, 1, 1),
+    "correlation_closed_form": lambda k1, k2: correlation_closed_form(k1, k2, 0.3, 0.5),
 }
 
 
