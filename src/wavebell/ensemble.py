@@ -86,22 +86,24 @@ class FieldEnsemble:
     """N stochastic realizations of a two-component complex field.
 
     ``realizations`` has shape (n, 2) with columns (Ex, Ey), in arbitrary
-    field units.  ``seed`` records provenance when the ensemble was drawn
-    from a generator; it is None for derived ensembles and outside arrays.
+    field units, stored as a C-contiguous complex128 array: a C-contiguous
+    complex128 input is kept without a copy, any other is copied once.
+    ``seed`` records provenance when the ensemble was drawn from a generator;
+    it is None for derived ensembles and outside arrays.
     """
 
     realizations: np.ndarray
     seed: int | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.realizations, dtype=np.complex128)
+        arr = np.ascontiguousarray(self.realizations, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise DomainError("realizations must be an (n, 2) complex array")
         if arr.shape[0] < 2:
             raise DomainError("an ensemble needs at least 2 realizations")
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf gives a NaN, which fails
-            if not np.isfinite(arr.sum()):  # no n-length mask; second_moments checks J itself
-                raise DomainError("realizations must be finite")
+        x = arr.view(np.float64)  # no n-length mask; max and min propagate a NaN
+        if not (np.isfinite(x.max()) and np.isfinite(x.min())):
+            raise DomainError("realizations must be finite")
         object.__setattr__(self, "realizations", arr)
 
     @property
@@ -114,14 +116,19 @@ class FieldEnsemble:
 
         Mean powers of linearly transformed copies of the ensemble are
         quadratic forms in this matrix, which lets repeated ideal-optics
-        intensity evaluations skip the per-realization pass.
+        intensity evaluations skip the per-realization pass.  J comes from
+        the real 4x4 Gram of the realizations read in place as rows
+        (Re Ex, Im Ex, Re Ey, Im Ey), so the pass makes no n-row copy; it
+        equals r^H r / N up to rounding, and is exactly Hermitian.
         """
-        r = self.realizations
+        x = self.realizations.view(np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
-            j = r.conj().T @ r / self.n
+            g = x.T @ x / self.n
+            jxy = complex(g[0, 2] + g[1, 3], g[0, 3] - g[1, 2])
+            j = np.array([[g[0, 0] + g[1, 1], jxy], [jxy.conjugate(), g[2, 2] + g[3, 3]]])
         if not np.isfinite(j).all():  # finite fields whose powers pass the float range
             raise DomainError("second moments overflow: |E|^2 exceeds the float range")
-        return (j + j.conj().T) / 2.0
+        return j
 
 
 @dataclass(frozen=True)

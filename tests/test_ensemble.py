@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavebell
 from wavebell import (
     DegenerateFieldError,
     DomainError,
@@ -136,6 +142,59 @@ class TestCoherenceStokes:
             j = e.second_moments
             assert np.allclose(j, j.conj().T)
             assert np.linalg.eigvalsh(j).min() >= -1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda: synthesize_partially_polarized(0.3, 1.0, 4096, 5).realizations,
+        lambda: synthesize_partially_polarized(0.3, 1e-100, 4096, 6).realizations,
+        lambda: synthesize_partially_polarized(0.3, 1e100, 4096, 7).realizations,
+        lambda: synthesize_schmidt_form(0.9, math.sqrt(0.19), 2.5, 4096, 8).realizations,
+        # constant amplitudes at DOP 0.5 with uniform phases, which are not Gaussian
+        lambda: np.sqrt([0.75, 0.25]) * np.exp(2j * np.pi * np.random.default_rng(9).random((4096, 2))),
+    ], ids=["gaussian", "intensity-1e-100", "intensity-1e100", "schmidt-form", "constant-amplitude"])
+    def test_real_gram_matches_the_conjugate_product(self, make):
+        r = make()
+        j = FieldEnsemble(r).second_moments
+        reference = r.conj().T @ r / r.shape[0]
+        # rounding scales with the size of J, so the bound is relative to its largest entry
+        assert np.abs(j - reference).max() <= 1e-13 * np.abs(reference).max()
+        assert np.array_equal(j, j.conj().T)
+        assert np.all(j.diagonal().imag == 0.0)
+
+    @pytest.mark.parametrize("view", [np.asfortranarray, lambda r: r[:, ::-1], lambda r: r[::2]],
+                             ids=["fortran", "reversed-columns", "every-other-row"])
+    def test_non_contiguous_input_reads_as_its_copy(self, view):
+        r = view(synthesize_partially_polarized(0.3, 1.0, 1000, 4).realizations)
+        assert not r.flags.c_contiguous
+        assert np.array_equal(FieldEnsemble(r).second_moments,
+                              FieldEnsemble(r.copy(order="C")).second_moments)
+
+    def test_contiguous_input_is_stored_without_a_copy(self):
+        r = synthesize_partially_polarized(0.3, 1.0, 1000, 4).realizations
+        assert np.shares_memory(FieldEnsemble(r).realizations, r)
+
+    def test_moment_pass_makes_no_n_row_copy(self):
+        # a conjugated copy of 1e5 realizations would be 3.2 MB
+        r = synthesize_partially_polarized(0.3, 1.0, 10**5, 4).realizations
+        tracemalloc.start()
+        try:
+            FieldEnsemble(r).second_moments
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        code = ("from wavebell import synthesize_partially_polarized as s; "
+                "print(s(0.3, 1.0, 10**6, 4).second_moments.tobytes().hex())")
+        out = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(Path(wavebell.__file__).parents[1]),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] == out[1]
 
     def test_coherence_validation(self):
         # stokes checks its matrix: 2x2, Hermitian, positive semidefinite

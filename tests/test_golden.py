@@ -51,15 +51,15 @@ def test_mismatches_name_each_moved_value():
 # (DOP 0.4, seed 12) in its Schmidt basis, as float.hex: one reading, whose
 # stream default_rng((5, 2)) gives 8 normals for K, then 3 detector offsets
 PINNED_TRIPLES = {
-    NoiseModel(): ("0x1.d517a9f225eecp-2", "0x1.36f816957ed2fp-2", "0x1.74fc5e07a6684p-3"),
+    NoiseModel(): ("0x1.d517a9f225eeep-2", "0x1.36f816957ed30p-2", "0x1.74fc5e07a6686p-3"),
     NoiseModel(extinction_ratio=1e-3):
-        ("0x1.d9331ef1450f5p-2", "0x1.3725aa5a5c16ap-2", "0x1.797da302a7388p-3"),
+        ("0x1.d9331ef1450f6p-2", "0x1.3725aa5a5c16bp-2", "0x1.797da302a7389p-3"),
     NoiseModel(detector_noise=1e-3):
-        ("0x1.d700da184d033p-2", "0x1.3619c8a580d7ep-2", "0x1.7b17a57d50547p-3"),
+        ("0x1.d700da184d035p-2", "0x1.3619c8a580d7fp-2", "0x1.7b17a57d50549p-3"),
     NoiseModel(phase_jitter=0.1):
-        ("0x1.d3d7bcd910038p-2", "0x1.36f816957ed2fp-2", "0x1.74fc5e07a6684p-3"),
+        ("0x1.d3d7bcd91003ap-2", "0x1.36f816957ed30p-2", "0x1.74fc5e07a6686p-3"),
     NoiseModel(1e-3, 1e-3, 0.1):
-        ("0x1.d803692636d79p-2", "0x1.34d56ff3b1ff4p-2", "0x1.797315145d7dfp-3"),
+        ("0x1.d803692636d7ap-2", "0x1.34d56ff3b1ff5p-2", "0x1.797315145d7e0p-3"),
 }
 
 

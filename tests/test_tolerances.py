@@ -274,6 +274,13 @@ class TestFiniteRealizations:
             with pytest.raises(DomainError, match="second moments overflow"):
                 read()
 
+    def test_finite_entries_whose_sum_overflows_construct(self):
+        # each entry is finite, so the array constructs; the overflow is named when J is read
+        e = FieldEnsemble(np.full((10**5, 2), 1e304))
+        for read in (lambda: e.second_moments, lambda: schmidt(e), lambda: tomography(e)):
+            with pytest.raises(DomainError, match="second moments overflow"):
+                read()
+
 
 FIELD = synthesize_schmidt_form(0.8, 0.6, n=8)
 SD = schmidt(FIELD)
