@@ -53,9 +53,8 @@ from .interferometer import (
     NoiseModel,
     ProtocolConfig,
     SettingResult,
-    extract_probability,
     measure_intensities,
-    measure_joint_probability,
+    probabilities_from_triples,
     run_bell_protocol,
     scan_correlation,
 )

@@ -55,7 +55,6 @@ from .errors import WavebellError
 from .interferometer import (
     NoiseModel,
     ProtocolConfig,
-    measure_joint_probability,
     run_bell_protocol,
     scan_correlation,
 )
@@ -67,6 +66,9 @@ _MAX_A_POINTS = 10_000
 # Largest --lhv-samples: blocks keep memory fixed, so only time bounds a run.
 # 10**9 is about what a 64 GB host could run when validate held 64 B per sample.
 _MAX_LHV_SAMPLES = 10**9
+# Largest --tuples: each tuple takes about 1.6 ms (two one-point scans; measured on a
+# 2-core x86-64 host), so 10**4 tuples run in about 16 s.
+_MAX_TUPLES = 10**4
 
 
 def parse_angle(text: str) -> float:
@@ -159,7 +161,8 @@ _OPTIONS = {
     "optimize": ("--optimize", {"action": "store_true", "default": None,
                                 "help": "use the closed-form CHSH-maximizing angles (default)"}),
     "resamples": ("--resamples", {"type": int, "help": "bootstrap resamples (0 = none)"}),
-    "tuples": ("--tuples", {"type": _int_in(1), "help": "random tuples per agreement check"}),
+    "tuples": ("--tuples", {"type": _int_in(1, _MAX_TUPLES),
+                            "help": "random tuples per agreement check"}),
     "lhv_samples": ("--lhv-samples", {"type": _int_in(1, _MAX_LHV_SAMPLES),
                                       "help": "Monte-Carlo samples per LHV correlation"}),
 }
@@ -237,8 +240,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise WavebellError(f"cannot read config file: {exc}") from exc
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, or bytes that are not UTF-8
+            raise WavebellError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise WavebellError("config file must contain a JSON object")
         unknown = sorted(set(loaded) - set(cfg))
@@ -404,7 +407,7 @@ def _validate_checks(cfg: dict):
         field = synthesize_schmidt_form(k1, k2, n=512, seed=1000 + t)
         sd = schmidt(field)
         oracle = joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l)
-        measured = measure_joint_probability(field, sd, a, b, k, l)
+        measured = getattr(scan_correlation(field, sd, b, [a]), f"p{k}{l}")[0]
         projected = bell.joint_probability_projected(field, sd, a, b, k, l)
         worst_measured = np.maximum(worst_measured, abs(measured - oracle))
         worst_projected = np.maximum(worst_projected, abs(projected - oracle))
@@ -423,7 +426,7 @@ def _validate_checks(cfg: dict):
         source = _draw_partially_polarized(d, n, (cfg["seed"], 2000 + t))
         sd = schmidt(source)
         oracle = joint_probability_kappa(k1, k2, a, b, k, l)
-        measured = measure_joint_probability(source, sd, a, b, k, l)
+        measured = getattr(scan_correlation(source, sd, b, [a]), f"p{k}{l}")[0]
         worst_sampled = np.maximum(worst_sampled, abs(measured - oracle))
     yield ("triple-path-sampled", worst_sampled <= tol,
            f"max |measured - oracle| = {worst_sampled:.3e} (tol {tol:.3e})")

@@ -22,7 +22,9 @@ Each run of a call (the source, then each bootstrap resample) draws the noise
 of all its readings from one stream derived from the seed, so every simulated
 measurement is reproducible.
 
-One kernel, ``_probabilities``, reads every probability.  Each shuttered
+One kernel, ``_probabilities``, reads every probability in two stages:
+``_readings`` gives the shutter triples, and ``probabilities_from_triples``,
+which takes a lab's triples too, turns them into probabilities.  Each shuttered
 intensity is a quadratic form in the 2x2 second moments J of a run, and the
 both-arms reading adds an interference term in the phase-weighted moments K
 (K = J without jitter).  So the kernel reads stacks of J, K and detector
@@ -41,8 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import (AngleSettings, _check_outcomes, chsh_sum, correlation_sum,
-                   joint_probability_kappa, max_chsh)
+from .bell import AngleSettings, chsh_sum, correlation_sum, joint_probability_kappa, max_chsh
 from .ensemble import (
     FieldEnsemble,
     SchmidtDecomposition,
@@ -76,8 +77,7 @@ __all__ = [
     "ProtocolConfig",
     "CorrelationCurve",
     "measure_intensities",
-    "extract_probability",
-    "measure_joint_probability",
+    "probabilities_from_triples",
     "scan_correlation",
     "run_bell_protocol",
 ]
@@ -105,9 +105,6 @@ _STRIP = (stripping_angle, stripping_angle_orthogonal)
 # Largest detector noise and phase jitter a NoiseModel accepts: far above any
 # real apparatus, and low enough that no reading overflows.
 _MAX_NOISE = 1e6
-
-# An auxiliary reading at most this fraction of the beam counts as stripped (no light).
-_STRIPPED = 1e-15
 
 # Below this trace of J (and above 0) squares of the moments are no longer normal floats.
 _TINY_TRACE = math.sqrt(np.finfo(float).tiny)
@@ -233,45 +230,81 @@ def _readings(j, k, offsets, basis, pol, strip, extinction):
     return readings
 
 
-def _extract(i_total, i_test, i_aux, beam_intensity):
-    """The extraction formula, elementwise; see :func:`extract_probability`."""
-    if np.any(beam_intensity <= 0.0):
+def probabilities_from_triples(triples, beam) -> np.ndarray:
+    """Joint probabilities (..., 4), ordered p11 .. p22, from shutter triples.
+
+    ``triples`` has shape (..., 4, 3): for each (a, b) pair, the triple
+    (i_total, i_test, i_aux) of each of its four outcomes, in p11 .. p22 order,
+    as read in a lab or as :func:`measure_intensities` returns one.  ``beam``
+    is the test-beam intensity I entering the arm (half the source power for
+    a 50:50 input splitter); it broadcasts against (...).  Each outcome gives
+
+        P = (2 I_total - I_aux - I_test)^2 / (4 I I_aux).
+
+    An outcome whose auxiliary reading is at most 1e-15 I has its polarizer
+    crossed with its stripping polarizer: no light reaches the auxiliary arm
+    and the formula degenerates to 0/0.  The two stripping angles of a pair
+    are never mutually crossed, so such an outcome is recovered from its
+    partner (k, l'), as the lab does: P_kl = I_test / I - P_kl', with the
+    marginal P(u_k^a) read off its own test arm, clipped to [0, 1].
+
+    Raises
+    ------
+    DomainError
+        If ``triples`` is not of shape (..., 4, 3), a reading or I is not
+        finite and >= 0, or I is 0.
+    ExtractionError
+        If a probability exceeds 1 by more than 1e-6, which indicates a
+        convention bug rather than rounding; values in (1, 1 + 1e-6] are
+        clamped to 1.
+    StrippedBeamError
+        If both outcomes (k, 1) and (k, 2) of a pair are stripped (as
+        kappa2 -> 0): neither has a partner to be recovered from.
+    """
+    t, beam = np.asarray(triples, dtype=float), np.asarray(beam, dtype=float)
+    if t.shape[-2:] != (4, 3):
+        raise DomainError(f"triples must have shape (..., 4, 3), got {t.shape}")
+    # a NaN is neither >= 0 nor < inf, and np.min and np.max propagate it
+    if not all(np.min(x, initial=0.0) >= 0.0 and np.max(x, initial=0.0) < math.inf
+               for x in (t, beam)):
+        raise DomainError("readings and source intensity must be finite and >= 0")
+    if np.any(beam <= 0.0):
         raise DomainError("source intensity must be positive")
-    if np.any(i_aux <= _STRIPPED * beam_intensity):
-        raise StrippedBeamError("auxiliary beam extinguished; intensity extraction undefined")
-    cross = 2.0 * i_total - i_aux - i_test
+    beam = np.broadcast_to(beam[..., None], t.shape[:-1])
+    stripped = t[..., 2] <= 1e-15 * beam
+    lit = ~stripped
+    i_total, i_test, i_aux = t[lit].T
     # squared with libm pow, as Python's float ** does (cross * cross can differ in the last bit)
-    p = np.float_power(cross, 2) / (4.0 * beam_intensity * i_aux)
-    if np.any(p > 1.0 + 1e-6):
-        raise ExtractionError(f"extracted probability {np.max(p)} exceeds 1 beyond tolerance")
-    return np.minimum(p, 1.0)
+    p_lit = np.float_power(2.0 * i_total - i_aux - i_test, 2) / (4.0 * beam[lit] * i_aux)
+    if np.any(p_lit > 1.0 + 1e-6):
+        raise ExtractionError(f"extracted probability {np.max(p_lit)} exceeds 1 beyond tolerance")
+    p = np.empty(stripped.shape)
+    p[lit] = np.minimum(p_lit, 1.0)
+    if np.any(stripped):
+        partner = [1, 0, 3, 2]  # outcome (k, l') of outcome (k, l)
+        if np.any(stripped & stripped[..., partner]):
+            raise StrippedBeamError("auxiliary beam extinguished; intensity extraction undefined")
+        p[stripped] = np.clip(t[stripped][:, 1] / beam[stripped] - p[..., partner][stripped],
+                              0.0, 1.0)
+    return p
 
 
 def _probabilities(stacks, sd, a, b, extinction) -> np.ndarray:
     """Joint probabilities (R, P, 4), ordered p11 .. p22, of the R runs whose
     moment stacks (J, K, offsets) :func:`_moment_stacks` built, at the P
-    pairs ``a, b``, read as :func:`measure_joint_probability` describes:
-    setting 4p + 2(k - 1) + (l - 1) reads outcome (k, l) of pair p, one
-    shutter sequence each (see :func:`_readings`)."""
+    pairs ``a, b``: setting 4p + 2(k - 1) + (l - 1) reads outcome (k, l) of
+    pair p, one shutter sequence each (see :func:`_readings`), behind
+    polarizer a (k = 1) or a + pi/2 (k = 2) and the stripping angle of b for
+    l = 1 or its orthogonal counterpart for l = 2.  The triples go to
+    :func:`probabilities_from_triples` at each run's beam, tr J / 2."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     distinct_b, which = np.unique(b, return_inverse=True)
     strips = np.array([[f(sd.kappa1, sd.kappa2, x) for f in _STRIP] for x in distinct_b.tolist()])
     pol = np.stack([a, a, a + math.pi / 2.0, a + math.pi / 2.0], axis=-1).ravel()
     t = _readings(*stacks, LabBasis(sd.u1, sd.u2), pol, strips[which][:, [0, 1, 0, 1]].ravel(),
                   extinction)
-    beam = np.broadcast_to(np.trace(stacks[0], axis1=1, axis2=2).real[:, None] / 2.0, t.shape[:2])
-    stripped = t[..., 2] <= _STRIPPED * beam
-    p = np.empty(stripped.shape)
-    p[~stripped] = _extract(*t[~stripped].T, beam[~stripped])
-    if np.any(stripped):
-        partner = np.arange(len(pol)) ^ 1  # outcome (k, l') of outcome (k, l)
-        # a pair with both outcomes stripped (kappa2 -> 0) has no partner: _extract
-        # raises on its readings, DomainError at zero power, else StrippedBeamError
-        both = stripped & stripped[:, partner]
-        _extract(*t[both].T, beam[both])
-        p[stripped] = np.clip(t[stripped][:, 1] / beam[stripped] - p[:, partner][stripped],
-                              0.0, 1.0)
-    return p.reshape(len(p), len(a), 4)
+    beam = np.trace(stacks[0], axis1=1, axis2=2).real / 2.0
+    return probabilities_from_triples(t.reshape(len(t), len(a), 4, 3), beam[:, None])
 
 
 def measure_intensities(
@@ -302,67 +335,6 @@ def measure_intensities(
     stacks = _moment_stacks(ensemble.second_moments, ensemble.n, (), noise, [_seed_base(seed)], 1)
     t = _readings(*stacks, basis, [a], [s], noise.extinction_ratio)
     return tuple(map(float, t[0, 0]))
-
-
-def extract_probability(i_total: float, i_test: float, i_aux: float,
-                        source_intensity: float) -> float:
-    """Convert a shutter triple, as :func:`measure_intensities` returns it or
-    as read in a lab, into a joint probability.
-
-    ``source_intensity`` is the test-beam intensity entering the
-    interferometer arm (half the source power for a 50:50 input splitter).
-
-    Raises
-    ------
-    DomainError
-        If a reading is not finite and >= 0, or ``source_intensity`` is not
-        finite and positive.
-    StrippedBeamError
-        If the auxiliary arm carries no light (the formula divides by it).
-    ExtractionError
-        If the result exceeds 1 by more than 1e-6, which indicates a
-        convention bug rather than rounding; values in (1, 1 + 1e-6] are
-        clamped to 1.
-    """
-    values = (i_total, i_test, i_aux, source_intensity)
-    if not all(0.0 <= v < math.inf for v in values):  # _extract rejects an intensity of 0
-        raise DomainError(f"readings and source intensity must be finite and >= 0, got {values}")
-    return float(_extract(*values))
-
-
-def measure_joint_probability(
-    ensemble: FieldEnsemble,
-    sd: SchmidtDecomposition,
-    a: float,
-    b: float,
-    k: int,
-    l: int,
-    noise: NoiseModel = NoiseModel(),
-    seed=0,
-) -> float:
-    """Interferometric estimate of the joint probability P_kl(a, b).
-
-    The function-space outcome l selects the stripping angle (the direct
-    angle for l=1, its orthogonal counterpart for l=2); the polarization
-    outcome k selects polarizer a (k=1) or a + pi/2 (k=2).
-
-    When polarizer a sits exactly crossed with the stripping polarizer the
-    auxiliary beam is extinguished and the intensity formula degenerates to
-    0/0.  The two stripping angles for a given b are never mutually crossed,
-    so the value is recovered from the partner outcome, as the lab does:
-    P_kl = P(u_k^a) - P_k,l', with the marginal P(u_k^a) read off the test
-    arm of the crossed sequence itself and P_k,l' extracted from the partner's
-    own shutter sequence.
-
-    This is the one-point :func:`scan_correlation` at the same seed, noise or
-    not: all four outcomes at (a, b) are read, each from one shutter
-    sequence, under the noise of the stream seed + (0, _NOISE_TAG), and
-    outcome (k, l) is returned.  So under noise it raises ExtractionError
-    when any of the four readings trips the bound, as the scan does.
-    """
-    _check_outcomes(k, l)
-    p = _measure_runs(ensemble, sd, [(a, b)], noise, _seed_base(seed), 0)
-    return float(p[0, 0, _KL.index((k, l))])
 
 
 @dataclass(frozen=True)

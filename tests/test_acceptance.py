@@ -18,8 +18,8 @@ from wavebell import (
     kappa_from_dop,
     lhv_chsh,
     max_chsh,
-    measure_joint_probability,
     run_bell_protocol,
+    scan_correlation,
     schmidt,
     synthesize_partially_polarized,
     synthesize_schmidt_form,
@@ -148,7 +148,7 @@ def test_criterion_6_triple_path_agreement():
         field = synthesize_schmidt_form(k1, k2, n=512, seed=3000 + t)
         sd = schmidt(field)
         oracle = joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l)
-        measured = measure_joint_probability(field, sd, a, b, k, l, seed=(1, t))
+        measured = getattr(scan_correlation(field, sd, b, [a]), f"p{k}{l}")[0]
         projected = joint_probability_projected(field, sd, a, b, k, l)
         worst_analytic = max(
             worst_analytic, abs(measured - oracle), abs(projected - oracle)
@@ -171,7 +171,7 @@ def test_criterion_6_triple_path_agreement():
         e = synthesize_partially_polarized(d, 1.0, n, 4000 + t)
         sd = schmidt(e)
         oracle = joint_probability_kappa(k1, k2, a, b, k, l)
-        measured = measure_joint_probability(e, sd, a, b, k, l, seed=(2, t))
+        measured = getattr(scan_correlation(e, sd, b, [a]), f"p{k}{l}")[0]
         projected = joint_probability_projected(e, sd, a, b, k, l)
         worst_sampled = max(
             worst_sampled, abs(measured - oracle), abs(projected - oracle)
@@ -250,15 +250,10 @@ def test_criterion_8_no_signaling_marginals():
     tol = 5.0 / math.sqrt(n)
     e = synthesize_partially_polarized(0.125, 1.0, n, 2032)
     sd = schmidt(e)
-    worst_measured = 0.0
-    for k in (1, 2):
-        for a in grid:
-            values = [
-                measure_joint_probability(e, sd, float(a), float(b), k, 1, seed=(3, k))
-                + measure_joint_probability(e, sd, float(a), float(b), k, 2, seed=(4, k))
-                for b in grid
-            ]
-            worst_measured = max(worst_measured, max(values) - min(values))
+    # marginals[b, k - 1, a] = p_k1 + p_k2, read from one scan per b
+    curves = [scan_correlation(e, sd, float(b), grid) for b in grid]
+    marginals = [[c.p11 + c.p12, c.p21 + c.p22] for c in curves]
+    worst_measured = float(np.max(np.ptp(marginals, axis=0)))
     _criterion(
         8,
         "measured lab marginal independent of b",

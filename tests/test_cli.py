@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wavebell
-from wavebell import CorrelationCurve, bell, cli
+from wavebell import CorrelationCurve, FieldEnsemble, bell, cli
 from wavebell.bell import SHIPPED_LHV_MODELS, AngleSettings, lhv_chsh
 from wavebell.ensemble import _draw_partially_polarized, kappa_from_dop, schmidt
 from wavebell.cli import main, parse_angle
@@ -249,6 +250,16 @@ class TestChsh:
         assert len(lines) == 5
 
 
+# a one-point scan that read NaN
+NAN_CURVE = CorrelationCurve(np.zeros(1), 0.0, *[np.full(1, math.nan)] * 6)
+# the scan_correlation calls of each validate check that reads a one-point scan, by arguments:
+# check 1 measures analytic fields, check 3 its one source at b = 0.81
+SCANS_OF = {
+    "triple-path-analytic-interferometric": lambda source, *_: isinstance(source, FieldEnsemble),
+    "probability-completeness-measured": lambda source, sd, b, grid: b == 0.81,
+}
+
+
 class TestValidate:
     def test_ideal_passes(self, capsys, tmp_path):
         out = tmp_path / "validate.json"
@@ -264,12 +275,18 @@ class TestValidate:
 
     def test_failed_check_exits_2(self, capsys, monkeypatch):
         # a reading 1e-9 off the oracle breaches the 1e-12 analytic tolerance
-        measure = cli.measure_joint_probability
-        monkeypatch.setattr(cli, "measure_joint_probability", lambda *a: measure(*a) + 1e-9)
+        scan = cli.scan_correlation
+
+        def shifted(*args):
+            curve = scan(*args)
+            return replace(curve, **{p: getattr(curve, p) + 1e-9 for p in ("p11", "p12", "p21", "p22")})
+
+        monkeypatch.setattr(cli, "scan_correlation", shifted)
         code = run_cli(["validate", "--n", "20000", "--tuples", "4", "--lhv-samples", "5000"])
         captured = capsys.readouterr()
         assert code == 2
         assert "FAIL triple-path-analytic-interferometric" in captured.out
+        assert captured.out.count("FAIL ") == 1, captured.out
         assert "validation failed" in captured.err
 
     def test_sampled_sources_follow_the_seed(self, monkeypatch):
@@ -290,19 +307,22 @@ class TestValidate:
         assert len(check2) == 3 and check3 not in check2
 
     @pytest.mark.parametrize("module, name, reading, check", [
-        (cli, "measure_joint_probability", math.nan, "triple-path-analytic-interferometric"),
+        (cli, "scan_correlation", NAN_CURVE, "triple-path-analytic-interferometric"),
         (bell, "joint_probability_projected", math.nan, "triple-path-analytic-projected"),
         (cli, "joint_probability_kappa", math.nan, "triple-path-sampled"),
-        (cli, "scan_correlation", CorrelationCurve(np.zeros(1), 0.0, *[np.full(1, math.nan)] * 6),
-         "probability-completeness-measured"),
+        (cli, "scan_correlation", NAN_CURVE, "probability-completeness-measured"),
         (cli, "joint_probability_kappa", math.nan, "no-signaling-oracle"),
         (cli, "lhv_chsh", math.nan, "lhv-bound"),
     ])
     def test_nan_reading_fails_its_check(self, capsys, monkeypatch, module, name, reading, check):
         # max(worst, nan) keeps worst, so a NaN once passed every check but completeness
+        real = getattr(module, name)
+
         def stub(*args):
             if name == "joint_probability_kappa":  # it broadcasts: a NaN of the call's shape
                 return np.full(np.broadcast_shapes(*map(np.shape, args[2:])), reading)
+            if name == "scan_correlation" and not SCANS_OF[check](*args):
+                return real(*args)
             return reading
 
         monkeypatch.setattr(module, name, stub)
@@ -310,6 +330,8 @@ class TestValidate:
         captured = capsys.readouterr()
         assert code == 2
         assert f"FAIL {check}: " in captured.out
+        if name == "scan_correlation":  # the NaN enters the named check's scans only
+            assert captured.out.count("FAIL ") == 1, captured.out
         assert "validation failed" in captured.err
 
 
@@ -327,7 +349,7 @@ def sequential_validate(cfg):
         field = cli.synthesize_schmidt_form(k1, k2, n=512, seed=1000 + t)
         sd = schmidt(field)
         oracle = cli.joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l)
-        measured = cli.measure_joint_probability(field, sd, a, b, k, l)
+        measured = getattr(cli.scan_correlation(field, sd, b, [a]), f"p{k}{l}")[0]
         projected = bell.joint_probability_projected(field, sd, a, b, k, l)
         worst_measured = max(worst_measured, abs(measured - oracle))
         worst_projected = max(worst_projected, abs(projected - oracle))
@@ -345,7 +367,7 @@ def sequential_validate(cfg):
         field = _draw_partially_polarized(d, n, (cfg["seed"], 2000 + t))
         sd = schmidt(field)
         oracle = cli.joint_probability_kappa(k1, k2, a, b, k, l)
-        measured = cli.measure_joint_probability(field, sd, a, b, k, l)
+        measured = getattr(cli.scan_correlation(field, sd, b, [a]), f"p{k}{l}")[0]
         worst_sampled = max(worst_sampled, abs(measured - oracle))
     yield ("triple-path-sampled", worst_sampled <= tol,
            f"max |measured - oracle| = {worst_sampled:.3e} (tol {tol:.3e})")
@@ -452,6 +474,16 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"dop": 0.3, "wavelength": 780}))
         assert run_cli(["source", "--config", str(cfg)]) == 1
         assert "wavelength" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_exits_1_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe")
+        assert run_cli(["chsh", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("wavebell: error:"), err
+        assert str(cfg) in lines[0]
 
     def test_config_reproducibility(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -573,6 +605,26 @@ def test_bad_input_exits_1_with_one_line(tmp_path, case):
 def test_lhv_samples_bound_is_inclusive():
     convert = cli._OPTIONS["lhv_samples"][1]["type"]
     assert convert(str(10**9)) == 10**9 == cli._MAX_LHV_SAMPLES
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_tuples_above_bound_exit_1_before_any_check(tmp_path, capsys, monkeypatch, source):
+    # --tuples is at most 10**4, checked when the arguments are read: no check runs
+    monkeypatch.setattr(cli, "_validate_checks", lambda cfg: pytest.fail("a check ran"))
+    above = cli._MAX_TUPLES + 1
+    if source == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--tuples", str(above)])
+        assert exc.value.code == 1
+    else:
+        assert run_cli(["validate", "--config", _write_config(tmp_path, {"tuples": above})]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("wavebell: error:"), captured.err
+    assert f"must be <= {cli._MAX_TUPLES}, got {above}" in lines[0]
+    convert = cli._OPTIONS["tuples"][1]["type"]
+    assert convert(str(10**4)) == 10**4 == cli._MAX_TUPLES
 
 
 def test_chsh_at_1e15_realizations_meets_its_bound():

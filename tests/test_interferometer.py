@@ -2,6 +2,7 @@ import json
 import math
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,14 +24,13 @@ from wavebell import (
     beamsplitter_split,
     chsh_sum,
     correlation_sum,
-    extract_probability,
     joint_probability_kappa,
     joint_probability_projected,
     kappa_from_dop,
     measure_intensities,
-    measure_joint_probability,
     max_chsh,
     measured_schmidt,
+    probabilities_from_triples,
     run_bell_protocol,
     scan_correlation,
     schmidt,
@@ -54,6 +54,11 @@ XY = LabBasis(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 def basis_of(sd):
     return LabBasis(sd.u1, sd.u2)
+
+
+def one_point(e, sd, a, b, k, l, noise=NoiseModel(), seed=0):
+    """Outcome (k, l) of the one-point scan at (a, b)."""
+    return float(getattr(scan_correlation(e, sd, b, [a], noise, seed), f"p{k}{l}")[0])
 
 
 def mean_power(e):
@@ -221,35 +226,43 @@ class TestMeasureIntensities:
         assert t1 != t3
 
 
+def from_one_triple(triple, beam=1.0):
+    """Probabilities of four outcomes that all read ``triple``."""
+    return probabilities_from_triples(np.tile(triple, (4, 1)), beam)
+
+
 class TestExtractProbability:
     def test_zero_when_test_arm_dark(self):
-        assert extract_probability(0.4, 0.0, 0.8, 1.0) == 0.0
+        assert from_one_triple((0.4, 0.0, 0.8)).tolist() == [0.0] * 4
 
     def test_extinguished_aux(self):
-        with pytest.raises(StrippedBeamError):
-            extract_probability(1.0, 1.0, 0.0, 1.0)
+        # both outcomes of k = 1 stripped: neither has a partner to recover from
+        triples = [(1.0, 1.0, 0.0), (1.0, 1.0, 0.0), (0.4, 0.0, 0.8), (0.4, 0.0, 0.8)]
+        with pytest.raises(StrippedBeamError, match="^auxiliary beam extinguished; intensity "
+                                                    "extraction undefined$"):
+            probabilities_from_triples(triples, 1.0)
 
     def test_inconsistent_triple(self):
-        with pytest.raises(ExtractionError):
-            extract_probability(2.0, 0.5, 0.5, 0.5)
+        with pytest.raises(ExtractionError, match="exceeds 1 beyond tolerance"):
+            from_one_triple((2.0, 0.5, 0.5), 0.5)
 
     def test_clamps_float_noise(self):
         cross = 2.0 * math.sqrt(1.0 + 2e-7)
-        assert extract_probability((cross + 1.0) / 2.0, 0.0, 1.0, 1.0) == 1.0
+        assert from_one_triple(((cross + 1.0) / 2.0, 0.0, 1.0)).tolist() == [1.0] * 4
 
     def test_source_intensity_domain(self):
-        with pytest.raises(DomainError):
-            extract_probability(1.0, 1.0, 1.0, 0.0)
+        with pytest.raises(DomainError, match="^source intensity must be positive$"):
+            from_one_triple((1.0, 1.0, 1.0), 0.0)
         # neither a NaN probability nor a StrippedBeamError
-        for bad in (math.nan, math.inf):
-            with pytest.raises(DomainError):
-                extract_probability(0.4, 0.2, 0.8, bad)
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError, match="must be finite and >= 0"):
+                from_one_triple((0.4, 0.2, 0.8), bad)
 
     def test_negative_intensities_rejected(self):
         # a triple read in a lab is checked before the formula sees it
         for triple in [(1.0, -0.1, 1.0), (math.inf, 1.0, 1.0), (1.0, 1.0, math.nan)]:
-            with pytest.raises(DomainError):
-                extract_probability(*triple, 1.0)
+            with pytest.raises(DomainError, match="must be finite and >= 0"):
+                from_one_triple(triple)
 
 
 class TestCrossTermIdentity:
@@ -285,7 +298,7 @@ class TestTriplePathAgreement:
         a, b = rng.uniform(-math.pi, math.pi, 2)
         k, l = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         oracle = joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l)
-        measured = measure_joint_probability(field, sd, a, b, k, l)
+        measured = one_point(field, sd, a, b, k, l)
         projected = joint_probability_projected(field, sd, a, b, k, l)
         assert abs(measured - oracle) < 1e-12
         assert abs(projected - oracle) < 1e-12
@@ -299,7 +312,7 @@ class TestTriplePathAgreement:
         sd = schmidt(e)
         a, b = rng.uniform(-math.pi, math.pi, 2)
         k, l = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        measured = measure_joint_probability(e, sd, a, b, k, l)
+        measured = one_point(e, sd, a, b, k, l)
         projected = joint_probability_projected(e, sd, a, b, k, l)
         empirical_oracle = joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, k, l)
         k1, k2 = kappa_from_dop(d)
@@ -311,18 +324,9 @@ class TestTriplePathAgreement:
     def test_measured_completeness(self):
         e = synthesize_partially_polarized(0.125, 1.0, 10_000, 5)
         sd = schmidt(e)
-        total = sum(
-            measure_joint_probability(e, sd, 0.37, 0.81, k, l)
-            for k in (1, 2)
-            for l in (1, 2)
-        )
+        curve = scan_correlation(e, sd, 0.81, [0.37])
+        total = float(curve.p11[0] + curve.p12[0] + curve.p21[0] + curve.p22[0])
         assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_bad_indices(self):
-        e = synthesize_partially_polarized(0.125, 1.0, 100, 6)
-        sd = schmidt(e)
-        with pytest.raises(DomainError):
-            measure_joint_probability(e, sd, 0.0, 0.0, 3, 1)
 
     def test_crossed_polarizer_recovery(self):
         # polarizer a exactly crossed with the stripping polarizer: the aux
@@ -335,7 +339,7 @@ class TestTriplePathAgreement:
         a = stripping_angle(sd.kappa1, sd.kappa2, b) - math.pi / 2.0
         oracle = joint_probability_kappa(sd.kappa1, sd.kappa2, a, b, 1, 1)
         assert oracle > 0.05
-        measured = measure_joint_probability(field, sd, a, b, 1, 1)
+        measured = one_point(field, sd, a, b, 1, 1)
         assert measured == pytest.approx(oracle, abs=1e-12)
 
     @staticmethod
@@ -343,7 +347,7 @@ class TestTriplePathAgreement:
         # A crossed point reads two real shutter sequences: its own, whose test
         # arm gives the marginal, and its partner outcome's, whose extraction
         # gives P_kl'.  Returns the crossed triple, the recovered value and
-        # i_test / I - P_12 from measure_joint_probability at the same seed.
+        # i_test / I - P_12 from the one-point scan at the same seed.
         k1, k2 = kappa_from_dop(0.62)
         field = synthesize_schmidt_form(k1, k2, n=512, seed=77)
         sd = schmidt(field)
@@ -354,10 +358,9 @@ class TestTriplePathAgreement:
         crossed = measure_intensities(field, a, stripping_angle(sd.kappa1, sd.kappa2, b),
                                       noise, seed + (0, 716), basis=basis_of(sd))
         beam = mean_power(field) / 2.0
-        expected = crossed[1] / beam - measure_joint_probability(field, sd, a, b, 1, 2, noise,
-                                                                 seed)
+        expected = crossed[1] / beam - one_point(field, sd, a, b, 1, 2, noise, seed)
         assert 0.0 < expected < 1.0
-        return crossed, measure_joint_probability(field, sd, a, b, 1, 1, noise, seed), expected
+        return crossed, one_point(field, sd, a, b, 1, 1, noise, seed), expected
 
     def test_crossed_polarizer_recovery_under_detector_noise(self):
         crossed, measured, expected = self.crossed_recovery(NoiseModel(detector_noise=1e-3))
@@ -391,25 +394,12 @@ class TestTriplePathAgreement:
                                   intensity=1.0)
         with pytest.raises(DomainError, match="^source intensity must be positive$"):
             scan_correlation(dark, sd, 0.3, [0.1, 0.2], noise)
-        with pytest.raises(DomainError, match="^source intensity must be positive$"):
-            measure_joint_probability(dark, sd, 0.3, 0.2, 1, 1, noise)
-
-    def test_outcomes_draw_noise_like_scan_correlation(self):
-        # measure_joint_probability reads the (k, l) probability of a one-point
-        # scan_correlation at the same seed, under every noise model
-        e = synthesize_partially_polarized(0.3, 1.0, 4000, 7)
-        _, sd = measured_schmidt(e)
-        for noise in [JITTER_AND_DETECTOR, *NOISE_MODELS]:
-            curve = scan_correlation(e, sd, 0.3, [0.4], noise, (7, 1))
-            assert [measure_joint_probability(e, sd, 0.4, 0.3, k, l, noise, (7, 1))
-                    for k, l in interferometer._KL] == \
-                [float(p[0]) for p in (curve.p11, curve.p12, curve.p21, curve.p22)]
 
     def test_crossed_polarizer_recovery_at_quarter_turn(self):
         # b = pi/2 puts the stripping polarizer at pi/2, crossed with a = 0
         e = synthesize_partially_polarized(0.125, 1.0, 5000, 78)
         sd = schmidt(e)
-        measured = measure_joint_probability(e, sd, 0.0, math.pi / 2.0, 1, 1)
+        measured = one_point(e, sd, 0.0, math.pi / 2.0, 1, 1)
         assert measured == pytest.approx(
             joint_probability_kappa(sd.kappa1, sd.kappa2, 0.0, math.pi / 2.0, 1, 1), abs=1e-10
         )
@@ -419,7 +409,7 @@ class TestTriplePathAgreement:
         k1, k2 = kappa_from_dop(0.125)
         field = synthesize_schmidt_form(k1, k2, n=512, seed=79)
         sd = schmidt(field)
-        measured = measure_joint_probability(field, sd, 0.0, 0.0, 1, 1)
+        measured = one_point(field, sd, 0.0, 0.0, 1, 1)
         assert measured == pytest.approx(0.5625, abs=1e-12)
 
 
@@ -1213,3 +1203,64 @@ def test_noise_model_rejects_leak_above_one():
     assert NoiseModel(extinction_ratio=1.0).extinction_ratio == 1.0
     with pytest.raises(DomainError):
         NoiseModel(extinction_ratio=2.0)
+
+
+class TestProbabilitiesFromTriples:
+    def test_crossed_outcome_is_recovered_from_its_partner(self):
+        # outcome (1, 1) reads no auxiliary light: P_11 = I_test / I - P_12, clipped to [0, 1]
+        rest = [(0.5, 0.2, 0.4), (0.4, 0.0, 0.8), (0.4, 0.0, 0.8)]
+        p12 = (2.0 * 0.5 - 0.4 - 0.2) ** 2 / (4.0 * 0.5 * 0.4)
+        for i_test, p11 in [(0.4, 0.4 / 0.5 - p12), (0.7, 1.0), (0.05, 0.0)]:
+            p = probabilities_from_triples([(0.3, i_test, 0.0), *rest], 0.5)
+            assert p.tolist() == [p11, p12, 0.0, 0.0]
+        assert 0.0 < p12 < 0.4 / 0.5 - p12 < 1.0
+
+    def test_shape_is_checked(self):
+        for shape in [(3,), (4,), (3, 3), (4, 4), (2, 3, 4)]:
+            with pytest.raises(DomainError, match=r"^triples must have shape \(\.\.\., 4, 3\)"):
+                probabilities_from_triples(np.ones(shape), 1.0)
+
+    def test_broadcasts_like_one_call_per_pair(self):
+        # triples (3, 2, 4, 3) of known probabilities, one beam per leading index
+        rng = np.random.default_rng(5)
+        beam = rng.uniform(1.0, 2.0, (3, 1))
+        i_test, i_aux = rng.uniform(0.5, 1.0, (2, 3, 2, 4))
+        known = rng.uniform(0.0, 1.0, (3, 2, 4))
+        i_total = (i_test + i_aux + np.sqrt(4.0 * beam[..., None] * i_aux * known)) / 2.0
+        triples = np.stack([i_total, i_test, i_aux], axis=-1)
+        triples[0, 1, 0, 2] = 0.0  # one crossed outcome
+        p = probabilities_from_triples(triples, beam)
+        assert p.shape == (3, 2, 4)
+        lit = np.ones(known.shape, dtype=bool)
+        lit[0, 1, 0] = False
+        assert np.allclose(p[lit], known[lit], rtol=0.0, atol=1e-12)
+        for i, j in np.ndindex(3, 2):
+            assert np.array_equal(p[i, j], probabilities_from_triples(triples[i, j], beam[i, 0]))
+
+    @pytest.mark.parametrize("noise", NOISE_MODELS, ids=NOISE_IDS)
+    def test_replays_the_kernel_triples(self, noise):
+        # the kernel's second stage is the public function: its triples, replayed
+        # through it, give every probability of a b = 0 scan with crossed points, byte
+        # for byte, at each run's beam tr J / 2
+        e = synthesize_partially_polarized(0.3, 1.0, 4000, 7)
+        _, sd = measured_schmidt(e)
+        grid = np.array([0.0, 0.4, math.pi / 2.0])
+        stacks = interferometer._moment_stacks(e.second_moments, e.n, (), noise, [(7, 0, 716)], 12)
+        pol = np.repeat(grid, 4) + np.tile([0.0, 0.0, math.pi / 2.0, math.pi / 2.0], 3)
+        strips = np.tile([stripping_angle(sd.kappa1, sd.kappa2, 0.0),
+                          stripping_angle_orthogonal(sd.kappa1, sd.kappa2, 0.0)], 6)
+        triples = interferometer._readings(*stacks, basis_of(sd), pol, strips,
+                                           noise.extinction_ratio)
+        if noise == NoiseModel():  # a = 0 and a = pi/2 each have two crossed outcomes
+            assert np.sum(triples[..., 2] <= 1e-15 * mean_power(e) / 2.0) == 4
+        p = probabilities_from_triples(triples.reshape(3, 4, 3), mean_power(e) / 2.0)
+        curve = scan_correlation(e, sd, 0.0, grid, noise, 7)
+        assert np.array_equal(p.T, [curve.p11, curve.p12, curve.p21, curve.p22])
+
+    def test_readme_lab_example(self):
+        # README's 16 triples of a Schmidt-form field at the max_chsh settings, run as written
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### A lab's 16 triples to a CHSH value\n", 1)[1]
+        namespace = {}
+        exec(section.split("```python\n", 1)[1].split("```", 1)[0], namespace)
+        assert abs(namespace["chsh"] - max_chsh(namespace["k1"], namespace["k2"])[0]) <= 1e-12

@@ -30,7 +30,6 @@ from wavebell import (
     lhv_correlation,
     max_chsh,
     measure_intensities,
-    measure_joint_probability,
     reduce_polarizer_angle,
     rotate_function_basis,
     rotate_lab_basis,
@@ -285,6 +284,7 @@ class TestFiniteRealizations:
 FIELD = synthesize_schmidt_form(0.8, 0.6, n=8)
 SD = schmidt(FIELD)
 SETTINGS = AngleSettings(0.1, 0.2, 0.3, 0.4)
+NOISY = NoiseModel(detector_noise=1e-3, phase_jitter=0.1)
 
 ANGLE_ENTRY_POINTS = {
     "AngleSettings": lambda x: AngleSettings(0.1, 0.2, 0.3, x),
@@ -301,9 +301,10 @@ ANGLE_ENTRY_POINTS = {
     "joint_probability_projected-b": lambda x: joint_probability_projected(FIELD, SD, 0.3, x, 1, 1),
     "measure_intensities-a": lambda x: measure_intensities(FIELD, x, 0.3, basis=LabBasis(X, Y)),
     "measure_intensities-s": lambda x: measure_intensities(FIELD, 0.3, x, basis=LabBasis(X, Y)),
-    "measure_joint_probability-a": lambda x: measure_joint_probability(FIELD, SD, x, 0.3, 1, 1),
-    "measure_joint_probability-b": lambda x: measure_joint_probability(FIELD, SD, 0.3, x, 1, 1),
-    # measure_correlation(a, b) was a one-point scan; the cases keep their names.
+    # measure_joint_probability(a, b, k, l, noise) and measure_correlation(a, b) read a
+    # one-point scan; the cases keep their names, the first under noise.
+    "measure_joint_probability-a": lambda x: scan_correlation(FIELD, SD, 0.3, [x], NOISY),
+    "measure_joint_probability-b": lambda x: scan_correlation(FIELD, SD, x, [0.3], NOISY),
     "measure_correlation-a": lambda x: scan_correlation(FIELD, SD, 0.3, [x]),
     "measure_correlation-b": lambda x: scan_correlation(FIELD, SD, x, [0.3]),
     "scan_correlation-a": lambda x: scan_correlation(FIELD, SD, 0.3, [0.1, x]),
@@ -335,9 +336,10 @@ COUNT_ENTRY_POINTS = {
     "scan_correlation-resamples": lambda: scan_correlation(FIELD, SD, 0.3, [0.1], resamples=10.5),
     "measure_intensities-seed": lambda: measure_intensities(FIELD, 0.1, 0.3, seed=(2, -1),
                                                             basis=LabBasis(X, Y)),
-    "measure_joint_probability-seed": lambda: measure_joint_probability(FIELD, SD, 0.1, 0.3, 1, 1,
-                                                                        seed=-1),
-    # measure_correlation's seed check, on the one-point scan that replaced it.
+    # the seed checks of measure_joint_probability and measure_correlation, on the
+    # one-point scan that replaced them.
+    "measure_joint_probability-seed": lambda: scan_correlation(FIELD, SD, 0.3, [0.1], NOISY,
+                                                               seed=-1),
     "measure_correlation-seed": lambda: scan_correlation(FIELD, SD, 0.3, [0.1], seed=-1),
     "lhv_correlation-seed": lambda: lhv_correlation(cosine_response_model(), 0.1, 0.2, 10, -1),
     "lhv_correlation-seed-entry": lambda: lhv_correlation(cosine_response_model(), 0.1, 0.2, 10,
