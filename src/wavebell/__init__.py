@@ -59,7 +59,6 @@ from .interferometer import (
     scan_correlation,
 )
 from .optics import (
-    FunctionBasis,
     LabBasis,
     apply,
     beamsplitter_combine,
@@ -68,8 +67,6 @@ from .optics import (
     polarizer_axis,
     polarizer_matrix,
     reduce_polarizer_angle,
-    rotate_function_basis,
-    rotate_lab_basis,
     stripping_angle,
     stripping_angle_orthogonal,
     waveplate_matrix,

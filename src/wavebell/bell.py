@@ -21,7 +21,7 @@ import numpy as np
 from .ensemble import (SchmidtDecomposition, _check_integer, _check_kappas, _check_seed, inner,
                        schmidt_functions)
 from .errors import DomainError, ModelContractError
-from .optics import FunctionBasis, LabBasis, _check_angles, rotate_function_basis, rotate_lab_basis
+from .optics import _axis, _check_angles
 
 __all__ = [
     "AngleSettings",
@@ -107,10 +107,10 @@ def joint_probability_projected(
     path; used for cross-validation.
     """
     _check_outcomes(k, l)
-    lab = rotate_lab_basis(LabBasis(sd.u1, sd.u2), a)
-    fun = rotate_function_basis(FunctionBasis(*schmidt_functions(ensemble, sd)), b)
-    u = lab.v1 if k == 1 else lab.v2
-    f = fun.g1 if l == 1 else fun.g2
+    f1, f2 = schmidt_functions(ensemble, sd)
+    # the second rotated vector of (v1, v2) is the first of (v2, -v1)
+    u = _axis(sd.u1, sd.u2, a) if k == 1 else _axis(sd.u2, -sd.u1, a)
+    f = _axis(f1, f2, b) if l == 1 else _axis(f2, -f1, b)
     amp_seq = ensemble.realizations @ u.conj()
     amp = inner(f, amp_seq) / math.sqrt(sd.intensity)
     return abs(amp) ** 2

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bell, interferometer as itf
+from . import bell
 from .bell import (
     AngleSettings,
     SHIPPED_LHV_MODELS,
@@ -246,7 +246,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise WavebellError("config file must contain a JSON object")
         unknown = sorted(set(loaded) - set(cfg))
         if unknown:
-            raise WavebellError(f"unknown config keys for '{command}': {', '.join(unknown)}")
+            # repr escapes a key's line breaks, so the error stays one line
+            raise WavebellError(f"unknown config keys for '{command}': "
+                                f"{', '.join(map(repr, unknown))}")
         for key, value in loaded.items():
             cfg[key] = _from_config(key, value, cfg[key])
     for key in cfg:
@@ -274,12 +276,24 @@ def _echo(cfg: dict) -> dict:
     return {key: value for key, value in cfg.items() if key != "out"}
 
 
-def _write_text(cfg: dict, text: str) -> None:
-    # text is json.dumps or "\n".join output, so it never ends in a newline
-    if cfg["out"] is None:
+def _write_text(path, text: str) -> None:
+    # text is json.dumps or _csv output, so it never ends in a newline; no path means stdout
+    if path is None:
         sys.stdout.write(text + "\n")
     else:
-        Path(cfg["out"]).write_text(text + "\n", encoding="utf-8")
+        Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row at 12 significant digits."""
+    # one % per row takes half the time of an f-string per value
+    line = ",".join(["%.12g"] * (header.count(",") + 1))
+    return "\n".join([header] + [line % tuple(row) for row in rows])
+
+
+# Columns of a correlation curve and of a chsh setting, after its (a, b) pair.
+_COLUMNS = ("p11", "p12", "p21", "p22", "c", "c_err")
+_CURVE_HEADER = ",".join(("a_rad", "b_rad") + _COLUMNS)
 
 
 def _flatten_complex_pairs(prefix: str, pairs) -> tuple[list[str], list[float]]:
@@ -298,7 +312,7 @@ def cmd_source(cfg: dict) -> int:
     report = polarization_report(ens)
     if cfg["fmt"] == "json":
         report["config"] = _echo(cfg)
-        _write_text(cfg, json.dumps(report, indent=2))
+        _write_text(cfg["out"], json.dumps(report, indent=2))
     else:
         names = ["s0", "s1", "s2", "s3", "dop", "kappa1", "kappa2"]
         values = [report[k] for k in names]
@@ -306,8 +320,7 @@ def cmd_source(cfg: dict) -> int:
             extra_names, extra_values = _flatten_complex_pairs(key, report[key])
             names += extra_names
             values += extra_values
-        lines = [",".join(names), ",".join(f"{v:.12g}" for v in values)]
-        _write_text(cfg, "\n".join(lines))
+        _write_text(cfg["out"], _csv(",".join(names), [values]))
     return 0
 
 
@@ -320,7 +333,10 @@ def _a_grid(cfg: dict) -> np.ndarray:
             f"the a grid would have {points:.6g} points, more than the limit of {_MAX_A_POINTS}; "
             "raise --a-step or narrow --a-start/--a-stop"
         )
-    grid = np.arange(cfg["a_start"], cfg["a_stop"] - 1e-12, cfg["a_step"])
+    # np.arange raises where (stop - start) / step rounds to -inf: a count that is not positive
+    # gives no grid without calling it
+    grid = np.arange(cfg["a_start"], cfg["a_stop"] - 1e-12, cfg["a_step"]) if points > 0 \
+        else np.empty(0)
     if grid.size == 0:
         raise WavebellError("the a grid from --a-start to --a-stop (exclusive) has no points")
     return grid
@@ -345,16 +361,14 @@ def cmd_scan(cfg: dict) -> int:
         outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
         for i, curve in _scan_curves(cfg, a_grid):
-            curve.to_csv(outdir / f"curve_{i:02d}.csv")
-        (outdir / "scan_config.json").write_text(
-            json.dumps({"config": _echo(cfg)}, indent=2) + "\n", encoding="utf-8"
-        )
+            rows = zip(curve.a, [curve.b] * curve.a.size, *(getattr(curve, k) for k in _COLUMNS))
+            _write_text(outdir / f"curve_{i:02d}.csv", _csv(_CURVE_HEADER, rows))
+        _write_text(outdir / "scan_config.json", json.dumps({"config": _echo(cfg)}, indent=2))
     else:
-        columns = ("p11", "p12", "p21", "p22", "c", "c_err")
         curves = [{"b_rad": curve.b, "a_rad": curve.a.tolist(),
-                   **{key: getattr(curve, key).tolist() for key in columns}}
+                   **{key: getattr(curve, key).tolist() for key in _COLUMNS}}
                   for _, curve in _scan_curves(cfg, a_grid)]
-        _write_text(cfg, json.dumps({"curves": curves, "config": _echo(cfg)}, indent=2))
+        _write_text(cfg["out"], json.dumps({"curves": curves, "config": _echo(cfg)}, indent=2))
     return 0
 
 
@@ -376,14 +390,11 @@ def cmd_chsh(cfg: dict) -> int:
     if cfg["fmt"] == "json":
         payload = asdict(report)
         payload["config"] = _echo(cfg)
-        _write_text(cfg, json.dumps(payload, indent=2))
+        _write_text(cfg["out"], json.dumps(payload, indent=2))
     else:
-        lines = [itf.CURVE_CSV_HEADER + ",chsh,chsh_err"]
-        for p in report.probabilities:
-            row = [p.a, p.b, p.p11, p.p12, p.p21, p.p22, p.c, p.c_err,
-                   report.chsh, report.chsh_err]
-            lines.append(",".join(f"{v:.12g}" for v in row))
-        _write_text(cfg, "\n".join(lines))
+        rows = [(p.a, p.b, *(getattr(p, k) for k in _COLUMNS), report.chsh, report.chsh_err)
+                for p in report.probabilities]
+        _write_text(cfg["out"], _csv(_CURVE_HEADER + ",chsh,chsh_err", rows))
     return 0
 
 
@@ -468,7 +479,7 @@ def cmd_validate(cfg: dict) -> int:
     failed = [r["check"] for r in results if not r["pass"]]
     if cfg["out"] is not None:
         payload = {"checks": results, "failed": failed, "config": _echo(cfg)}
-        Path(cfg["out"]).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _write_text(cfg["out"], json.dumps(payload, indent=2))
     if failed:
         print(f"validation failed: {', '.join(failed)}", file=sys.stderr)
         return 2

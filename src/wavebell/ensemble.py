@@ -75,8 +75,9 @@ def _check_dop(dop: float) -> None:
         raise DomainError(f"dop must lie in [0, 1], got {dop}")
 
 
-def _check_orthonormal(v1, v2, dot=np.vdot) -> None:
-    off = [float(abs(dot(v1, v1) - 1)), float(abs(dot(v2, v2) - 1)), float(abs(dot(v1, v2)))]
+def _check_orthonormal(v1, v2) -> None:
+    off = [float(abs(np.vdot(v1, v1) - 1)), float(abs(np.vdot(v2, v2) - 1)),
+           float(abs(np.vdot(v1, v2)))]
     if not all(x <= _NORM_TOL for x in off):  # a NaN fails too
         raise DomainError(f"need orthonormal v1, v2, got |<v1|v1>-1|, |<v2|v2>-1|, |<v1|v2>| {off}")
 
@@ -88,12 +89,9 @@ class FieldEnsemble:
     ``realizations`` has shape (n, 2) with columns (Ex, Ey), in arbitrary
     field units, stored as a C-contiguous complex128 array: a C-contiguous
     complex128 input is kept without a copy, any other is copied once.
-    ``seed`` records provenance when the ensemble was drawn from a generator;
-    it is None for derived ensembles and outside arrays.
     """
 
     realizations: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.realizations, dtype=np.complex128)
@@ -171,11 +169,6 @@ class SchmidtDecomposition:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.complex128))
         _check_orthonormal(self.u1, self.u2)
 
-    @property
-    def dop(self) -> float:
-        """Degree of polarization implied by the Schmidt weights."""
-        return self.kappa1**2 - self.kappa2**2
-
 
 def inner(f: np.ndarray, g: np.ndarray) -> complex:
     """Ensemble inner product <f|g> = (1/N) sum_n conj(f_n) g_n."""
@@ -224,7 +217,7 @@ def synthesize_partially_polarized(
     rng.standard_normal(out=e.view(np.float64))
     e[:, 0] *= math.sqrt(intensity * (1.0 + dop) / 4.0)
     e[:, 1] *= math.sqrt(intensity * (1.0 - dop) / 4.0)
-    return FieldEnsemble(e, seed=seed)
+    return FieldEnsemble(e)
 
 
 def _bartlett(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
@@ -300,7 +293,7 @@ def synthesize_schmidt_form(
 
     amp = math.sqrt(intensity)
     e = amp * (kappa1 * np.outer(f1, u1) + kappa2 * np.outer(f2, u2))
-    return FieldEnsemble(e, seed=seed)
+    return FieldEnsemble(e)
 
 
 def stokes(j: np.ndarray) -> StokesVector:

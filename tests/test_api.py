@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import pytest
@@ -32,3 +33,14 @@ def test_module_exports_are_package_names(name):
     module = importlib.import_module(f"wavebell.{name}")
     missing = [e for e in module.__all__ if getattr(wavebell, e, None) is not getattr(module, e)]
     assert not missing, f"wavebell.{name}.__all__ names {missing}, which wavebell does not export"
+
+
+def test_duplicate_names_stay_removed():
+    # the basis rotation is optics._axis and the CSV writer is the CLI's: no second copy
+    for owner, name in [(wavebell, "FunctionBasis"), (wavebell, "rotate_lab_basis"),
+                        (wavebell, "rotate_function_basis"), (wavebell, "CURVE_CSV_HEADER"),
+                        (wavebell.interferometer, "CURVE_CSV_HEADER"),
+                        (wavebell.CorrelationCurve, "to_csv"),
+                        (wavebell.SchmidtDecomposition, "dop")]:
+        assert not hasattr(owner, name), name
+    assert "seed" not in {f.name for f in dataclasses.fields(wavebell.FieldEnsemble)}

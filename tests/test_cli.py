@@ -1,21 +1,27 @@
+import contextlib
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis import settings as hypothesis_settings
 
 import wavebell
 from wavebell import CorrelationCurve, FieldEnsemble, bell, cli
 from wavebell.bell import SHIPPED_LHV_MODELS, AngleSettings, lhv_chsh
 from wavebell.ensemble import _draw_partially_polarized, kappa_from_dop, schmidt
 from wavebell.cli import main, parse_angle
+from wavebell.interferometer import _MAX_RESAMPLES
 
 
 def run_cli(args):
@@ -535,6 +541,9 @@ BAD_INPUTS = {
         "chsh", "--n", "2000", "--settings", "0", "45deg", "22.5deg", "67.5deg",
         "--config", _write_config(tmp, {"optimize": True})],
     "config-bad-format": lambda tmp: ["chsh", "--config", _write_config(tmp, {"fmt": "xml"})],
+    # a key's line break once split the error over two lines
+    "config-key-with-line-break": lambda tmp: ["source", "--config",
+                                               _write_config(tmp, {"a\nb": 1, "\x85": 2})],
     "empty-b-list": lambda tmp: ["scan", "--b-list", ",", "--out", str(tmp / "scan")],
     "config-empty-b-list": lambda tmp: ["scan", "--out", str(tmp / "scan"), "--config",
                                         _write_config(tmp, {"b_list": ","})],
@@ -546,6 +555,9 @@ BAD_INPUTS = {
                                 "--b-list", "0", "--a-step", "1e-6"],
     "empty-a-grid": lambda tmp: ["scan", "--a-start=-30deg", "--a-stop", "-1",
                                  "--out", str(tmp / "scan")],
+    # (stop - start) / step rounds to -inf: np.arange once raised "Maximum allowed size exceeded"
+    "inverted-a-grid-of-inf-points": lambda tmp: ["scan", "--n", "100", "--format", "json",
+                                                  "--a-start", "1e308", "--a-step", "1e-300"],
     # with no tuples the agreement checks would pass having compared nothing
     "zero-tuples": lambda tmp: ["validate", "--tuples", "0"],
     "config-negative-tuples": lambda tmp: ["validate", "--config",
@@ -584,6 +596,15 @@ BAD_INPUTS = {
                                         "--noise-detector", "1e308"],
     # chsh and scan draw at unit intensity: their outputs are intensity ratios
     "config-chsh-intensity": lambda tmp: ["chsh", "--config", _write_config(tmp, {"intensity": 2})],
+    # at most 10**5 resamples; 2**64 once ended in numpy's "Maximum allowed dimension exceeded"
+    "chsh-resamples-2**64": lambda tmp: ["chsh", "--n", "100", "--resamples", str(2**64)],
+    "chsh-resamples-above-bound": lambda tmp: ["chsh", "--n", "100",
+                                               "--resamples", str(_MAX_RESAMPLES + 1)],
+    "scan-resamples-2**64": lambda tmp: ["scan", "--n", "100", "--format", "json",
+                                         "--resamples", str(2**64)],
+    "config-scan-resamples-above-bound": lambda tmp: [
+        "scan", "--n", "100", "--format", "json",
+        "--config", _write_config(tmp, {"resamples": _MAX_RESAMPLES + 1})],
 }
 
 
@@ -600,6 +621,17 @@ def test_bad_input_exits_1_with_one_line(tmp_path, case):
     if case in ("huge-validate-n", "unallocatable-lhv-samples", "lhv-samples-above-bound",
                 "config-lhv-samples-above-bound"):
         assert proc.stdout == ""
+
+
+def test_small_n_jitter_names_the_gaussian_law(capsys):
+    # at n = 10 a Gaussian K under jitter sigma = 3 makes a both-arms reading negative: the
+    # error names the jitter's law, not the readings or intensity the user never gave
+    assert run_cli(["chsh", "--n", "10", "--noise-phase", "3", "--resamples", "16",
+                    "--seed", "2"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["wavebell: error: phase jitter made a both-arms reading negative: the "
+                     "Gaussian law of the jittered moments K does not hold at this realization "
+                     "count"]
 
 
 def test_lhv_samples_bound_is_inclusive():
@@ -752,3 +784,75 @@ def test_module_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["config"]["dop"] == 0.1
+
+
+# The fuzz property's alphabet.  Size options draw only small in-range values, or
+# values refused before anything is allocated, so no example runs long or large.
+_VALUES = ["0", "1", "-1", "0.3", "2.5", "1e308", "-1e308", "nan", "inf", "-inf", "22.5deg",
+           "-45deg", "1rad", "0,0.3", "0deg,1rad,2", ",", "", "foo", "true", "csv", "json",
+           str(2**64), str(_MAX_RESAMPLES + 1)]
+_GOOD_VALUES = ["0", "0.3", "1", "csv", "json"]  # in range for most options, so runs go deep
+_SIZE_VALUES = {  # (in range, refused before any allocation)
+    "n": (["2", "50"], ["0", "1", "-3", "2.5", "nan", "", str(2**53 + 1), str(2**64)]),
+    "resamples": (["0", "10"], ["5", "-1", "1.5", "", str(2**64), str(_MAX_RESAMPLES + 1)]),
+    "tuples": (["1", "2"], ["0", "-1", "", str(2**64), str(cli._MAX_TUPLES + 1)]),
+    "lhv_samples": (["1", "64"], ["0", "", str(2**64), str(cli._MAX_LHV_SAMPLES + 1)]),
+    "a_step": (["0.5", "30deg", "1rad"], ["0", "-1", "nan", "inf", "1e-300", ""]),
+}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(_VALUES),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _invocations(draw):
+    """argv of one command, and the bytes of its config file or None."""
+    command = draw(st.sampled_from(list(cli._DEFAULTS)))
+    keys = list(cli._DEFAULTS[command])
+    argv = [command]
+    for key in keys:  # every size option, so a default never sets a size
+        if key in _SIZE_VALUES:
+            good, bad = _SIZE_VALUES[key]
+            argv += [cli._OPTIONS[key][0],
+                     draw(st.sampled_from(good if draw(st.integers(0, 3)) else bad))]
+    free = [k for k in keys if k not in _SIZE_VALUES and k != "out"]
+    for key in draw(st.lists(st.sampled_from(free), max_size=4)):
+        flag, spec = cli._OPTIONS[key]
+        count = 0 if spec.get("action") == "store_true" else \
+            draw(st.sampled_from([spec.get("nargs", 1)] * 3 + [0, 2]))
+        values = [_GOOD_VALUES if draw(st.integers(0, 2)) else _VALUES for _ in range(count)]
+        argv += [flag] + [draw(st.sampled_from(v)) for v in values]
+    objects = st.dictionaries(st.sampled_from(keys + ["bogus"]), _JSON, max_size=4)
+    config = draw(st.none() | st.binary(max_size=16)
+                  | (_JSON | objects).map(lambda v: json.dumps(v).encode()))
+    return argv, config
+
+
+# derandomized, so tier-1 reads the same 120 examples every run; the inputs it and longer
+# random runs found are pinned in BAD_INPUTS
+@hypothesis_settings(max_examples=120, deadline=None, derandomize=True)
+@given(_invocations(), st.sampled_from(["out", "missing/x", "."]))
+def test_every_input_exits_0_1_or_2_with_one_error_line(invocation, out):
+    argv, config = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        # --out always points inside the directory, overriding any config value
+        argv = argv + ["--out", str(Path(tmp) / out)]
+        if config is not None:
+            (Path(tmp) / "cfg.json").write_bytes(config)
+            argv += ["--config", str(Path(tmp) / "cfg.json")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), (argv, config, code)
+    assert "Traceback" not in err
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("wavebell: error:"), (argv, config, err)

@@ -313,12 +313,13 @@ class TestSchmidt:
 
     def test_fully_polarized_functions_complete_the_basis(self):
         from wavebell import joint_probability_kappa, joint_probability_projected
-        from wavebell.optics import FunctionBasis
 
         e = synthesize_partially_polarized(1.0, 1.0, 500, 3)
         sd = schmidt(e)
         assert sd.kappa2 == 0.0
-        FunctionBasis(*schmidt_functions(e, sd))
+        f1, f2 = schmidt_functions(e, sd)
+        for f, g, want in ((f1, f1, 1.0), (f2, f2, 1.0), (f1, f2, 0.0)):
+            assert abs(inner(f, g) - want) <= 1e-12
         for a, b in [(0.0, 0.0), (0.4, -1.2), (2.1, 0.7)]:
             for k in (1, 2):
                 for l in (1, 2):

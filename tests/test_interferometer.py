@@ -39,8 +39,7 @@ from wavebell import (
     tomography,
 )
 from wavebell import dop as degree_of_polarization
-from wavebell import ensemble, interferometer
-from wavebell.interferometer import CURVE_CSV_HEADER
+from wavebell import cli, ensemble, interferometer
 from wavebell.optics import (
     LabBasis,
     polarizer_axis,
@@ -577,23 +576,37 @@ class TestScanCorrelation:
         assert np.all(np.abs(curve.c) <= 1.0 + 3.0 * curve.c_err + 1e-9)
 
     def test_csv_output(self, tmp_path):
-        e = synthesize_partially_polarized(0.125, 1.0, 1000, 14)
-        sd = schmidt(e)
-        curve = scan_correlation(e, sd, 0.4, np.array([0.1]))
-        out = tmp_path / "curve.csv"
-        curve.to_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == CURVE_CSV_HEADER
+        # the CLI writes the curve CSV: one row per grid point, the curve's values to 12 digits
+        assert cli.main(["scan", "--dop", "0.125", "--n", "1000", "--seed", "14", "--b-list", "0.4",
+                         "--a-start", "0.1", "--a-stop", "0.2", "--a-step", "0.5",
+                         "--resamples", "0", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "curve_00.csv").read_text().splitlines()
+        assert lines[0] == "a_rad,b_rad,p11,p12,p21,p22,c,c_err"
         assert len(lines) == 2
         row = [float(v) for v in lines[1].split(",")]
-        assert row[0] == pytest.approx(0.1)
-        assert row[1] == pytest.approx(0.4)
+        e = synthesize_partially_polarized(0.125, 1.0, 1000, 14)
+        curve = scan_correlation(e, measured_schmidt(e)[1], 0.4, [0.1], seed=(14, 0))
+        want = [0.1, 0.4] + [float(getattr(curve, k)[0]) for k in ("p11", "p12", "p21", "p22", "c")]
+        assert row[:7] == pytest.approx(want, rel=1e-11, abs=1e-12)
+        assert row[7] == 0.0
 
     @pytest.mark.parametrize("resamples", [5, -1])
     def test_resample_floor(self, resamples):
         e = synthesize_partially_polarized(0.125, 1.0, 100, 15)
         with pytest.raises(DomainError):
             scan_correlation(e, schmidt(e), 0.0, np.array([0.1]), resamples=resamples)
+
+    def test_resample_ceiling(self):
+        # one rule for scan_correlation and ProtocolConfig: at most 10**5 resamples
+        e = synthesize_partially_polarized(0.125, 1.0, 100, 15)
+        ceiling = interferometer._MAX_RESAMPLES
+        assert ProtocolConfig(dop=0.1, n=100, seed=0, resamples=ceiling).resamples == 10**5
+        for above in (ceiling + 1, 2**64):
+            msg = rf"^bootstrap resamples must be 0 or in \[10, 100000\], got {above}$"
+            with pytest.raises(DomainError, match=msg):
+                scan_correlation(e, schmidt(e), 0.0, np.array([0.1]), resamples=above)
+            with pytest.raises(DomainError, match=msg):
+                ProtocolConfig(dop=0.1, n=100, seed=0, resamples=above)
 
     def test_empty_grid_rejected(self):
         e = synthesize_partially_polarized(0.125, 1.0, 100, 15)
@@ -1258,9 +1271,16 @@ class TestProbabilitiesFromTriples:
         assert np.array_equal(p.T, [curve.p11, curve.p12, curve.p21, curve.p22])
 
     def test_readme_lab_example(self):
-        # README's 16 triples of a Schmidt-form field at the max_chsh settings, run as written
+        # every python block of README runs as written; the lab's block turns the 16 triples
+        # of a Schmidt-form field at the max_chsh settings into its maximum, to 1e-12
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
         section = readme.split("### A lab's 16 triples to a CHSH value\n", 1)[1]
-        namespace = {}
-        exec(section.split("```python\n", 1)[1].split("```", 1)[0], namespace)
-        assert abs(namespace["chsh"] - max_chsh(namespace["k1"], namespace["k2"])[0]) <= 1e-12
+        lab = section.split("```python\n", 1)[1].split("```", 1)[0]
+        assert len(blocks) >= 2 and lab in blocks
+        for block in blocks:
+            namespace = {}
+            exec(block, namespace)
+            if block == lab:
+                chsh, k1, k2 = (namespace[key] for key in ("chsh", "k1", "k2"))
+                assert abs(chsh - max_chsh(k1, k2)[0]) <= 1e-12

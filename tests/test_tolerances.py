@@ -31,8 +31,6 @@ from wavebell import (
     max_chsh,
     measure_intensities,
     reduce_polarizer_angle,
-    rotate_function_basis,
-    rotate_lab_basis,
     scan_correlation,
     schmidt,
     schmidt_functions,
@@ -44,7 +42,7 @@ from wavebell import (
     tomography,
     waveplate_matrix,
 )
-from wavebell.optics import FunctionBasis, LabBasis, polarizer_axis, polarizer_matrix
+from wavebell.optics import LabBasis, _axis, polarizer_axis, polarizer_matrix
 
 INSIDE, OUTSIDE = 5e-13, 2e-12  # half and twice the 1e-12 tolerance
 BAD = (math.nan, math.inf)
@@ -125,8 +123,6 @@ BASIS_ENTRY_POINTS = {
     "SchmidtDecomposition": lambda v1, v2: SchmidtDecomposition(0.8, 0.6, v1, v2, 1.0),
     "synthesize_schmidt_form": lambda v1, v2: synthesize_schmidt_form(0.8, 0.6, n=8, u1=v1,
                                                                       u2=v2),
-    # the same pairs as (n=2) function-space vectors under the (1/N) inner product
-    "FunctionBasis": lambda v1, v2: FunctionBasis(math.sqrt(2.0) * v1, math.sqrt(2.0) * v2),
 }
 
 
@@ -289,8 +285,10 @@ NOISY = NoiseModel(detector_noise=1e-3, phase_jitter=0.1)
 ANGLE_ENTRY_POINTS = {
     "AngleSettings": lambda x: AngleSettings(0.1, 0.2, 0.3, x),
     "polarizer_axis": lambda x: polarizer_axis(LabBasis(X, Y), np.array([0.1, x])),
-    "rotate_lab_basis": lambda x: rotate_lab_basis(LabBasis(X, Y), x),
-    "rotate_function_basis": lambda x: rotate_function_basis(FunctionBasis(*schmidt_functions(FIELD, SD)), x),
+    # rotate_lab_basis and rotate_function_basis were the rotation of each space, now
+    # _axis on its vectors; the cases keep their names.
+    "rotate_lab_basis": lambda x: _axis(X, Y, x),
+    "rotate_function_basis": lambda x: _axis(*schmidt_functions(FIELD, SD), x),
     "reduce_polarizer_angle": reduce_polarizer_angle,
     "waveplate_matrix": lambda x: waveplate_matrix("half", x),
     "stripping_angle": lambda x: stripping_angle(0.8, 0.6, x),
