@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-source    synthesize a beam and report its polarization characterization
+source    draw a beam and report its polarization characterization
 scan      measure correlation curves C(a, b) over polarizer-angle grids
 chsh      run the full Bell protocol and report the CHSH value
 validate  cross-check the three computation paths and the hidden-variable
@@ -43,12 +43,13 @@ from .bell import (
 )
 from .ensemble import (
     _check_n,
+    _check_source,
     _draw_partially_polarized,
+    dop,
     kappa_from_dop,
     measured_schmidt,
     polarization_report,
     schmidt,
-    synthesize_partially_polarized,
     synthesize_schmidt_form,
 )
 from .errors import WavebellError
@@ -304,12 +305,17 @@ def _flatten_complex_pairs(prefix: str, pairs) -> tuple[list[str], list[float]]:
     return names, values
 
 
+def _source(cfg: dict, intensity: float = 1.0):
+    """The second moments of ``synthesize_partially_polarized(dop, intensity, n, seed)``
+    at the command's dop, n and seed, drawn without the realizations, after
+    that function's argument checks."""
+    _check_source(cfg["dop"], intensity, cfg["n"], cfg["seed"])
+    return _draw_partially_polarized(cfg["dop"], cfg["n"], cfg["seed"], intensity)
+
+
 def cmd_source(cfg: dict) -> int:
-    """synthesize and characterize a source beam"""
-    ens = synthesize_partially_polarized(
-        cfg["dop"], cfg["intensity"], cfg["n"], cfg["seed"]
-    )
-    report = polarization_report(ens)
+    """draw and characterize a source beam"""
+    report = polarization_report(_source(cfg, cfg["intensity"]))
     if cfg["fmt"] == "json":
         report["config"] = _echo(cfg)
         _write_text(cfg["out"], json.dumps(report, indent=2))
@@ -343,32 +349,36 @@ def _a_grid(cfg: dict) -> np.ndarray:
 
 
 def _scan_curves(cfg: dict, a_grid: np.ndarray):
-    ens = synthesize_partially_polarized(cfg["dop"], 1.0, cfg["n"], cfg["seed"])
-    _, sd = measured_schmidt(ens)
+    """The measured source as {dop, kappa1, kappa2}, and a generator of the curves, one per b."""
+    source = _source(cfg)
+    s, sd = measured_schmidt(source)
     noise = _noise(cfg)
-    for i, b in enumerate(_angle_list(cfg["b_list"])):
-        yield i, scan_correlation(
-            ens, sd, b, a_grid, noise=noise, seed=(cfg["seed"], i), resamples=cfg["resamples"]
-        )
+    curves = (scan_correlation(source, sd, b, a_grid, noise=noise, seed=(cfg["seed"], i),
+                               resamples=cfg["resamples"])
+              for i, b in enumerate(_angle_list(cfg["b_list"])))
+    return {"dop": dop(s), "kappa1": sd.kappa1, "kappa2": sd.kappa2}, curves
 
 
 def cmd_scan(cfg: dict) -> int:
     """measure correlation curves over an angle grid"""
     a_grid = _a_grid(cfg)
+    if cfg["fmt"] == "csv" and cfg["out"] is None:
+        raise WavebellError("scan with csv output needs --out DIRECTORY")
+    source, curves = _scan_curves(cfg, a_grid)
     if cfg["fmt"] == "csv":
-        if cfg["out"] is None:
-            raise WavebellError("scan with csv output needs --out DIRECTORY")
         outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
-        for i, curve in _scan_curves(cfg, a_grid):
+        for i, curve in enumerate(curves):
             rows = zip(curve.a, [curve.b] * curve.a.size, *(getattr(curve, k) for k in _COLUMNS))
             _write_text(outdir / f"curve_{i:02d}.csv", _csv(_CURVE_HEADER, rows))
-        _write_text(outdir / "scan_config.json", json.dumps({"config": _echo(cfg)}, indent=2))
+        _write_text(outdir / "scan_config.json",
+                    json.dumps({"source": source, "config": _echo(cfg)}, indent=2))
     else:
         curves = [{"b_rad": curve.b, "a_rad": curve.a.tolist(),
                    **{key: getattr(curve, key).tolist() for key in _COLUMNS}}
-                  for _, curve in _scan_curves(cfg, a_grid)]
-        _write_text(cfg["out"], json.dumps({"curves": curves, "config": _echo(cfg)}, indent=2))
+                  for curve in curves]
+        _write_text(cfg["out"], json.dumps({"curves": curves, "source": source,
+                                            "config": _echo(cfg)}, indent=2))
     return 0
 
 

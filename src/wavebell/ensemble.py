@@ -185,6 +185,19 @@ def _check_intensity(intensity: float) -> None:
         raise DomainError(f"intensity must lie in [1e-100, 1e100], got {intensity}")
 
 
+def _check_source(dop: float, intensity: float, n: int, seed: int) -> None:
+    # the checks of one partially polarized source, wherever it is drawn
+    _check_dop(dop)
+    _check_intensity(intensity)
+    _check_n(n)
+    _check_integer("seed", seed, 0)
+
+
+# Rows coloured per step by synthesize_partially_polarized: a step's one temporary
+# column takes 64 KiB, below glibc's 128 KiB mmap threshold, so each step reuses it.
+_ROWS = 4096
+
+
 def synthesize_partially_polarized(
     dop: float, intensity: float, n: int, seed: int
 ) -> FieldEnsemble:
@@ -193,8 +206,23 @@ def synthesize_partially_polarized(
     Each realization has independent circular complex Gaussian amplitudes
     along x and y with mean-square values intensity*(1 +/- dop)/2, so the
     expected degree of polarization equals ``dop`` with the polarized part
-    along x.  Generation uses a counter-based generator keyed by ``seed``;
-    identical (dop, intensity, n, seed) give bit-identical ensembles.
+    along x.  Its second moments are, to rounding, those that the CLI draws
+    without realizations at the same (dop, n, seed) (``_draw_partially_polarized``),
+    so one (dop, n, seed) names one source; identical (dop, intensity, n,
+    seed) give bit-identical ensembles.
+
+    Whiten, then colour: X holds n rows of Philox(seed) normals, read as
+    (Re Ex, Im Ex, Re Ey, Im Ey).  With R the Cholesky factor of its second
+    moments (X+ X / n = R+ R) and L T the moment draw's factor
+    (``_source_factor``), E = X R^-1 (L T)+ sqrt(intensity / n), so
+    E+ E / n = intensity L T T+ L+ / n.  The law is that of independent
+    rows: X = sqrt(n) Q R with Q+ Q = 1, and by the Bartlett decomposition Q
+    is Haar-distributed and independent of R; T comes from another stream.
+    So E = Q A with A = (L T)+ sqrt(intensity) independent of Q, whose law
+    depends on A only through A+ A (Q V has the law of Q for unitary V), and
+    A+ A follows CW(n, intensity Sigma), Sigma = diag(1 + dop, 1 - dop) / 2,
+    as for n independent CN(0, intensity Sigma) rows.  The colouring runs in
+    place, 4096 rows at a time, so the ensemble is the only n-row array.
 
     Parameters
     ----------
@@ -207,16 +235,18 @@ def synthesize_partially_polarized(
     seed : int
         Generator seed, an integer >= 0.
     """
-    _check_dop(dop)
-    _check_intensity(intensity)
-    _check_n(n)
-    _check_integer("seed", seed, 0)
+    _check_source(dop, intensity, n, seed)
     rng = np.random.Generator(np.random.Philox(seed))
-    # (re Ex, im Ex, re Ey, im Ey) drawn in place; var(Re) = var(Im) = ms/2 so E|E|^2 = ms
     e = np.empty((n, 2), dtype=np.complex128)
     rng.standard_normal(out=e.view(np.float64))
-    e[:, 0] *= math.sqrt(intensity * (1.0 + dop) / 4.0)
-    e[:, 1] *= math.sqrt(intensity * (1.0 - dop) / 4.0)
+    r = np.linalg.cholesky(FieldEnsemble(e).second_moments).conj().T
+    # R^-1 and (L T)+ are upper triangular, and so is their product m
+    m = np.linalg.solve(r, _source_factor(dop, n, seed).conj().T) * math.sqrt(intensity / n)
+    for start in range(0, n, _ROWS):
+        x, y = e[start:start + _ROWS].T
+        y *= m[1, 1]
+        y += x * m[0, 1]
+        x *= m[0, 0]
     return FieldEnsemble(e)
 
 
@@ -244,17 +274,24 @@ class _Moments:
     n: int
 
 
-def _draw_partially_polarized(dop: float, n: int, seed: int) -> _Moments:
-    """The second moments of ``synthesize_partially_polarized(dop, 1.0, n, .)``
-    drawn from their law rather than from n realizations: n J follows the
-    complex Wishart law CW(n, Sigma), Sigma = diag(1 + dop, 1 - dop) / 2, so
-    J = L T T+ L+ / n with L = Sigma^(1/2) and T one Bartlett factor
-    (:func:`_bartlett`) from ``default_rng(seed)``.  The cost does not grow
-    with n.  Arguments are checked by the caller."""
+def _source_factor(dop: float, n: int, seed: int) -> np.ndarray:
+    """L T: one Bartlett factor T (:func:`_bartlett`) from ``default_rng(seed)``,
+    scaled by L = Sigma^(1/2), Sigma = diag(1 + dop, 1 - dop) / 2; lower triangular."""
     t = _bartlett(np.random.default_rng(seed), n, 1)[0]
-    lt = np.sqrt([[(1.0 + dop) / 2.0], [(1.0 - dop) / 2.0]]) * t
+    return np.sqrt([[(1.0 + dop) / 2.0], [(1.0 - dop) / 2.0]]) * t
+
+
+def _draw_partially_polarized(dop: float, n: int, seed, intensity: float = 1.0) -> _Moments:
+    """The second moments of ``synthesize_partially_polarized(dop, intensity,
+    n, seed)`` drawn from their law rather than from n realizations: n J
+    follows the complex Wishart law CW(n, intensity Sigma), and J = intensity
+    L T T+ L+ / n with L T from :func:`_source_factor`.  The synthesized
+    ensemble is coloured by this same factor, so both give this J to
+    rounding.  The cost does not grow with n.  Arguments are checked by the
+    caller (:func:`_check_source`); a tuple seed names a stream too."""
+    lt = _source_factor(dop, n, seed)
     j = lt @ lt.conj().T / n
-    return _Moments((j + j.conj().T) / 2.0, n)
+    return _Moments((j + j.conj().T) / 2.0 * intensity, n)
 
 
 def synthesize_schmidt_form(

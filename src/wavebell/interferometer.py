@@ -112,6 +112,12 @@ _TINY_TRACE = math.sqrt(np.finfo(float).tiny)
 # so 10**5 resamples take about 0.2 GB and 0.9 s, or 3.9 GB and 15 s per curve.
 _MAX_RESAMPLES = 10**5
 
+# Largest count of (a, b) pairs times runs (1 + resamples) in one call.  At the measured
+# 39 KB per resample per 90-point curve, about 430 B each, 10**7 is about 4.3 GB: the
+# default 90-point curve at 10**5 resamples (9,000,090) fits, and 10**4 points at 10**5
+# resamples (about 430 GB) do not.
+_MAX_PAIR_RUNS = 10**7
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -374,10 +380,15 @@ def _measure_runs(ensemble, sd, pairs, noise, base, resamples) -> np.ndarray:
     noise depends on its position among the pairs.  The R resamples draw their
     Bartlett factors T (see ``ensemble._bartlett``) from the stream
     base + (_BOOT_TAG,), which is not built when R is 0.  All runs are read in
-    one kernel call, whatever the noise model.  ``ensemble`` is read only
-    through its ``second_moments`` and ``n``.
+    one kernel call, whatever the noise model, so P (1 + R) is at most 10**7
+    (about 4.3 GB), checked before anything is drawn.  ``ensemble`` is read
+    only through its ``second_moments`` and ``n``.
     """
     _check_resamples(resamples)
+    if len(pairs) * (1 + resamples) > _MAX_PAIR_RUNS:
+        raise DomainError(f"{len(pairs)} (a, b) pairs read in {1 + resamples} runs (1 + "
+                          f"resamples) make {len(pairs) * (1 + resamples)} pair-runs, more than "
+                          f"the limit of {_MAX_PAIR_RUNS}: use fewer grid points or resamples")
     t = _bartlett(np.random.default_rng(base + (_BOOT_TAG,)), ensemble.n, resamples) \
         if resamples else ()
     seeds = [base + (r, _NOISE_TAG) for r in range(1 + resamples)]
@@ -399,7 +410,9 @@ def scan_correlation(
     With ``resamples`` > 0 (an integer in [10, 10**5]), each resample draws
     its J* from the complex Wishart law CW(n, J)/n of circular-Gaussian fields
     at the source's J, holding the settings fixed, to attach a standard error
-    to each point; each resample's J* is reused across the grid.
+    to each point; each resample's J* is reused across the grid.  Grid
+    points times (1 + resamples) is at most 10**7, about 4.3 GB: a larger
+    call raises DomainError before anything is allocated.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1 or a_grid.size < 1:

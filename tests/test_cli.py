@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import given, strategies as st
 from hypothesis import settings as hypothesis_settings
 
 import wavebell
-from wavebell import CorrelationCurve, FieldEnsemble, bell, cli
+from wavebell import CorrelationCurve, FieldEnsemble, bell, cli, interferometer
 from wavebell.bell import SHIPPED_LHV_MODELS, AngleSettings, lhv_chsh
 from wavebell.ensemble import _draw_partially_polarized, kappa_from_dop, schmidt
 from wavebell.cli import main, parse_angle
@@ -75,6 +76,21 @@ class TestSource:
     def test_domain_error_exit_code(self, capsys):
         assert run_cli(["source", "--dop", "2"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_memory_does_not_grow_with_n(self, capsys):
+        # the source is drawn as moments: 10**7 realizations once held about 343 MB
+        assert run_cli(["source", "--n", "10"]) == 0
+        tracemalloc.start()
+        try:
+            assert run_cli(["source", "--n", "10000000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        capsys.readouterr()
+        # 10**15 realizations, once refused as unallocatable, cost what 10 do
+        assert run_cli(["source", "--n", str(10**15)]) == 0
+        assert json.loads(capsys.readouterr().out)["dop"] == pytest.approx(0.125, abs=1e-6)
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "source.csv"
@@ -169,6 +185,28 @@ class TestScan:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["curves"][0]["b_rad"] == pytest.approx(math.pi / 12)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reports_the_measured_source(self, tmp_path, fmt):
+        # the scan names the source it measured: tomography's DOP and the weights from it
+        out = tmp_path / "scan"
+        assert run_cli(["scan", "--dop", "0.3", "--n", "500", "--seed", "4", "--b-list", "0.2",
+                        "--a-stop", "0.2", "--resamples", "0", "--format", fmt,
+                        "--out", str(out)]) == 0
+        payload = json.loads((out / "scan_config.json" if fmt == "csv" else out).read_text())
+        source = payload["source"]
+        assert list(source) == ["dop", "kappa1", "kappa2"]
+        assert (source["kappa1"], source["kappa2"]) == kappa_from_dop(source["dop"])
+        assert source["dop"] == pytest.approx(0.3, abs=0.1)
+
+    def test_cost_does_not_grow_with_n(self, capsys):
+        # 2**53 realizations, the largest n, cost what 2 do; one past it is refused
+        assert run_cli(["scan", "--n", str(2**53), "--format", "json", "--b-list", "0.3",
+                        "--a-stop", "0.1", "--resamples", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["source"]["dop"] < 1e-6
+        assert run_cli(["scan", "--n", str(10**18), "--format", "json"]) == 1
+        assert capsys.readouterr().err == \
+            "wavebell: error: n must be at most 2**53, got 1000000000000000000\n"
 
 
 class TestChsh:
@@ -565,9 +603,6 @@ BAD_INPUTS = {
     # the analytic checks hold 1e-12, so validate takes no noise model
     "config-validate-noise": lambda tmp: ["validate", "--config",
                                           _write_config(tmp, {"noise_detector": 1e-3})],
-    # 10**15 realizations or samples lie beyond the 128 TB address space, so
-    # the allocation fails at once under any overcommit setting
-    "unallocatable-source-n": lambda tmp: ["source", "--n", str(10**15)],
     # above 2**53 a count and its predecessor are no longer exact floats
     "huge-source-n": lambda tmp: ["source", "--n", str(10**18)],
     "huge-scan-n": lambda tmp: ["scan", "--n", str(10**18), "--format", "json"],
@@ -605,6 +640,18 @@ BAD_INPUTS = {
     "config-scan-resamples-above-bound": lambda tmp: [
         "scan", "--n", "100", "--format", "json",
         "--config", _write_config(tmp, {"resamples": _MAX_RESAMPLES + 1})],
+    # 5000 grid points at 10**5 resamples, each bound kept, would ask for about 215 GB
+    "scan-points-times-runs": lambda tmp: [
+        "scan", "--n", "100", "--format", "json", "--b-list", "0", "--a-stop", "0.5",
+        "--a-step", "1e-4", "--resamples", str(_MAX_RESAMPLES)],
+    "config-scan-points-times-runs": lambda tmp: [
+        "scan", "--n", "100", "--format", "json", "--b-list", "0", "--config",
+        _write_config(tmp, {"a_stop": 0.5, "a_step": 1e-4, "resamples": _MAX_RESAMPLES})],
+}
+# Rows whose one line must also name the limit they cross.
+BAD_INPUT_MESSAGES = {
+    "scan-points-times-runs": "make 500005000 pair-runs, more than the limit of 10000000",
+    "config-scan-points-times-runs": "make 500005000 pair-runs, more than the limit of 10000000",
 }
 
 
@@ -618,9 +665,43 @@ def test_bad_input_exits_1_with_one_line(tmp_path, case):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("wavebell: error:"), proc.stderr
+    assert BAD_INPUT_MESSAGES.get(case, "") in lines[0]
     if case in ("huge-validate-n", "unallocatable-lhv-samples", "lhv-samples-above-bound",
                 "config-lhv-samples-above-bound"):
         assert proc.stdout == ""
+
+
+def test_points_times_runs_bound(capsys, monkeypatch):
+    # the default 90-point curve at 10**5 resamples (9,000,090 pair-runs) is within the
+    # limit; 100 points at 10**5 resamples (10,000,100) are refused before anything is drawn
+    assert 90 * (1 + _MAX_RESAMPLES) <= interferometer._MAX_PAIR_RUNS == 10**7
+    assert run_cli(["scan", "--n", "100", "--format", "json", "--b-list", "0", "--a-stop", "1",
+                    "--a-step", "0.01", "--resamples", str(_MAX_RESAMPLES)]) == 1
+    assert "100 (a, b) pairs read in 100001 runs" in capsys.readouterr().err
+    # the bound is inclusive, shown at a limit small enough to run
+    monkeypatch.setattr(interferometer, "_MAX_PAIR_RUNS", 90 * 11)
+    source = cli._source({"dop": 0.0, "n": 100, "seed": 0})
+    _, sd = wavebell.measured_schmidt(source)
+    grid = np.arange(91) * math.pi / 91.0
+    assert wavebell.scan_correlation(source, sd, 0.3, grid[:90], resamples=10).c.size == 90
+    with pytest.raises(wavebell.DomainError, match="991 pair-runs, more than the limit of 990"):
+        wavebell.scan_correlation(source, sd, 0.3, grid[:1], resamples=990)
+    with pytest.raises(wavebell.DomainError, match="1001 pair-runs"):
+        wavebell.scan_correlation(source, sd, 0.3, grid, resamples=10)
+
+
+@pytest.mark.parametrize("seed", ["0", "9"])
+def test_source_scan_and_chsh_measure_one_source(capsys, seed):
+    # one (dop, n, seed) names one source: the three commands report its DOP alike
+    beam = ["--dop", "0.3", "--n", "5000", "--seed", seed, "--format", "json"]
+    dops = []
+    for argv, read in ((["source"], lambda r: r["dop"]),
+                       (["scan", "--b-list", "0", "--a-stop", "0.1", "--resamples", "0"],
+                        lambda r: r["source"]["dop"]),
+                       (["chsh", "--resamples", "0"], lambda r: r["dop"])):
+        assert run_cli(argv + beam) == 0
+        dops.append(read(json.loads(capsys.readouterr().out)))
+    assert max(dops) - min(dops) <= 1e-12, dops
 
 
 def test_small_n_jitter_names_the_gaussian_law(capsys):

@@ -25,7 +25,7 @@ from wavebell import (
     synthesize_schmidt_form,
     tomography,
 )
-from wavebell.ensemble import inner
+from wavebell.ensemble import _draw_partially_polarized, inner
 
 
 def constant_ensemble(ex, ey, n=8):
@@ -60,11 +60,20 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("d", [0.0, 0.125, 0.5])
     def test_draw_stream_is_pinned(self, d):
-        # Ex, Ey are scaled (z0 + i z1), (z2 + i z3) of one Philox normal draw per realization
+        # X = (z0 + i z1, z2 + i z3) of one Philox normal draw per realization, whitened by
+        # the Cholesky factor R of X+ X / n and coloured by L T, T the Bartlett factor of
+        # default_rng(seed): E = X R^-1 (L T)+ sqrt(intensity / n), column by column
         n, intensity, seed = 1001, 1.7, 12
         z = np.random.Generator(np.random.Philox(seed)).standard_normal((n, 4))
-        sx, sy = math.sqrt(intensity * (1 + d) / 4.0), math.sqrt(intensity * (1 - d) / 4.0)
-        expected = np.column_stack([sx * (z[:, 0] + 1j * z[:, 1]), sy * (z[:, 2] + 1j * z[:, 3])])
+        x = np.column_stack([z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]])
+        r = np.linalg.cholesky(FieldEnsemble(x).second_moments).conj().T
+        rng = np.random.default_rng(seed)
+        t11, t22 = math.sqrt(rng.standard_gamma(n)), math.sqrt(rng.standard_gamma(n - 1))
+        re, im = rng.standard_normal(2) / math.sqrt(2.0)
+        t = np.array([[t11, 0.0], [complex(re, im), t22]])
+        lt = np.sqrt([[(1 + d) / 2.0], [(1 - d) / 2.0]]) * t
+        m = np.linalg.solve(r, lt.conj().T) * math.sqrt(intensity / n)
+        expected = np.column_stack([x[:, 0] * m[0, 0], x[:, 1] * m[1, 1] + x[:, 0] * m[0, 1]])
         e = synthesize_partially_polarized(d, intensity, n, seed)
         assert e.realizations.tobytes() == expected.tobytes()
 
@@ -123,6 +132,29 @@ class TestSynthesize:
         tol = 3.0 / math.sqrt(n)
         assert abs(sd.kappa1 - 0.75) < tol
         assert abs(sd.kappa2 - 0.6614378277661477) < tol
+
+    @pytest.mark.parametrize("intensity", [1e-100, 1.7, 1e100])
+    @pytest.mark.parametrize("n", [2, 10, 10**5])
+    @pytest.mark.parametrize("d", [0.0, 0.5, 1.0])
+    def test_one_seed_one_source(self, d, n, intensity):
+        # the realizations carry the J that the moment draw gives at the same (dop, n, seed)
+        for seed in (0, 2024):
+            j = synthesize_partially_polarized(d, intensity, n, seed).second_moments
+            drawn = _draw_partially_polarized(d, n, seed).second_moments * intensity
+            assert np.abs(j - drawn).max() <= 1e-14 * np.trace(drawn).real
+            assert np.array_equal(_draw_partially_polarized(d, n, seed, intensity).second_moments,
+                                  drawn)
+
+    def test_colouring_makes_no_second_n_row_array(self):
+        # the 1e5 realizations take 3.2 MB; the colouring adds one 64 KiB column at a time
+        synthesize_partially_polarized(0.3, 1.0, 10, 4)
+        tracemalloc.start()
+        try:
+            synthesize_partially_polarized(0.3, 1.0, 10**5, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 10**5 + 256 * 1024, peak
 
 
 class TestCoherenceStokes:

@@ -51,15 +51,15 @@ def test_mismatches_name_each_moved_value():
 # (DOP 0.4, seed 12) in its Schmidt basis, as float.hex: one reading, whose
 # stream default_rng((5, 2)) gives 8 normals for K, then 3 detector offsets
 PINNED_TRIPLES = {
-    NoiseModel(): ("0x1.d517a9f225eeep-2", "0x1.36f816957ed30p-2", "0x1.74fc5e07a6686p-3"),
+    NoiseModel(): ("0x1.fd71cf252342ep-2", "0x1.562e893a99fddp-2", "0x1.8ac924fcd74d6p-3"),
     NoiseModel(extinction_ratio=1e-3):
-        ("0x1.d9331ef1450f6p-2", "0x1.3725aa5a5c16bp-2", "0x1.797da302a7389p-3"),
+        ("0x1.01187f65216a6p-1", "0x1.565baae984abdp-2", "0x1.905d7d177f3e0p-3"),
     NoiseModel(detector_noise=1e-3):
-        ("0x1.d700da184d035p-2", "0x1.3619c8a580d7fp-2", "0x1.7b17a57d50549p-3"),
+        ("0x1.ff787aeadcdb1p-2", "0x1.5542d5621dde4p-2", "0x1.9142a41737968p-3"),
     NoiseModel(phase_jitter=0.1):
-        ("0x1.d3d7bcd91003ap-2", "0x1.36f816957ed30p-2", "0x1.74fc5e07a6686p-3"),
+        ("0x1.fc2e46983a304p-2", "0x1.562e893a99fddp-2", "0x1.8ac924fcd74d6p-3"),
     NoiseModel(1e-3, 1e-3, 0.1):
-        ("0x1.d803692636d7ap-2", "0x1.34d56ff3b1ff5p-2", "0x1.797315145d7e0p-3"),
+        ("0x1.007f16a4d719ap-1", "0x1.53e7bf1871d5dp-2", "0x1.90524c51729a4p-3"),
 }
 
 
@@ -104,11 +104,10 @@ def _reverse_run0_offsets(monkeypatch):
 
 
 # Each mutation with the prefixes of the entries it must move: every source or
-# resample drawn by Bartlett (chsh, validate, scans with resamples), and every
-# run under detector noise.
+# resample drawn by Bartlett (every entry: source and scan draw their source as
+# chsh and validate do), and every run under detector noise.
 MUTATIONS = {
-    "bartlett-gammas-swapped": (_swap_bartlett_gammas,
-                                ("chsh-", "validate-", "scan-ideal-", "scan-jitter-resampled-")),
+    "bartlett-gammas-swapped": (_swap_bartlett_gammas, ("chsh-", "validate-", "scan-", "source-")),
     "run0-offsets-reversed": (_reverse_run0_offsets, ("chsh-detector-", "scan-detector-")),
 }
 
