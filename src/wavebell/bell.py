@@ -13,7 +13,8 @@ for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -54,6 +55,12 @@ class AngleSettings:
     b_prime: float
 
     def __post_init__(self):
+        # an array angle would pass the finiteness check and fail later, inside numpy
+        for field in fields(self):
+            angle = getattr(self, field.name)
+            if not isinstance(angle, numbers.Real):
+                raise DomainError(f"angle {field.name} must be a real scalar, "
+                                  f"got {type(angle).__name__}")
         _check_angles(self.a, self.a_prime, self.b, self.b_prime)
 
     def pairs(self) -> tuple[tuple[float, float], ...]:
@@ -167,10 +174,16 @@ class LhvModel:
     lambda_sampler: Callable[[np.random.Generator, int], np.ndarray]
 
 
-def _bounded(values: np.ndarray, label: str) -> np.ndarray:
+def _bounded(values: np.ndarray, label: str, shape: tuple) -> np.ndarray:
     values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        try:
+            np.broadcast_to(values, shape)
+        except ValueError:
+            raise ModelContractError(f"{label} response has shape {values.shape}, which does not "
+                                     f"broadcast to the samples' shape {shape}") from None
     # written so that a NaN, which compares False, fails the check
-    if values.size and not np.max(np.abs(values)) <= 1.0 + 1e-9:
+    if values.size and not (np.max(values) <= 1.0 + 1e-9 and np.min(values) >= -1.0 - 1e-9):
         raise ModelContractError(f"{label} response left [-1, 1]")
     return values
 
@@ -183,9 +196,10 @@ def lhv_correlation(
     Samples lambda from the model distribution and averages
     outcome_a(a, lambda) * outcome_b(b, lambda).  ``n_samples`` is an
     integer >= 1 and ``seed`` an integer >= 0 or a tuple of such seeds.
-    Raises ModelContractError if either response leaves [-1, 1] or is not
-    finite on the sample.  The samples are drawn and summed in blocks of at
-    most 8192, one ``lambda_sampler`` call each, so memory does not grow with
+    Raises ModelContractError if either response leaves [-1, 1], is not
+    finite on the sample, or does not broadcast to the samples' shape.  The
+    samples are drawn and summed in blocks of at most 8192, one
+    ``lambda_sampler`` call each, so memory does not grow with
     ``n_samples``; a sampler that draws the same values in chunks as in one
     call (``rng.uniform`` does) gives the samples of one call.
     """
@@ -196,10 +210,13 @@ def lhv_correlation(
     total = 0.0
     for start in range(0, n_samples, _BLOCK):
         lam = model.lambda_sampler(rng, min(_BLOCK, n_samples - start))
-        va = _bounded(model.outcome_a(a, lam), "outcome_a")
-        vb = _bounded(model.outcome_b(b, lam), "outcome_b")
-        # numpy's sum, not BLAS's thread-dependent one; a scalar response counts once per sample
-        total += float(np.add.reduce(np.broadcast_to(va * vb, np.shape(lam))))
+        shape = np.shape(lam)
+        product = (_bounded(model.outcome_a(a, lam), "outcome_a", shape)
+                   * _bounded(model.outcome_b(b, lam), "outcome_b", shape))
+        if product.shape != shape:  # a scalar response counts once per sample
+            product = np.broadcast_to(product, shape)
+        # numpy's sum, not BLAS's thread-dependent one
+        total += float(np.add.reduce(product))
     return total / n_samples
 
 
@@ -241,6 +258,14 @@ def _sign_cos2(angle: float, lam: np.ndarray) -> np.ndarray:
     return t
 
 
+def _uniform_pi(rng: np.random.Generator, size: int) -> np.ndarray:
+    # the bits of rng.uniform(0.0, math.pi, size), which numpy draws as 0 + pi * u,
+    # in about three quarters of its time
+    lam = rng.random(size)
+    lam *= math.pi
+    return lam
+
+
 def cosine_response_model() -> LhvModel:
     """Continuous-response demo model: A = cos 2(a - lam), B = cos 2(b - lam)
     with lam uniform on [0, pi).  Analytic correlation: cos(2(a-b))/2.
@@ -252,7 +277,7 @@ def cosine_response_model() -> LhvModel:
     return LhvModel(
         outcome_a=_cos2,
         outcome_b=_cos2,
-        lambda_sampler=lambda rng, size: rng.uniform(0.0, math.pi, size),
+        lambda_sampler=_uniform_pi,
     )
 
 
@@ -268,7 +293,7 @@ def sign_response_model() -> LhvModel:
     return LhvModel(
         outcome_a=_sign_cos2,
         outcome_b=_sign_cos2,
-        lambda_sampler=lambda rng, size: rng.uniform(0.0, math.pi, size),
+        lambda_sampler=_uniform_pi,
     )
 
 

@@ -25,6 +25,7 @@ Exit codes: 0 success, 1 usage or configuration error (one
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -192,6 +193,9 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
+# Built on the first call and reused: parse_args keeps no state on the parser, so every
+# in-process main() call after the first skips building four subparsers.
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="wavebell", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
@@ -349,13 +353,13 @@ def _a_grid(cfg: dict) -> np.ndarray:
 
 
 def _scan_curves(cfg: dict, a_grid: np.ndarray):
-    """The measured source as {dop, kappa1, kappa2}, and a generator of the curves, one per b."""
+    """The measured source as {dop, kappa1, kappa2}, and the curves, one per b."""
     source = _source(cfg)
     s, sd = measured_schmidt(source)
     noise = _noise(cfg)
-    curves = (scan_correlation(source, sd, b, a_grid, noise=noise, seed=(cfg["seed"], i),
+    curves = [scan_correlation(source, sd, b, a_grid, noise=noise, seed=(cfg["seed"], i),
                                resamples=cfg["resamples"])
-              for i, b in enumerate(_angle_list(cfg["b_list"])))
+              for i, b in enumerate(_angle_list(cfg["b_list"]))]
     return {"dop": dop(s), "kappa1": sd.kappa1, "kappa2": sd.kappa2}, curves
 
 
@@ -364,6 +368,7 @@ def cmd_scan(cfg: dict) -> int:
     a_grid = _a_grid(cfg)
     if cfg["fmt"] == "csv" and cfg["out"] is None:
         raise WavebellError("scan with csv output needs --out DIRECTORY")
+    # every curve is measured before --out is created, so a refused scan leaves no directory
     source, curves = _scan_curves(cfg, a_grid)
     if cfg["fmt"] == "csv":
         outdir = Path(cfg["out"])

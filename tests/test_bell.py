@@ -282,6 +282,24 @@ class TestChsh:
             assert value <= bound
 
 
+class TestAngleSettings:
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("angle", [np.array([0.1, 0.2]), np.array(0.1), 0.1j, "0.1"],
+                             ids=["array", "0-d-array", "complex", "text"])
+    def test_non_scalar_angle_refused(self, position, angle):
+        # an array angle used to pass, then fail inside run_bell_protocol
+        angles = [0.1] * 4
+        angles[position] = angle
+        name = ("a", "a_prime", "b", "b_prime")[position]
+        with pytest.raises(DomainError, match=f"^angle {name} must be a real scalar, got "):
+            AngleSettings(*angles)
+
+    def test_numpy_and_integer_scalars_pass(self):
+        # validate unpacks np.float64 angles from rng.uniform
+        settings = AngleSettings(*np.random.default_rng(0).uniform(0.0, math.pi, 4))
+        assert AngleSettings(np.float32(0.5), 1, np.int64(0), settings.b).a == 0.5
+
+
 class TestLhv:
     def test_constant_model(self):
         model = LhvModel(
@@ -333,6 +351,18 @@ class TestLhv:
         model = LhvModel(**responses, lambda_sampler=lambda rng, size: rng.uniform(0, 1, size))
         with pytest.raises(ModelContractError):
             lhv_correlation(model, 0.0, 0.0, 100, 0)
+
+    @pytest.mark.parametrize("side", ["outcome_a", "outcome_b"])
+    @pytest.mark.parametrize("shape", [(5,), (2, 100), (1, 1)])
+    def test_wrong_shape_response_names_both_shapes(self, side, shape):
+        responses = {"outcome_a": lambda a, lam: np.ones_like(lam),
+                     "outcome_b": lambda b, lam: np.ones_like(lam)}
+        responses[side] = lambda angle, lam: np.zeros(shape)
+        model = LhvModel(**responses, lambda_sampler=lambda rng, size: rng.uniform(0, 1, size))
+        with pytest.raises(ModelContractError) as exc:
+            lhv_correlation(model, 0.0, 0.0, 100, 0)
+        assert str(exc.value) == (f"{side} response has shape {shape}, which does not "
+                                  "broadcast to the samples' shape (100,)")
 
     def test_sample_count_domain(self):
         with pytest.raises(DomainError):

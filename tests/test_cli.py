@@ -208,6 +208,41 @@ class TestScan:
         assert capsys.readouterr().err == \
             "wavebell: error: n must be at most 2**53, got 1000000000000000000\n"
 
+    # 5000 points read in 100001 runs: refused by the pair-runs bound before anything is drawn
+    REFUSED = ["scan", "--n", "100", "--a-stop", "0.5", "--a-step", "1e-4",
+               "--resamples", "100000", "--b-list", "0"]
+
+    def test_refused_scan_creates_no_out_directory(self, tmp_path, capsys):
+        for out in (tmp_path / "d", tmp_path / "new" / "nested"):
+            assert run_cli(self.REFUSED + ["--out", str(out)]) == 1
+            assert "pair-runs" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_later_refused_curve_leaves_no_out_directory(self, tmp_path, capsys, monkeypatch):
+        # the first curve is measured and the second refused; no curve file may be written
+        measure = cli.scan_correlation
+        calls = []
+
+        def refuse_the_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise wavebell.DomainError("second curve refused")
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "scan_correlation", refuse_the_second)
+        argv = ["scan", "--n", "100", "--a-stop", "0.2", "--b-list", "0,0.3", "--resamples", "0"]
+        assert run_cli(argv + ["--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err == "wavebell: error: second curve refused\n"
+        assert list(tmp_path.iterdir()) == []
+        # a directory that existed before the call stays, with its files and no new ones
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "notes.txt").write_text("kept")
+        calls.clear()
+        assert run_cli(argv + ["--out", str(tmp_path / "d")]) == 1
+        assert run_cli(self.REFUSED + ["--out", str(tmp_path / "d")]) == 1
+        assert [p.name for p in (tmp_path / "d").iterdir()] == ["notes.txt"]
+        assert (tmp_path / "d" / "notes.txt").read_text() == "kept"
+
 
 class TestChsh:
     def test_equal_settings_give_two(self, tmp_path):
@@ -827,6 +862,63 @@ def test_removed_options_are_rejected(capsys):
             main(argv)
         assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _fresh_stdout(argv) -> str:
+    proc = subprocess.run([sys.executable, "-m", "wavebell.cli", *argv], capture_output=True,
+                          timeout=120, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.decode()
+
+
+def test_shared_parser_carries_nothing_between_calls(tmp_path, capsys):
+    # every in-process call parses with one parser; each good call must print what the
+    # same argv prints in a fresh interpreter, whatever the calls before it were
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dop": 0.4, "seed": 3, "settings": [0.1, 0.2, 0.3, 0.4]}))
+    small = ["--n", "1000", "--resamples", "0"]
+    sequence = [  # (argv, the exit code of a call that ends in SystemExit)
+        (["chsh", "--settings", "0", "0.3", "0.1", "0.2"] + small, None),
+        (["chsh"], None),
+        (["chsh", "--config", str(config)] + small, None),
+        (["chsh"] + small, None),
+        (["chsh", "--settings", "1", "2"], 1),  # a usage error
+        (["source", "--n", "1000"], None),
+        (["scan", "--help"], 0),
+        (["scan", "--n", "1000", "--a-stop", "0.2", "--b-list", "0.3", "--format", "json"], None),
+    ]
+    for argv, exit_code in sequence:
+        if exit_code is None:
+            assert main(argv) == 0
+            assert capsys.readouterr().out == _fresh_stdout(argv), argv
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == exit_code
+            capsys.readouterr()
+
+
+def test_parser_is_built_once_per_process_and_not_at_import():
+    code = """if True:
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting
+        from wavebell import cli
+        print(len(built))
+        for _ in range(3):
+            cli.main(["source", "--n", "100"])
+        print(len(built))
+        """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # nothing at import; then the root parser and one subparser per command, once
+    assert (lines[0], lines[-1]) == ("0", str(1 + len(cli._DEFAULTS)))
 
 
 def test_cli_import_loads_no_thread_pool():
