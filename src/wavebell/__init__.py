@@ -30,7 +30,6 @@ from .ensemble import (
     dop,
     inner,
     kappa_from_dop,
-    measured_schmidt,
     polarization_report,
     schmidt,
     schmidt_functions,

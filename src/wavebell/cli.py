@@ -43,15 +43,13 @@ from .bell import (
     lhv_chsh,
 )
 from .ensemble import (
-    _check_n,
-    _check_source,
     _draw_partially_polarized,
     dop,
     kappa_from_dop,
-    measured_schmidt,
     polarization_report,
     schmidt,
     synthesize_schmidt_form,
+    tomography,
 )
 from .errors import WavebellError
 from .interferometer import (
@@ -309,17 +307,10 @@ def _flatten_complex_pairs(prefix: str, pairs) -> tuple[list[str], list[float]]:
     return names, values
 
 
-def _source(cfg: dict, intensity: float = 1.0):
-    """The second moments of ``synthesize_partially_polarized(dop, intensity, n, seed)``
-    at the command's dop, n and seed, drawn without the realizations, after
-    that function's argument checks."""
-    _check_source(cfg["dop"], intensity, cfg["n"], cfg["seed"])
-    return _draw_partially_polarized(cfg["dop"], cfg["n"], cfg["seed"], intensity)
-
-
 def cmd_source(cfg: dict) -> int:
     """draw and characterize a source beam"""
-    report = polarization_report(_source(cfg, cfg["intensity"]))
+    report = polarization_report(
+        _draw_partially_polarized(cfg["dop"], cfg["n"], cfg["seed"], cfg["intensity"]))
     if cfg["fmt"] == "json":
         report["config"] = _echo(cfg)
         _write_text(cfg["out"], json.dumps(report, indent=2))
@@ -354,13 +345,13 @@ def _a_grid(cfg: dict) -> np.ndarray:
 
 def _scan_curves(cfg: dict, a_grid: np.ndarray):
     """The measured source as {dop, kappa1, kappa2}, and the curves, one per b."""
-    source = _source(cfg)
-    s, sd = measured_schmidt(source)
+    source = _draw_partially_polarized(cfg["dop"], cfg["n"], cfg["seed"])
+    sd = schmidt(source)
     noise = _noise(cfg)
     curves = [scan_correlation(source, sd, b, a_grid, noise=noise, seed=(cfg["seed"], i),
                                resamples=cfg["resamples"])
               for i, b in enumerate(_angle_list(cfg["b_list"]))]
-    return {"dop": dop(s), "kappa1": sd.kappa1, "kappa2": sd.kappa2}, curves
+    return {"dop": dop(tomography(source)), "kappa1": sd.kappa1, "kappa2": sd.kappa2}, curves
 
 
 def cmd_scan(cfg: dict) -> int:
@@ -414,8 +405,6 @@ def cmd_chsh(cfg: dict) -> int:
 
 
 def _validate_checks(cfg: dict):
-    # the moment draw of checks 2-3 leaves n to its caller: reject a bad n before any check runs
-    _check_n(cfg["n"])
     n = int(cfg["n"])
     rng = np.random.default_rng((cfg["seed"], 29))
 

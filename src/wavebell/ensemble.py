@@ -31,7 +31,6 @@ __all__ = [
     "kappa_from_dop",
     "schmidt",
     "schmidt_functions",
-    "measured_schmidt",
     "tomography",
     "polarization_report",
 ]
@@ -185,12 +184,27 @@ def _check_intensity(intensity: float) -> None:
         raise DomainError(f"intensity must lie in [1e-100, 1e100], got {intensity}")
 
 
-def _check_source(dop: float, intensity: float, n: int, seed: int) -> None:
+# Traces of J over which every square formed from J's entries (a Stokes parameter's,
+# or the extraction numerator's, at most twice the trace) stays a normal float.
+_TRACE_RANGE = (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max) / 2.0)
+
+
+def _check_trace(trace: float) -> None:
+    # a zero trace passes: it carries no square to lose, and each caller names it
+    lo, hi = _TRACE_RANGE
+    if not (trace == 0.0 or lo <= trace <= hi):  # a NaN fails too
+        side = "underflow" if trace < lo else "overflow"
+        raise DomainError(f"second moments {side}: tr J = {trace:.3g} lies outside "
+                          f"[{lo:.3g}, {hi:.3g}], where the squares formed from it are no "
+                          "longer normal floats")
+
+
+def _check_source(dop: float, intensity: float, n: int, seed) -> None:
     # the checks of one partially polarized source, wherever it is drawn
     _check_dop(dop)
     _check_intensity(intensity)
     _check_n(n)
-    _check_integer("seed", seed, 0)
+    _check_seed(seed)
 
 
 # Rows coloured per step by synthesize_partially_polarized: a step's one temporary
@@ -232,8 +246,8 @@ def synthesize_partially_polarized(
         Expected ensemble-mean power, in [1e-100, 1e100].
     n : int
         Number of realizations, an integer in [2, 2**53].
-    seed : int
-        Generator seed, an integer >= 0.
+    seed : int or tuple
+        Generator seed: an integer >= 0, or a tuple of them naming a stream.
     """
     _check_source(dop, intensity, n, seed)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -287,8 +301,9 @@ def _draw_partially_polarized(dop: float, n: int, seed, intensity: float = 1.0) 
     follows the complex Wishart law CW(n, intensity Sigma), and J = intensity
     L T T+ L+ / n with L T from :func:`_source_factor`.  The synthesized
     ensemble is coloured by this same factor, so both give this J to
-    rounding.  The cost does not grow with n.  Arguments are checked by the
-    caller (:func:`_check_source`); a tuple seed names a stream too."""
+    rounding.  The cost does not grow with n.  The arguments are checked as
+    that function checks them; a tuple seed names a stream too."""
+    _check_source(dop, intensity, n, seed)
     lt = _source_factor(dop, n, seed)
     j = lt @ lt.conj().T / n
     return _Moments((j + j.conj().T) / 2.0 * intensity, n)
@@ -355,10 +370,13 @@ def stokes(j: np.ndarray) -> StokesVector:
 
 
 def dop(s: StokesVector) -> float:
-    """Degree of polarization sqrt(S1^2 + S2^2 + S3^2) / S0."""
+    """Degree of polarization sqrt(S1^2 + S2^2 + S3^2) / S0, at most 1: a vector
+    inside the cone's 1e-10 tolerance reads 1.  S0, the trace of J, must be
+    positive and in ``_TRACE_RANGE``."""
     if s.s0 <= 0:
         raise DomainError("degree of polarization requires S0 > 0")
-    return math.sqrt(s.s1**2 + s.s2**2 + s.s3**2) / s.s0
+    _check_trace(s.s0)
+    return min(math.sqrt(s.s1**2 + s.s2**2 + s.s3**2) / s.s0, 1.0)
 
 
 def kappa_from_dop(dop: float) -> tuple[float, float]:
@@ -374,11 +392,15 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 
 def schmidt(ensemble: FieldEnsemble) -> SchmidtDecomposition:
-    """Schmidt decomposition of an ensemble across lab and function space.
+    """Schmidt decomposition of an ensemble across lab and function space: the
+    calibration of every command, its basis and weights from one
+    eigendecomposition.
 
     Diagonalizes the sample coherence matrix; u1, u2 are its eigenvectors in
     descending-eigenvalue order with kappa_i = sqrt(lambda_i / I).  Works on
     the cached 2x2 second moments only, so the result does not grow with N.
+    The weights equal :func:`kappa_from_dop` of the tomography DOP to
+    rounding, without the cancellation in 1 - DOP as DOP -> 1.
 
     For a nearly unpolarized field (DOP < 1e-12) the eigenbasis is arbitrary;
     (1, 0), (0, 1) is used as a deterministic tie-break.
@@ -434,16 +456,6 @@ def schmidt_functions(ensemble: FieldEnsemble, sd: SchmidtDecomposition) -> tupl
     return f1, f2
 
 
-def measured_schmidt(ensemble: FieldEnsemble) -> tuple[StokesVector, SchmidtDecomposition]:
-    """Calibrate a source as the experiment does: Schmidt weights from the
-    tomography DOP, lab basis (u1, u2) from the sample eigenvectors of
-    :func:`schmidt`.  Returns the tomography estimate and that decomposition."""
-    s = tomography(ensemble)
-    k1, k2 = kappa_from_dop(dop(s))
-    sd = schmidt(ensemble)
-    return s, SchmidtDecomposition(kappa1=k1, kappa2=k2, u1=sd.u1, u2=sd.u2, intensity=sd.intensity)
-
-
 def tomography(ensemble: FieldEnsemble) -> StokesVector:
     """Estimate Stokes parameters from six projective intensity measurements.
 
@@ -475,10 +487,11 @@ def _complex_pairs(v: np.ndarray) -> list[list[float]]:
 def polarization_report(ensemble: FieldEnsemble) -> dict:
     """Source characterization as a JSON-ready dict.
 
-    Keys: s0, s1, s2, s3, dop, kappa1, kappa2, u1, u2.  Complex vectors are
-    encoded as [[re, im], [re, im]] pairs.
+    Keys: s0, s1, s2, s3 and dop from :func:`tomography`, then kappa1,
+    kappa2, u1 and u2 from :func:`schmidt`.  Complex vectors are encoded as
+    [[re, im], [re, im]] pairs.
     """
-    s, sd = measured_schmidt(ensemble)
+    s, sd = tomography(ensemble), schmidt(ensemble)
     return {
         "s0": s.s0,
         "s1": s.s1,

@@ -52,9 +52,11 @@ from .ensemble import (
     _check_integer,
     _check_n,
     _check_seed,
+    _check_trace,
     _draw_partially_polarized,
     dop,
-    measured_schmidt,
+    schmidt,
+    tomography,
 )
 from .errors import DomainError, ExtractionError, StrippedBeamError
 from .optics import (
@@ -102,9 +104,6 @@ _STRIP = (stripping_angle, stripping_angle_orthogonal)
 # Largest detector noise and phase jitter a NoiseModel accepts: far above any
 # real apparatus, and low enough that no reading overflows.
 _MAX_NOISE = 1e6
-
-# Below this trace of J (and above 0) squares of the moments are no longer normal floats.
-_TINY_TRACE = math.sqrt(np.finfo(float).tiny)
 
 # Largest bootstrap resample count.  All runs are read at once, so memory grows with
 # resamples x settings: measured on a 2-core x86-64 host, a resample costs about 2 KB
@@ -183,13 +182,11 @@ def _moment_stacks(j, n, t, noise, seeds, m):
     draws all its noise from one stream, ``default_rng(seeds[r])``: the normals
     of its M readings, standard_normal((M, 2, 4)), then their detector
     offsets, normal(0, sigma_d tr J_r, (M, 3)).  Without jitter K is J, as a
-    broadcast view.  A J whose trace is positive but below sqrt of the
-    smallest normal float raises DomainError.
+    broadcast view.  A J of positive trace outside ``ensemble._TRACE_RANGE``,
+    where the readings' squares are no longer normal floats, raises
+    DomainError.
     """
-    trace = float(np.trace(j).real)
-    if 0.0 < trace < _TINY_TRACE:
-        raise DomainError(f"second moments underflow: tr J = {trace:.3g} is below "
-                          f"{_TINY_TRACE:.3g}, where its square is no longer a normal float")
+    _check_trace(float(np.trace(j).real))
     sigma, detector = noise.phase_jitter, noise.detector_noise
     lt = _root(j) @ np.reshape(t, (-1, 2, 2))
     drawn = lt @ lt.conj().swapaxes(1, 2) / n
@@ -265,8 +262,9 @@ def probabilities_from_triples(triples, beam) -> np.ndarray:
     Raises
     ------
     DomainError
-        If ``triples`` is not of shape (..., 4, 3), a reading or I is not
-        finite and >= 0, or I is 0.
+        If ``triples`` is not of shape (..., 4, 3), ``beam`` does not
+        broadcast to its (...), a reading or I is not finite and >= 0, or I
+        is 0.
     ExtractionError
         If a probability exceeds 1 by more than 1e-6, which indicates a
         convention bug rather than rounding; values in (1, 1 + 1e-6] are
@@ -284,7 +282,11 @@ def probabilities_from_triples(triples, beam) -> np.ndarray:
         raise DomainError("readings and source intensity must be finite and >= 0")
     if np.any(beam <= 0.0):
         raise DomainError("source intensity must be positive")
-    beam = np.broadcast_to(beam[..., None], t.shape[:-1])
+    try:
+        beam = np.broadcast_to(beam[..., None], t.shape[:-1])
+    except ValueError:
+        raise DomainError(f"beam of shape {beam.shape} does not broadcast to the pairs' shape "
+                          f"{t.shape[:-2]} of triples of shape {t.shape}") from None
     stripped = t[..., 2] <= 1e-15 * beam
     lit = ~stripped
     i_total, i_test, i_aux = t[lit].T
@@ -495,8 +497,8 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
     Pipeline: draw the source's second moments J from the complex Wishart
     law of n circular-Gaussian realizations at the requested DOP (one
     Bartlett draw from ``default_rng(seed)``, at a cost that does not grow
-    with n), run polarization tomography,
-    convert the measured degree of polarization to Schmidt weights, pick
+    with n), run polarization tomography for the reported DOP, take the
+    Schmidt weights and basis from J's eigendecomposition (``schmidt``), pick
     angle settings (optimized unless given), measure the four joint
     probabilities per setting interferometrically, and attach bootstrap
     standard errors.
@@ -506,8 +508,7 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
     "closed-form") with the separable maximum chsh = 2.
     """
     source = _draw_partially_polarized(config.dop, config.n, config.seed)
-    stokes_est, sd = measured_schmidt(source)
-    dop_est = dop(stokes_est)
+    sd = schmidt(source)
     k1, k2 = sd.kappa1, sd.kappa2
 
     settings = max_chsh(k1, k2)[1] if config.settings is None else config.settings
@@ -529,7 +530,7 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
         for (alpha, beta), p, c_i, err in zip(pairs, runs[0], c[0], errs[1:])
     )
     return BellReport(
-        dop=dop_est,
+        dop=dop(tomography(source)),
         kappa1=k1,
         kappa2=k2,
         n=config.n,

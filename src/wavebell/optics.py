@@ -184,7 +184,9 @@ def waveplate_matrix(kind: str, fast_axis_angle: float) -> np.ndarray:
 
 
 def apply(m: np.ndarray, ensemble: FieldEnsemble) -> FieldEnsemble:
-    """Pass every realization through the Jones matrix ``m``: E -> m E."""
+    """Pass every realization through the 2x2 Jones matrix ``m``: E -> m E."""
+    if np.shape(m) != (2, 2):
+        raise DomainError(f"need a 2x2 Jones matrix, got shape {np.shape(m)}")
     return FieldEnsemble(ensemble.realizations @ m.T)
 
 
@@ -194,7 +196,17 @@ def chain_power(m: np.ndarray, moments: np.ndarray) -> float | np.ndarray:
 
     Stacks of chains (..., 2, 2) and of moment matrices broadcast against
     each other and give an array of powers; one chain and one J give a float.
+    Other shapes raise DomainError.
     """
+    shapes = np.shape(m), np.shape(moments)
+    try:
+        np.broadcast_shapes(*shapes)
+        fits = all(x[-2:] == (2, 2) for x in shapes)
+    except ValueError:
+        fits = False
+    if not fits:
+        raise DomainError(f"need 2x2 chains and moments, or stacks of them that broadcast, "
+                          f"got shapes {shapes[0]} and {shapes[1]}")
     power = _entry_sum((m.conj().swapaxes(-1, -2) @ m) * moments).real
     return float(power) if power.ndim == 0 else power
 

@@ -12,7 +12,8 @@ mean equal outputs, token for token.
 
 ``tests/test_golden.py`` reruns the matrix against the manifest.  This script
 prints, per command and field, how far the outputs of the code as it stands
-moved from the manifest (entries moved, largest |old - new|), and with
+moved from the manifest (entries moved, largest |old - new| and largest
+|old - new| / |old|), and with
 ``--write`` it rewrites the manifest.  A change that moves outputs on purpose
 rewrites the manifest and records the table.
 
@@ -174,9 +175,16 @@ def _difference(a, b) -> float:
     return 0.0 if a == b else math.inf
 
 
+def _relative(a, b) -> float:
+    # a move of a value that was 0, or of text, is infinitely large
+    d = _difference(a, b)
+    return d / abs(a) if d and math.isfinite(d) and a != 0 else (0.0 if d == 0 else math.inf)
+
+
 def table(old_entries: list[dict], new_entries: list[dict]) -> str:
     """Per command and field: the entries whose values moved, out of those
-    that carry the field, and the largest |old - new| (inf: text or shape)."""
+    that carry the field, the largest |old - new| and the largest
+    |old - new| / |old| (inf: text, shape, or a move away from 0)."""
     rows: dict = {}
     for old, new in zip(old_entries, new_entries):
         command = old["argv"][0]
@@ -185,18 +193,22 @@ def table(old_entries: list[dict], new_entries: list[dict]) -> str:
             new_fields = new["outputs"].get(output, {})
             for field in {**old_fields, **new_fields}:
                 a, b = old_fields.get(field, []), new_fields.get(field, [])
-                worst = max(map(_difference, a, b), default=0.0) if len(a) == len(b) else math.inf
-                row = rows.setdefault((command, field), [0, 0, 0.0, set()])
+                same = len(a) == len(b)
+                worst = max(map(_difference, a, b), default=0.0) if same else math.inf
+                relative = max(map(_relative, a, b), default=0.0) if same else math.inf
+                row = rows.setdefault((command, field), [0, 0, 0.0, 0.0, set()])
                 row[1] += 1
                 if worst > 0.0:
                     row[0] += 1
                     row[2] = max(row[2], worst)
-                    row[3].add(old["name"].rsplit("-", 1)[0])
-    lines = ["| command | field | moved / entries | max abs diff | moved in |", "|---|---|---|---|---|"]
-    for (command, field), (moved, total, worst, where) in sorted(rows.items()):
+                    row[3] = max(row[3], relative)
+                    row[4].add(old["name"].rsplit("-", 1)[0])
+    lines = ["| command | field | moved / entries | max abs diff | max rel diff | moved in |",
+             "|---|---|---|---|---|---|"]
+    for (command, field), (moved, total, worst, relative, where) in sorted(rows.items()):
         if moved:
             lines.append(f"| {command} | {field} | {moved} / {total} | {worst:.3g} | "
-                         f"{', '.join(sorted(where))} |")
+                         f"{relative:.3g} | {', '.join(sorted(where))} |")
     still = sum(1 for row in rows.values() if not row[0])
     lines.append(f"\n{still} of {len(rows)} (command, field) pairs did not move in any entry.")
     return "\n".join(lines)

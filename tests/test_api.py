@@ -36,11 +36,13 @@ def test_module_exports_are_package_names(name):
 
 
 def test_duplicate_names_stay_removed():
-    # the basis rotation is optics._axis and the CSV writer is the CLI's: no second copy
+    # the basis rotation is optics._axis, the CSV writer is the CLI's and the calibration is
+    # schmidt: no second copy
     for owner, name in [(wavebell, "FunctionBasis"), (wavebell, "rotate_lab_basis"),
                         (wavebell, "rotate_function_basis"), (wavebell, "CURVE_CSV_HEADER"),
                         (wavebell.interferometer, "CURVE_CSV_HEADER"),
                         (wavebell.CorrelationCurve, "to_csv"),
-                        (wavebell.SchmidtDecomposition, "dop")]:
+                        (wavebell.SchmidtDecomposition, "dop"),
+                        (wavebell, "measured_schmidt"), (wavebell.ensemble, "measured_schmidt")]:
         assert not hasattr(owner, name), name
     assert "seed" not in {f.name for f in dataclasses.fields(wavebell.FieldEnsemble)}

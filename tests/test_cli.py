@@ -188,7 +188,8 @@ class TestScan:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_reports_the_measured_source(self, tmp_path, fmt):
-        # the scan names the source it measured: tomography's DOP and the weights from it
+        # the scan names the source it measured: tomography's DOP and schmidt's weights,
+        # which meet the weights of that DOP to rounding
         out = tmp_path / "scan"
         assert run_cli(["scan", "--dop", "0.3", "--n", "500", "--seed", "4", "--b-list", "0.2",
                         "--a-stop", "0.2", "--resamples", "0", "--format", fmt,
@@ -196,7 +197,10 @@ class TestScan:
         payload = json.loads((out / "scan_config.json" if fmt == "csv" else out).read_text())
         source = payload["source"]
         assert list(source) == ["dop", "kappa1", "kappa2"]
-        assert (source["kappa1"], source["kappa2"]) == kappa_from_dop(source["dop"])
+        assert np.allclose([source["kappa1"], source["kappa2"]], kappa_from_dop(source["dop"]),
+                           rtol=1e-14, atol=0.0)
+        sd = schmidt(_draw_partially_polarized(0.3, 500, 4))
+        assert (source["kappa1"], source["kappa2"]) == (sd.kappa1, sd.kappa2)
         assert source["dop"] == pytest.approx(0.3, abs=0.1)
 
     def test_cost_does_not_grow_with_n(self, capsys):
@@ -715,8 +719,8 @@ def test_points_times_runs_bound(capsys, monkeypatch):
     assert "100 (a, b) pairs read in 100001 runs" in capsys.readouterr().err
     # the bound is inclusive, shown at a limit small enough to run
     monkeypatch.setattr(interferometer, "_MAX_PAIR_RUNS", 90 * 11)
-    source = cli._source({"dop": 0.0, "n": 100, "seed": 0})
-    _, sd = wavebell.measured_schmidt(source)
+    source = _draw_partially_polarized(0.0, 100, 0)
+    sd = schmidt(source)
     grid = np.arange(91) * math.pi / 91.0
     assert wavebell.scan_correlation(source, sd, 0.3, grid[:90], resamples=10).c.size == 90
     with pytest.raises(wavebell.DomainError, match="991 pair-runs, more than the limit of 990"):

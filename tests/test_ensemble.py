@@ -16,7 +16,6 @@ from wavebell import (
     StokesVector,
     dop,
     kappa_from_dop,
-    measured_schmidt,
     polarization_report,
     schmidt,
     schmidt_functions,
@@ -267,6 +266,32 @@ class TestDop:
         with pytest.raises(DomainError):
             dop(StokesVector(0.0, 0.0, 0.0, 0.0))
 
+    def test_at_most_one_inside_the_cone(self):
+        # a vector inside the cone's 1e-10 tolerance reads 1, so kappa_from_dop takes it
+        for excess in (2.2e-16, 1e-13, 1e-10):
+            s = StokesVector(1.0, 0.6 * (1.0 + excess), 0.8 * (1.0 + excess), 0.0)
+            assert dop(s) == 1.0
+            assert kappa_from_dop(dop(s)) == (1.0, 0.0)
+        assert dop(StokesVector(1.0, 0.6, 0.8 * (1.0 - 1e-12), 0.0)) < 1.0
+
+    # the ends of ensemble._TRACE_RANGE: sqrt of the smallest normal float, and half the
+    # square root of the largest
+    LO, HI = math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max) / 2.0
+
+    @pytest.mark.parametrize("s0", [LO, 1e-150, 1.0, 1e150, HI])
+    def test_exact_across_the_trace_range(self, s0):
+        s = StokesVector(s0, 0.3 * s0, 0.0, 0.0)
+        assert dop(s) == pytest.approx(0.3, rel=1e-15)
+        assert dop(StokesVector(s0, 0.6 * s0, 0.8 * s0, 0.0)) <= 1.0
+
+    @pytest.mark.parametrize("s0, side", [(LO * (1 - 1e-15), "underflow"), (1e-160, "underflow"),
+                                          (HI * (1 + 1e-15), "overflow"), (1e156, "overflow")])
+    def test_refused_outside_the_trace_range(self, s0, side):
+        # outside the range the squares are subnormal (dop read 0.29987 for 0.3 at 1e-160)
+        # or overflow (a bare OverflowError at 1e156)
+        with pytest.raises(DomainError, match=f"^second moments {side}: tr J = "):
+            dop(StokesVector(s0, 0.3 * s0, 0.0, 0.0))
+
 
 class TestKappaFromDop:
     def test_weights_at_dop_oneeighth(self):
@@ -314,6 +339,19 @@ class TestSchmidt:
         sd = schmidt(f)
         assert np.allclose(sd.u1, [1.0, 0.0])
         assert np.allclose(sd.u2, [0.0, 1.0])
+
+    @pytest.mark.parametrize("d", [1e-10, 1e-13])
+    def test_tiebreak_threshold_has_both_sides(self, d):
+        # a field in a rotated frame keeps its own basis at DOP 1e-10; below the tie-break's
+        # 1e-12 (at DOP 1e-13) its eigenbasis is rounding, and the lab frame is taken
+        c, s = math.cos(0.7), math.sin(0.7) * np.exp(0.4j)
+        u1, u2 = np.array([c, s]), np.array([-s.conjugate(), c])
+        sd = schmidt(synthesize_schmidt_form(*kappa_from_dop(d), n=64, seed=3, u1=u1, u2=u2))
+        if d > 1e-12:
+            assert abs(np.vdot(u1, sd.u1)) >= 1.0 - 1e-6
+            assert abs(np.vdot(u2, sd.u2)) >= 1.0 - 1e-6
+        else:
+            assert sd.u1.tolist() == [1.0, 0.0] and sd.u2.tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_invariants_on_random_ensembles(self, seed):
@@ -414,15 +452,38 @@ def test_polarization_report_fields():
     assert np.asarray(report["u1"]).shape == (2, 2)
 
 
-def test_measured_schmidt_is_the_calibration_rule():
-    # weights from the tomography DOP, basis from the sample eigenvectors
+def test_schmidt_is_the_calibration_rule():
+    # one rule: the report's weights and basis are schmidt's, its Stokes vector and DOP
+    # tomography's; the weights meet kappa_from_dop of that DOP to rounding
     e = synthesize_partially_polarized(0.2, 1.5, 5000, 14)
-    s, sd = measured_schmidt(e)
-    assert s == tomography(e)
-    assert (sd.kappa1, sd.kappa2) == kappa_from_dop(dop(tomography(e)))
-    eig = schmidt(e)
-    assert np.array_equal(sd.u1, eig.u1) and np.array_equal(sd.u2, eig.u2)
-    assert sd.intensity == eig.intensity
+    s, sd = tomography(e), schmidt(e)
     report = polarization_report(e)
+    assert [report[k] for k in ("s0", "s1", "s2", "s3", "dop")] == [s.s0, s.s1, s.s2, s.s3,
+                                                                     dop(s)]
     assert (report["kappa1"], report["kappa2"]) == (sd.kappa1, sd.kappa2)
-    assert report["dop"] == dop(s)
+    assert np.array_equal(np.asarray(report["u1"]) @ [1, 1j], sd.u1)
+    assert np.array_equal(np.asarray(report["u2"]) @ [1, 1j], sd.u2)
+    assert np.allclose([sd.kappa1, sd.kappa2], kappa_from_dop(dop(s)), rtol=1e-14, atol=0.0)
+
+
+def haar_frame(rng):
+    # a Haar-random orthonormal pair (u1, u2): the columns of a random unitary
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    return q[:, 0], q[:, 1]
+
+
+@pytest.mark.parametrize("n", [2, 8, 512])
+def test_report_of_fully_polarized_fields_in_random_frames(n):
+    # rounding can put the tomography DOP of a fully polarized field a few ulps above 1;
+    # the report reads DOP 1 and weights (1, 0) to rounding, and raises nothing
+    rng = np.random.default_rng(n)
+    for seed in range(200):
+        u1, u2 = haar_frame(rng)
+        report = polarization_report(synthesize_schmidt_form(1.0, 0.0, n=n, seed=seed,
+                                                             u1=u1, u2=u2))
+        assert 1.0 - 1e-14 <= report["dop"] <= 1.0
+        assert report["kappa1"] == pytest.approx(1.0, abs=1e-15)
+        assert report["kappa2"] <= 1e-7
+        assert abs(np.vdot(np.asarray(report["u1"]) @ [1, 1j], u1)) == pytest.approx(1.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import threading
 import tracemalloc
 from pathlib import Path
@@ -29,7 +30,6 @@ from wavebell import (
     kappa_from_dop,
     measure_intensities,
     max_chsh,
-    measured_schmidt,
     probabilities_from_triples,
     run_bell_protocol,
     scan_correlation,
@@ -376,7 +376,7 @@ class TestTriplePathAgreement:
         # 90-point grid at b = 0.3 reads both stripping angles below the
         # threshold, so the crossed outcome has no partner to recover from
         source = synthesize_partially_polarized(1.0 - 1e-10, 1.0, 100_000, 0)
-        _, sd = measured_schmidt(source)
+        sd = schmidt(source)
         grid = np.arange(0.0, math.pi - 1e-12, math.pi / 90.0)
         assert len(grid) == 90
         with pytest.raises(StrippedBeamError, match="^auxiliary beam extinguished; intensity "
@@ -586,7 +586,7 @@ class TestScanCorrelation:
         assert len(lines) == 2
         row = [float(v) for v in lines[1].split(",")]
         e = synthesize_partially_polarized(0.125, 1.0, 1000, 14)
-        curve = scan_correlation(e, measured_schmidt(e)[1], 0.4, [0.1], seed=(14, 0))
+        curve = scan_correlation(e, schmidt(e), 0.4, [0.1], seed=(14, 0))
         want = [0.1, 0.4] + [float(getattr(curve, k)[0]) for k in ("p11", "p12", "p21", "p22", "c")]
         assert row[:7] == pytest.approx(want, rel=1e-11, abs=1e-12)
         assert row[7] == 0.0
@@ -665,8 +665,46 @@ class TestRunBellProtocol:
         cfg = ProtocolConfig(dop=dop, n=3000, seed=37, resamples=0)
         rep = run_bell_protocol(cfg)
         source = ensemble._draw_partially_polarized(cfg.dop, cfg.n, cfg.seed)
-        _, sd = measured_schmidt(source)
+        sd = schmidt(source)
         assert (rep.kappa1, rep.kappa2) == (sd.kappa1, sd.kappa2)
+        assert rep.dop == degree_of_polarization(tomography(source))
+
+    @pytest.mark.parametrize("n", [3000, 10**6])
+    def test_kappa2_near_full_polarization_has_no_cancellation(self, n):
+        # at DOP 1 - 1e-13 the weights from the tomography DOP lost about 1e-3 of kappa2 to
+        # 1 - DOP; the oracle takes lambda2 = det J / lambda1 with det J from the draw's
+        # Bartlett factor T, det J = (1 + d)(1 - d) |T11|^2 |T22|^2 / (4 n^2)
+        d = 1.0 - 1e-13
+        for seed in range(5):
+            rep = run_bell_protocol(ProtocolConfig(dop=d, n=n, seed=seed, resamples=0))
+            t = ensemble._bartlett(np.random.default_rng(seed), n, 1)[0]
+            trace = np.trace(ensemble._draw_partially_polarized(d, n, seed).second_moments).real
+            det = (1.0 + d) * (1.0 - d) * abs(t[0, 0])**2 * abs(t[1, 1])**2 / (4.0 * n**2)
+            lam2 = det / (trace / 2.0 + math.sqrt(trace**2 / 4.0 - det))
+            assert rep.kappa2 == pytest.approx(math.sqrt(lam2 / trace), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1.0 - 1e-8, 1.0 - 1e-10, 1.0 - 1e-11])
+    def test_probabilities_near_full_polarization_are_complete(self, d):
+        # the 16 probabilities of four settings sum to 4; the weights from the tomography
+        # DOP missed by up to 2e-5 at DOP 1 - 1e-11
+        settings = AngleSettings(0.1, 0.7, 0.3, 1.2)
+        for seed in range(5):
+            rep = run_bell_protocol(ProtocolConfig(dop=d, n=100_000, seed=seed,
+                                                   settings=settings, resamples=0))
+            assert rep.method == "interferometer"
+            total = sum(p.p11 + p.p12 + p.p21 + p.p22 for p in rep.probabilities)
+            assert abs(total - 4.0) <= 1e-9
+
+    @pytest.mark.parametrize("d, method", [(1.0 - 8e-12, "interferometer"),
+                                           (1.0 - 5e-13, "closed-form")])
+    def test_kappa2_floor_has_both_sides(self, d, method):
+        # kappa2 = sqrt((1 - DOP) / 2): about 2e-6 is measured, about 5e-7 is below the
+        # floor of 1e-6 and takes the closed form; both meet 2 sqrt(1 + 4 k1^2 k2^2)
+        rep = run_bell_protocol(ProtocolConfig(dop=d, n=10**6, seed=0, resamples=0))
+        assert rep.method == method
+        assert rep.kappa2 == pytest.approx(math.sqrt((1.0 - d) / 2.0), rel=1e-2)
+        bound = 2.0 * math.sqrt(1.0 + 4.0 * (rep.kappa1 * rep.kappa2)**2)
+        assert rep.chsh == pytest.approx(bound, abs=1e-12)
 
     def test_fully_polarized_fallback(self):
         rep = run_bell_protocol(ProtocolConfig(dop=1.0, n=1000, seed=34, resamples=0))
@@ -786,10 +824,10 @@ def protocol_reference(cfg, rep):
     """Gathered-copy bootstrap errors for a run_bell_protocol report:
     (chsh_err, [c_err per setting]).  The protocol draws its source's J in
     law, so the gathered side bootstraps a synthesized source of the same
-    law at the same seed, calibrated by its own measured_schmidt.  Each copy
+    law at the same seed, calibrated by its own schmidt.  Each copy
     is read at the report's settings, under noise streams of its own."""
     source = synthesize_partially_polarized(cfg.dop, 1.0, cfg.n, cfg.seed)
-    _, sd = measured_schmidt(source)
+    sd = schmidt(source)
     pairs = rep.settings.pairs()
 
     def chsh_and_correlations(e, run):
@@ -888,7 +926,7 @@ class TestRunZero:
         # 16 resamples draws; run 0 is read alone, so a resample's reading that
         # cannot be extracted (ROADMAP item 3) does not enter
         e = synthesize_partially_polarized(0.125, 1.0, 2000, 42)
-        _, sd = measured_schmidt(e)
+        sd = schmidt(e)
         grid, base = np.linspace(0.0, math.pi, 7, endpoint=False), (42, 1)
         curve = scan_correlation(e, sd, b, grid, noise, base, 0)
         j, k, offsets = interferometer._moment_stacks(
@@ -934,7 +972,7 @@ class TestResampleCounts:
         # The R resamples take their Bartlett factors from base + (715,), one
         # call per entry, and run r draws all its readings' noise from base + (r, 716).
         e = synthesize_partially_polarized(0.125, 1.0, 2000, 39)
-        _, sd = measured_schmidt(e)
+        sd = schmidt(e)
         # b = 0 crosses polarizer and stripping axes, so the fallback runs too
         b, grid, base = 0.0, np.linspace(0.0, math.pi, 7, endpoint=False), (39, 2)
         curve = scan_correlation(e, sd, b, grid, noise=noise, seed=base, resamples=11)
@@ -951,7 +989,7 @@ class TestResampleCounts:
     def test_one_generator_per_run(self, monkeypatch, noise):
         # the Bartlett stream, then under noise one stream per run, not one per reading
         e = synthesize_partially_polarized(0.125, 1.0, 2000, 39)
-        _, sd = measured_schmidt(e)
+        sd = schmidt(e)
         grid = np.linspace(0.0, math.pi, 7, endpoint=False)
         log = record_draws(monkeypatch)
         scan_correlation(e, sd, 0.3, grid, noise, (39, 2), 11)
@@ -1021,6 +1059,33 @@ class TestResampleCounts:
         traces = np.trace(j, axis1=1, axis2=2).real
         assert np.all(np.linalg.eigvalsh(j)[:, 0] >= -1e-12 * traces)
 
+    # the ends of ensemble._TRACE_RANGE
+    LO, HI = math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max) / 2.0
+
+    @pytest.mark.parametrize("noise", NOISE_MODELS, ids=NOISE_IDS)
+    @pytest.mark.parametrize("trace", [LO * (1.0 + 1e-15), HI * (1.0 - 1e-15)])
+    def test_kernel_reads_the_whole_trace_range(self, noise, trace):
+        # every probability and bar at the ends of the range is the unit-trace one: a
+        # ratio of intensities (dim readings near the low end keep about 13 digits)
+        source = ensemble._draw_partially_polarized(0.3, 1000, 0)
+        j = source.second_moments / np.trace(source.second_moments).real
+        curves = [scan_correlation(m, schmidt(m), 0.3, [0.0, 0.2, 1.0], noise, 0, 10)
+                  for m in (ensemble._Moments(j, 1000), ensemble._Moments(j * trace, 1000))]
+        for key in ("p11", "p12", "p21", "p22", "c", "c_err"):
+            assert np.allclose(*(getattr(c, key) for c in curves), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("trace, side", [(LO * (1.0 - 1e-15), "underflow"),
+                                             (1e-160, "underflow"),
+                                             (HI * (1.0 + 1e-15), "overflow"),
+                                             (1e156, "overflow")])
+    def test_kernel_refuses_traces_outside_the_range(self, trace, side):
+        # past the upper end the squares overflow (at 1e156 every p read NaN, with only a
+        # RuntimeWarning); past the lower end they are subnormal
+        j = ensemble._draw_partially_polarized(0.3, 1000, 0).second_moments
+        m = ensemble._Moments(j * (trace / np.trace(j).real), 1000)
+        with pytest.raises(DomainError, match=f"^second moments {side}: tr J = "):
+            scan_correlation(m, schmidt(m), 0.3, [0.2])
+
     def test_jitter_protocol_gathers_no_copy(self, monkeypatch):
         # the source and every resample are drawn as moments, so no ensemble
         # is built and no array grows with n
@@ -1089,6 +1154,20 @@ class TestJitterDraw:
         measure_intensities(e, 0.3, 0.8, noise, seed, basis=basis_of(schmidt(e)))
         assert log == [("default_rng", seed), ("standard_normal", (1, 2, 4)), ("normal", (1, 3))]
 
+    def test_detector_offsets_scale_with_each_runs_trace(self):
+        # run r's offsets have std sigma_d tr J_r, its own trace: at n = 2 the resample
+        # traces spread over a wide range, so the source's trace would not give them
+        e, m = synthesize_partially_polarized(0.4, 1.0, 2, 12), 3
+        noise = NoiseModel(detector_noise=1e-3)
+        seeds = [(5, r, 716) for r in range(11)]
+        j, _, offsets = interferometer._moment_stacks(
+            e.second_moments, e.n, bartlett_factors((5, 715), e.n, 10), noise, seeds, m)
+        traces = np.trace(j, axis1=1, axis2=2).real
+        assert traces.max() > 2.0 * traces.min()
+        for r, seed in enumerate(seeds):
+            expected = np.random.default_rng(seed).normal(0.0, 1e-3 * traces[r], (m, 3))
+            assert np.array_equal(offsets[r], expected)
+
     @pytest.mark.parametrize("run", [0, 1], ids=["source", "resample"])
     def test_draw_has_the_exact_mean_and_covariance(self, monkeypatch, run):
         # K's mean is exp(-sigma^2/2) J of its run, and its real (imaginary)
@@ -1138,7 +1217,7 @@ class TestJitterDraw:
         # to 3 standard errors of their ratio, exp(+-3 / sqrt(399)).  One kernel call per side
         # and sigma reads all 400 runs, so no run may raise ExtractionError.
         source = synthesize_partially_polarized(0.125, 1.0, n, 3)
-        _, sd = measured_schmidt(source)
+        sd = schmidt(source)
         a, b = np.array(max_chsh(sd.kappa1, sd.kappa2)[1].pairs()).T
         # the per-realization phases of each reading come from a stream of its own
         keys = [(i, k, l) for i in range(4) for k, l in interferometer._KL]
@@ -1225,6 +1304,36 @@ class TestProbabilitiesFromTriples:
             with pytest.raises(DomainError, match=r"^triples must have shape \(\.\.\., 4, 3\)"):
                 probabilities_from_triples(np.ones(shape), 1.0)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 1)])
+    def test_beam_shape_is_checked(self, shape):
+        # a beam that does not broadcast to the pairs raises DomainError naming both shapes
+        with pytest.raises(DomainError, match=rf"^beam of shape {re.escape(str(shape))} does not "
+                                              r"broadcast to the pairs' shape \(2,\) of triples "
+                                              r"of shape \(2, 4, 3\)$"):
+            probabilities_from_triples(np.ones((2, 4, 3)), np.ones(shape))
+
+    @staticmethod
+    def pair(p, i_aux, i_test=0.5, beam=1.0):
+        """Triples of one pair whose outcome (1, 1) reads p by the formula at the given
+        auxiliary reading; the other three read (0.4, 0.2, 0.4), p = 0.025 each."""
+        i_total = (i_test + i_aux + math.sqrt(4.0 * p * beam * i_aux)) / 2.0
+        return [(i_total, i_test, i_aux)] + [(0.4, 0.2, 0.4)] * 3
+
+    def test_stripped_threshold_has_both_sides(self):
+        # an auxiliary reading above 1e-15 of the beam is extracted by the formula; one
+        # below it is taken as crossed and recovered from its partner, I_test / I - P_12
+        p = probabilities_from_triples(self.pair(0.3, 2e-15), 1.0)
+        assert p[0] == pytest.approx(0.3, rel=1e-6)
+        p = probabilities_from_triples(self.pair(0.3, 5e-16), 1.0)
+        assert p[0] == 0.5 - p[1]
+        assert p[1] == pytest.approx(0.025, rel=1e-14)
+
+    def test_extraction_bound_has_both_sides(self):
+        # a probability up to 1 + 1e-6 is rounding and is clamped to 1; past it, a bug
+        assert probabilities_from_triples(self.pair(1.0 + 5e-7, 0.5), 1.0)[0] == 1.0
+        with pytest.raises(ExtractionError, match="exceeds 1 beyond tolerance"):
+            probabilities_from_triples(self.pair(1.0 + 2e-6, 0.5), 1.0)
+
     def test_broadcasts_like_one_call_per_pair(self):
         # triples (3, 2, 4, 3) of known probabilities, one beam per leading index
         rng = np.random.default_rng(5)
@@ -1248,7 +1357,7 @@ class TestProbabilitiesFromTriples:
         # through it, give every probability of a b = 0 scan with crossed points, byte
         # for byte, at each run's beam tr J / 2
         e = synthesize_partially_polarized(0.3, 1.0, 4000, 7)
-        _, sd = measured_schmidt(e)
+        sd = schmidt(e)
         grid = np.array([0.0, 0.4, math.pi / 2.0])
         stacks = interferometer._moment_stacks(e.second_moments, e.n, (), noise, [(7, 0, 716)], 12)
         pol = np.repeat(grid, 4) + np.tile([0.0, 0.0, math.pi / 2.0, math.pi / 2.0], 3)

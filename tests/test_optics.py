@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,17 @@ class TestChain:
         assert chain_power(m, e.second_moments) == pytest.approx(
             power(apply(m, e).realizations), abs=1e-12
         )
+
+    def test_wrong_shapes_name_them(self):
+        # a 3x3 matrix, or stacks that do not broadcast, raise DomainError, not numpy's error
+        e = synthesize_partially_polarized(0.3, 1.0, 10, 16)
+        with pytest.raises(DomainError, match=r"^need a 2x2 Jones matrix, got shape \(3, 3\)$"):
+            apply(np.eye(3), e)
+        for m, j in [(np.eye(3), e.second_moments), (np.eye(2), np.eye(3)),
+                     (np.ones((3, 2, 2)), np.ones((4, 2, 2)))]:
+            with pytest.raises(DomainError, match=f"got shapes {re.escape(str(m.shape))} and "
+                                                  f"{re.escape(str(j.shape))}$"):
+                chain_power(m, j)
 
 
 class TestBroadcasting:
