@@ -185,7 +185,7 @@ def _check_intensity(intensity: float) -> None:
 
 
 # Traces of J over which every square formed from J's entries (a Stokes parameter's,
-# or the extraction numerator's, at most twice the trace) stays a normal float.
+# or a product J_pq J_rs of the kernel's jitter draw) stays a normal float.
 _TRACE_RANGE = (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max) / 2.0)
 
 

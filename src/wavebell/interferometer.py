@@ -61,10 +61,8 @@ from .ensemble import (
 from .errors import DomainError, ExtractionError, StrippedBeamError
 from .optics import (
     LabBasis,
-    _entry_sum,
     beamsplitter_combine,
     beamsplitter_split,
-    chain_power,
     polarizer_axis,
     _check_extinction,
     polarizer_matrix,
@@ -106,15 +104,15 @@ _STRIP = (stripping_angle, stripping_angle_orthogonal)
 _MAX_NOISE = 1e6
 
 # Largest bootstrap resample count.  All runs are read at once, so memory grows with
-# resamples x settings: measured on a 2-core x86-64 host, a resample costs about 2 KB
-# and 9 us in a CHSH run (16 settings) and 39 KB and 150 us per 90-point scan curve,
-# so 10**5 resamples take about 0.2 GB and 0.9 s, or 3.9 GB and 15 s per curve.
+# resamples x settings: measured on a 2-core x86-64 host, a resample costs about 1.4 KB
+# and 3 us in a CHSH run (16 settings) and 26 KB and 23 us per 90-point scan curve,
+# so 10**5 resamples take about 0.14 GB and 0.3 s, or 2.6 GB and 2.3 s per curve.
 _MAX_RESAMPLES = 10**5
 
 # Largest count of (a, b) pairs times runs (1 + resamples) in one call.  At the measured
-# 39 KB per resample per 90-point curve, about 430 B each, 10**7 is about 4.3 GB: the
+# 26 KB per resample per 90-point curve, about 290 B each, 10**7 is about 2.9 GB: the
 # default 90-point curve at 10**5 resamples (9,000,090) fits, and 10**4 points at 10**5
-# resamples (about 430 GB) do not.
+# resamples (about 290 GB) do not.
 _MAX_PAIR_RUNS = 10**7
 
 
@@ -165,9 +163,10 @@ def _root(h):
 
 def _moment_stacks(j, n, t, noise, seeds, m):
     """Moment stacks of R runs at M = ``m`` settings: the second moments J,
-    shape (R, 2, 2), the phase-weighted moments K, shape (R, M, 2, 2), and the
-    detector offsets, shape (R, M, 3), that :func:`_readings` reads, from the
-    source's second moments ``j`` over ``n`` realizations alone.
+    shape (R, 2, 2), the phase-weighted moments K, shape (R, M, 2, 2) under
+    jitter and J itself otherwise, and the detector offsets, shape (R, M, 3),
+    that :func:`_readings` reads, from the source's second moments ``j`` over
+    ``n`` realizations alone.
 
     Run 0 is the source; run r >= 1 is a resample from the complex Wishart law
     CW(n, J)/n of n circular-Gaussian realizations (Goodman 1963),
@@ -181,17 +180,18 @@ def _moment_stacks(j, n, t, noise, seeds, m):
     for every run; each reading draws K as that Gaussian from 8 normals.  Run r
     draws all its noise from one stream, ``default_rng(seeds[r])``: the normals
     of its M readings, standard_normal((M, 2, 4)), then their detector
-    offsets, normal(0, sigma_d tr J_r, (M, 3)).  Without jitter K is J, as a
-    broadcast view.  A J of positive trace outside ``ensemble._TRACE_RANGE``,
-    where the readings' squares are no longer normal floats, raises
-    DomainError.
+    offsets, normal(0, sigma_d tr J_r, (M, 3)).  A J of positive trace outside
+    ``ensemble._TRACE_RANGE``, where the jitter draw's products J_pq J_rs are
+    no longer normal floats, raises DomainError.
     """
     _check_trace(float(np.trace(j).real))
     sigma, detector = noise.phase_jitter, noise.detector_noise
     lt = _root(j) @ np.reshape(t, (-1, 2, 2))
     drawn = lt @ lt.conj().swapaxes(1, 2) / n
     js = np.concatenate([j[None], (drawn + drawn.conj().swapaxes(1, 2)) / 2.0])
-    z, offsets = np.empty((len(seeds), m, 2, 4)), np.zeros((len(seeds), m, 3))
+    z, shape = np.empty((len(seeds), m, 2, 4)), (len(seeds), m, 3)
+    # without detector noise the offsets are a view of one zero, so no pages are written
+    offsets = np.zeros(shape) if detector else np.broadcast_to(0.0, shape)
     for r, seed in enumerate(seeds if sigma or detector else ()):
         rng = np.random.default_rng(seed)
         if sigma:
@@ -199,7 +199,7 @@ def _moment_stacks(j, n, t, noise, seeds, m):
         if detector:
             offsets[r] = rng.normal(0.0, detector * np.trace(js[r]).real, (m, 3))
     if not sigma:
-        return js, np.broadcast_to(js[:, None], (len(seeds), m, 2, 2)), offsets
+        return js, js, offsets
     m4 = np.einsum("pq,rs->pqrs", j, j) + np.einsum("ps,rq->pqrs", j, j)
     root = _root((_FEATURES @ m4.reshape(4, 4) @ _FEATURES.T).real / n)  # root of G / n^2
     # E[cos phi] and the stds of cos phi and sin phi, for phi ~ N(0, sigma^2)
@@ -209,36 +209,63 @@ def _moment_stacks(j, n, t, noise, seeds, m):
     return js, k, offsets
 
 
+def _re_im(x):
+    """The 8 real numbers (Re x_pq, Im x_pq) of each of a stack of 2x2 matrices,
+    shape (..., 8): Re sum_pq F_pq X_pq is the dot product of those of X and
+    of conj(F)."""
+    x = x.reshape(*x.shape[:-2], 4)
+    return np.concatenate([x.real, x.imag], axis=-1)
+
+
+def _mul(a, b):
+    """Products a @ b of stacks of 2x2 matrices, the sum over the inner index written out."""
+    return a[..., :, :1] * b[..., None, 0, :] + a[..., :, 1:] * b[..., None, 1, :]
+
+
 def _readings(j, k, offsets, basis, pol, strip, extinction):
     """Shutter triples (i_total, i_test, i_aux), shape (R, M, 3), as
     :func:`measure_intensities` describes, from the stacks of
     :func:`_moment_stacks` and the optics: the M test polarizer angles ``pol``
     and the M stripping angles ``strip`` behind them, relative to ``basis``,
-    at one extinction ratio.  The both-arms reading is the two shuttered
-    readings plus the interference term 2 Re tr(out_aux+ out_test K), out_aux
-    and out_test being each arm's share of the recombiner output.  Under
-    detector noise every reading is clamped at 0.  Without it, only a jittered
-    K can make a both-arms reading negative, which raises DomainError: its
-    Gaussian law does not hold at so few realizations."""
+    at one extinction ratio.  Each reading is a real quadratic form
+    Re sum_pq F_pq X_pq whose F is built once per setting from the optics
+    chains: C+ C / 2 of the test or the auxiliary chain C, with X = J, for the
+    shuttered readings (each arm alone, at half power behind the recombiner),
+    and out_aux+ out_test, with X = K, for the interference term, out_aux and
+    out_test being each arm's share of the recombiner output.  The both-arms
+    reading is test + aux + 2 cross.  Each run reads J's 8 real numbers (and
+    K's, when K is one per run) against every setting's forms in one
+    vector-matrix product of its own, so its readings do not depend on the
+    other runs; a K per reading is read setting by setting.  Under detector
+    noise every reading is clamped at 0.  Without it, only a jittered K can
+    make a both-arms reading negative, which raises DomainError: its Gaussian
+    law does not hold at so few realizations."""
     pol_a = polarizer_matrix(polarizer_axis(basis, pol), extinction)
     pol_s = polarizer_matrix(polarizer_axis(basis, strip), extinction)
-    test_chain, _ = beamsplitter_split(pol_a)         # split transmit, polarizer a
-    _, aux_chain = beamsplitter_split(pol_a @ pol_s)  # split reflect, polarizers s then a
-    jj = j[:, None]
-    # shuttered readings: each arm alone, at half power behind the recombiner
-    test, aux = chain_power(test_chain, jj) / 2.0, chain_power(aux_chain, jj) / 2.0
+    test_chain, _ = beamsplitter_split(pol_a)           # split transmit, polarizer a
+    _, aux_chain = beamsplitter_split(_mul(pol_a, pol_s))  # split reflect, polarizers s then a
     zero = np.zeros(aux_chain.shape)
     out_aux = beamsplitter_combine(aux_chain, zero)
     out_test = beamsplitter_combine(zero, test_chain)
-    cross = _entry_sum((out_aux.conj().swapaxes(-1, -2) @ out_test) * k).real
-    readings = np.stack([test + aux + 2.0 * cross, test, aux], axis=-1)
+    # each setting's forms F as the 8 numbers (Re F, -Im F) of conj(F); a product reads the
+    # contiguous (8, M) array of them about twice as fast as its transposed view
+    arms = np.stack([_mul(c.swapaxes(-1, -2), c.conj()) / 2.0 for c in (test_chain, aux_chain)])
+    shuttered = np.ascontiguousarray(_re_im(arms).reshape(-1, 8).T)  # test forms, aux forms
+    cross_form = _re_im(_mul(out_aux.swapaxes(-1, -2), out_test.conj()))
+    jf, kf = _re_im(j), _re_im(k)
+    test, aux = np.moveaxis((jf[:, None] @ shuttered).reshape(len(j), 2, -1), 1, 0)
+    if kf.ndim == 2:
+        cross = (kf[:, None] @ np.ascontiguousarray(cross_form.T))[:, 0]
+    else:
+        cross = np.einsum("rmf,mf->rm", kf, cross_form)
+    readings = np.stack([test + aux + 2.0 * cross, test, aux])
     if offsets.any():
-        readings = np.maximum(readings + offsets, 0.0)
-    if np.min(readings[..., 0], initial=0.0) < 0.0:
+        readings = np.maximum(readings + np.moveaxis(offsets, -1, 0), 0.0)
+    if np.min(readings[0], initial=0.0) < 0.0:
         raise DomainError("phase jitter made a both-arms reading negative: the Gaussian law of "
                           "the jittered moments K does not hold at this realization count")
-    readings[..., 1:] *= 2.0
-    return readings
+    readings[1:] *= 2.0
+    return np.moveaxis(readings, 0, -1)
 
 
 def probabilities_from_triples(triples, beam) -> np.ndarray:
@@ -250,14 +277,16 @@ def probabilities_from_triples(triples, beam) -> np.ndarray:
     is the test-beam intensity I entering the arm (half the source power for
     a 50:50 input splitter); it broadcasts against (...).  Each outcome gives
 
-        P = (2 I_total - I_aux - I_test)^2 / (4 I I_aux).
+        P = (2 I_total - I_aux - I_test)^2 / (4 I I_aux),
 
-    An outcome whose auxiliary reading is at most 1e-15 I has its polarizer
-    crossed with its stripping polarizer: no light reaches the auxiliary arm
-    and the formula degenerates to 0/0.  The two stripping angles of a pair
-    are never mutually crossed, so such an outcome is recovered from its
-    partner (k, l'), as the lab does: P_kl = I_test / I - P_kl', with the
-    marginal P(u_k^a) read off its own test arm, clipped to [0, 1].
+    computed from the readings in units of I, so that triples and beam scaled
+    together by any factor give the same P.  An outcome whose auxiliary
+    reading is at most 1e-15 I has its polarizer crossed with its stripping
+    polarizer: no light reaches the auxiliary arm and the formula degenerates
+    to 0/0.  The two stripping angles of a pair are never mutually crossed, so
+    such an outcome is recovered from its partner (k, l'), as the lab does:
+    P_kl = I_test / I - P_kl', with the marginal P(u_k^a) read off its own
+    test arm, clipped to [0, 1].
 
     Raises
     ------
@@ -283,25 +312,26 @@ def probabilities_from_triples(triples, beam) -> np.ndarray:
     if np.any(beam <= 0.0):
         raise DomainError("source intensity must be positive")
     try:
-        beam = np.broadcast_to(beam[..., None], t.shape[:-1])
+        beam = np.broadcast_to(beam[..., None, None], t.shape)
     except ValueError:
         raise DomainError(f"beam of shape {beam.shape} does not broadcast to the pairs' shape "
                           f"{t.shape[:-2]} of triples of shape {t.shape}") from None
-    stripped = t[..., 2] <= 1e-15 * beam
-    lit = ~stripped
-    i_total, i_test, i_aux = t[lit].T
-    # squared with libm pow, as Python's float ** does (cross * cross can differ in the last bit)
-    p_lit = np.float_power(2.0 * i_total - i_aux - i_test, 2) / (4.0 * beam[lit] * i_aux)
-    if np.any(p_lit > 1.0 + 1e-6):
-        raise ExtractionError(f"extracted probability {np.max(p_lit)} exceeds 1 beyond tolerance")
-    p = np.empty(stripped.shape)
-    p[lit] = np.minimum(p_lit, 1.0)
+    # a stripped outcome's 0/0 is replaced below; the inf or NaN of a reading that overflows
+    # in units of the beam fails the bound
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        i_total, i_test, i_aux = np.moveaxis(t / beam, -1, 0)
+        d = 2.0 * i_total - i_aux - i_test
+        p = d * d / (4.0 * i_aux)
+    stripped = i_aux <= 1e-15
+    if not np.all((p <= 1.0 + 1e-6) | stripped):
+        raise ExtractionError(f"extracted probability {np.max(p[~stripped])} exceeds 1 beyond "
+                              f"tolerance")
+    p = np.minimum(p, 1.0)
     if np.any(stripped):
         partner = [1, 0, 3, 2]  # outcome (k, l') of outcome (k, l)
         if np.any(stripped & stripped[..., partner]):
             raise StrippedBeamError("auxiliary beam extinguished; intensity extraction undefined")
-        p[stripped] = np.clip(t[stripped][:, 1] / beam[stripped] - p[..., partner][stripped],
-                              0.0, 1.0)
+        p = np.where(stripped, np.clip(i_test - p[..., partner], 0.0, 1.0), p)
     return p
 
 
@@ -374,28 +404,29 @@ def _check_resamples(resamples) -> None:
                           f"got {resamples}")
 
 
-def _measure_runs(ensemble, sd, pairs, noise, base, resamples) -> np.ndarray:
+def _measure_runs(ensemble, sd, a, b, noise, base, resamples) -> np.ndarray:
     """Joint probabilities (1 + resamples, P, 4), ordered p11 .. p22, at the P
-    (a, b) pairs: run 0 reads the source, run r its r-th bootstrap resample.
-    Run r draws the noise of all its 4P readings, in this order, from the one
-    stream base + (r, _NOISE_TAG) (see :func:`_moment_stacks`), so a reading's
-    noise depends on its position among the pairs.  The R resamples draw their
-    Bartlett factors T (see ``ensemble._bartlett``) from the stream
-    base + (_BOOT_TAG,), which is not built when R is 0.  All runs are read in
-    one kernel call, whatever the noise model, so P (1 + R) is at most 10**7
-    (about 4.3 GB), checked before anything is drawn.  ``ensemble`` is read
-    only through its ``second_moments`` and ``n``.
+    pairs of the angle arrays ``a, b``: run 0 reads the source, run r its r-th
+    bootstrap resample.  Run r draws the noise of all its 4P readings, in this
+    order, from the one stream base + (r, _NOISE_TAG) (see
+    :func:`_moment_stacks`), so a reading's noise depends on its position
+    among the pairs.  The R resamples draw their Bartlett factors T (see
+    ``ensemble._bartlett``) from the stream base + (_BOOT_TAG,), which is not
+    built when R is 0.  All runs are read in one kernel call, whatever the
+    noise model, so P (1 + R) is at most 10**7 (about 2.9 GB), checked before
+    anything is drawn.  ``ensemble`` is read only through its
+    ``second_moments`` and ``n``.
     """
     _check_resamples(resamples)
-    if len(pairs) * (1 + resamples) > _MAX_PAIR_RUNS:
-        raise DomainError(f"{len(pairs)} (a, b) pairs read in {1 + resamples} runs (1 + "
-                          f"resamples) make {len(pairs) * (1 + resamples)} pair-runs, more than "
+    if len(a) * (1 + resamples) > _MAX_PAIR_RUNS:
+        raise DomainError(f"{len(a)} (a, b) pairs read in {1 + resamples} runs (1 + "
+                          f"resamples) make {len(a) * (1 + resamples)} pair-runs, more than "
                           f"the limit of {_MAX_PAIR_RUNS}: use fewer grid points or resamples")
     t = _bartlett(np.random.default_rng(base + (_BOOT_TAG,)), ensemble.n, resamples) \
         if resamples else ()
     seeds = [base + (r, _NOISE_TAG) for r in range(1 + resamples)]
-    stacks = _moment_stacks(ensemble.second_moments, ensemble.n, t, noise, seeds, 4 * len(pairs))
-    return _probabilities(stacks, sd, *np.array(pairs, dtype=float).T, noise.extinction_ratio)
+    stacks = _moment_stacks(ensemble.second_moments, ensemble.n, t, noise, seeds, 4 * len(a))
+    return _probabilities(stacks, sd, a, b, noise.extinction_ratio)
 
 
 def scan_correlation(
@@ -413,14 +444,14 @@ def scan_correlation(
     its J* from the complex Wishart law CW(n, J)/n of circular-Gaussian fields
     at the source's J, holding the settings fixed, to attach a standard error
     to each point; each resample's J* is reused across the grid.  Grid
-    points times (1 + resamples) is at most 10**7, about 4.3 GB: a larger
+    points times (1 + resamples) is at most 10**7, about 2.9 GB: a larger
     call raises DomainError before anything is allocated.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1 or a_grid.size < 1:
         raise DomainError("a_grid must be a non-empty 1-d sequence of angles")
-    pairs = [(float(a), b) for a in a_grid]
-    ps = _measure_runs(ensemble, sd, pairs, noise, _seed_base(seed), resamples)
+    ps = _measure_runs(ensemble, sd, a_grid, np.full(a_grid.size, float(b)), noise,
+                       _seed_base(seed), resamples)
     c = correlation_sum(np.moveaxis(ps, -1, 0))
     c_err = np.std(c[1:], axis=0, ddof=1) if resamples else np.zeros(a_grid.size)
     return CorrelationCurve(a_grid, float(b), *ps[0].T, c=c[0], c_err=c_err)
@@ -513,14 +544,14 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
 
     settings = max_chsh(k1, k2)[1] if config.settings is None else config.settings
     pairs = settings.pairs()
+    a, b = np.array(pairs).T
 
     if k2 < _KAPPA2_FLOOR:
         method = "closed-form"
-        a, b = np.array(pairs).T[..., None]
-        runs = joint_probability_kappa(k1, k2, a, b, *np.array(_KL).T)[None]
+        runs = joint_probability_kappa(k1, k2, a[:, None], b[:, None], *np.array(_KL).T)[None]
     else:
         method = "interferometer"
-        runs = _measure_runs(source, sd, pairs, config.noise, (config.seed,), config.resamples)
+        runs = _measure_runs(source, sd, a, b, config.noise, (config.seed,), config.resamples)
 
     c = correlation_sum(np.moveaxis(runs, -1, 0))
     values = np.column_stack([chsh_sum(c.T), c])  # per run: chsh, then the four correlations

@@ -207,10 +207,7 @@ def chain_power(m: np.ndarray, moments: np.ndarray) -> float | np.ndarray:
     if not fits:
         raise DomainError(f"need 2x2 chains and moments, or stacks of them that broadcast, "
                           f"got shapes {shapes[0]} and {shapes[1]}")
-    power = _entry_sum((m.conj().swapaxes(-1, -2) @ m) * moments).real
+    x = (m.conj().swapaxes(-1, -2) @ m) * moments
+    # the trailing 2x2 entries summed in the order np.sum takes for one 2x2
+    power = ((x[..., 0, 0] + x[..., 0, 1]) + (x[..., 1, 0] + x[..., 1, 1])).real
     return float(power) if power.ndim == 0 else power
-
-
-def _entry_sum(x: np.ndarray) -> np.ndarray:
-    # sum of the trailing 2x2 entries in the order np.sum takes for one 2x2
-    return (x[..., 0, 0] + x[..., 0, 1]) + (x[..., 1, 0] + x[..., 1, 1])

@@ -53,13 +53,13 @@ def test_mismatches_name_each_moved_value():
 PINNED_TRIPLES = {
     NoiseModel(): ("0x1.fd71cf252342ep-2", "0x1.562e893a99fddp-2", "0x1.8ac924fcd74d6p-3"),
     NoiseModel(extinction_ratio=1e-3):
-        ("0x1.01187f65216a6p-1", "0x1.565baae984abdp-2", "0x1.905d7d177f3e0p-3"),
+        ("0x1.01187f65216a6p-1", "0x1.565baae984abbp-2", "0x1.905d7d177f3e1p-3"),
     NoiseModel(detector_noise=1e-3):
         ("0x1.ff787aeadcdb1p-2", "0x1.5542d5621dde4p-2", "0x1.9142a41737968p-3"),
     NoiseModel(phase_jitter=0.1):
         ("0x1.fc2e46983a304p-2", "0x1.562e893a99fddp-2", "0x1.8ac924fcd74d6p-3"),
     NoiseModel(1e-3, 1e-3, 0.1):
-        ("0x1.007f16a4d719ap-1", "0x1.53e7bf1871d5dp-2", "0x1.90524c51729a4p-3"),
+        ("0x1.007f16a4d719ap-1", "0x1.53e7bf1871d5bp-2", "0x1.90524c51729a5p-3"),
 }
 
 

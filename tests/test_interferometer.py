@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +46,7 @@ from wavebell import dop as degree_of_polarization
 from wavebell import cli, ensemble, interferometer
 from wavebell.optics import (
     LabBasis,
+    chain_power,
     polarizer_axis,
     polarizer_matrix,
     stripping_angle,
@@ -485,6 +490,30 @@ class TestNoiseOracle:
         expected = math.exp(-sigma**2) * joint_probability_kappa(k1, k2, a, b, k, l)
         assert abs(p - expected) <= 1e-12
 
+    # max |p - closed form| over the four outcomes of the pairs whose test polarizer sits
+    # delta (either side) from crossed with the stripping polarizer of l, at population
+    # moments and b = 0.3, as measured before the readings became real forms (ROADMAP item 9)
+    CROSSED_GAPS = {
+        (0.3, 1): (4.8e-11, 3.6e-12, 2.1e-13, 4.0e-15),
+        (0.3, 2): (7.2e-11, 4.6e-12, 8.4e-13, 3.7e-15),
+        (0.9, 1): (4.6e-10, 6.3e-11, 3.9e-12, 5.2e-14),
+        (0.9, 2): (1.1e-15, 5.9e-11, 3.8e-12, 6.1e-14),
+    }
+
+    @pytest.mark.parametrize("dop, l", CROSSED_GAPS)
+    def test_near_crossed_gaps_grow_at_most_twofold(self, dop, l):
+        k1, k2 = kappa_from_dop(dop)
+        sd = SchmidtDecomposition(k1, k2, np.array([1, 0j]), np.array([0, 1 + 0j]), intensity=1.0)
+        s = (stripping_angle, stripping_angle_orthogonal)[l - 1](k1, k2, 0.3)
+        j = np.diag([1.0 + dop, 1.0 - dop]).astype(complex) / 2.0
+        stacks = interferometer._moment_stacks(j, 10**6, (), NoiseModel(), [(0,)], 8)
+        for delta, before in zip((1e-7, 1e-6, 1e-5, 1e-3), self.CROSSED_GAPS[dop, l]):
+            a = s + math.pi / 2.0 + np.array([delta, -delta])
+            p = interferometer._probabilities(stacks, sd, a, np.full(2, 0.3), 0.0)[0]
+            closed = joint_probability_kappa(k1, k2, a[:, None], 0.3,
+                                             *np.array(interferometer._KL).T)
+            assert np.abs(p - closed).max() <= 2.0 * before, delta
+
     @pytest.mark.parametrize("dop", [0.0, 0.5, 0.9])
     @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0])
     @pytest.mark.parametrize("n", [2000, 20_000])
@@ -831,7 +860,8 @@ def protocol_reference(cfg, rep):
     pairs = rep.settings.pairs()
 
     def chsh_and_correlations(e, run):
-        ps = interferometer._measure_runs(e, sd, pairs, cfg.noise, (cfg.seed, run), 0)[0]
+        ps = interferometer._measure_runs(e, sd, *np.array(pairs).T, cfg.noise,
+                                          (cfg.seed, run), 0)[0]
         c = correlation_sum(ps.T)
         return [chsh_sum(c), *c]
 
@@ -1073,6 +1103,23 @@ class TestResampleCounts:
                   for m in (ensemble._Moments(j, 1000), ensemble._Moments(j * trace, 1000))]
         for key in ("p11", "p12", "p21", "p22", "c", "c_err"):
             assert np.allclose(*(getattr(c, key) for c in curves), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("detector", [0.0, 10.0, 1e6])
+    @pytest.mark.parametrize("trace", [LO * (1.0 + 1e-15), HI * (1.0 - 1e-15)])
+    def test_detector_noise_at_the_range_ends_raises_no_warning(self, trace, detector):
+        # offsets of std sigma_d tr J push readings past tr J; the extraction reads them in
+        # units of the beam, so no square overflows: finite curves or one WavebellError line
+        source = ensemble._draw_partially_polarized(0.3, 1000, 0)
+        m = ensemble._Moments(source.second_moments * (trace / mean_power(source)), 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                curve = scan_correlation(m, schmidt(m), 0.3, [0.0, 0.2, 1.0],
+                                         NoiseModel(detector_noise=detector), 0, 10)
+            except WavebellError as exc:
+                assert detector > 0.0 and "\n" not in str(exc)
+            else:
+                assert np.all(np.isfinite(curve.c)) and np.all(np.isfinite(curve.c_err))
 
     @pytest.mark.parametrize("trace, side", [(LO * (1.0 - 1e-15), "underflow"),
                                              (1e-160, "underflow"),
@@ -1328,6 +1375,24 @@ class TestProbabilitiesFromTriples:
         assert p[0] == 0.5 - p[1]
         assert p[1] == pytest.approx(0.025, rel=1e-14)
 
+    def test_scale_free(self):
+        # triples and beam scaled together by any power of 10 give the same p: uniform triples
+        # (exact p = 0.405) and a kernel pair (DOP 0.3, n = 1000, b = 0.3, a = 0.2)
+        source = ensemble._draw_partially_polarized(0.3, 1000, 0)
+        sd = schmidt(source)
+        stacks = interferometer._moment_stacks(source.second_moments, 1000, (), NoiseModel(),
+                                               [(0,)], 4)
+        pol = [0.2, 0.2, 0.2 + math.pi / 2.0, 0.2 + math.pi / 2.0]
+        strips = [f(sd.kappa1, sd.kappa2, 0.3) for f in interferometer._STRIP] * 2
+        for triples, beam in [(np.array([[1.2, 1.0, 0.5]] * 4), 1.0),
+                              (interferometer._readings(*stacks, basis_of(sd), pol, strips, 0.0)[0],
+                               mean_power(source) / 2.0)]:
+            expected = probabilities_from_triples(triples, beam)
+            for k in range(-300, 301):
+                scale = 10.0**k
+                p = probabilities_from_triples(triples * scale, beam * scale)
+                assert np.allclose(p, expected, rtol=1e-12, atol=0.0), k
+
     def test_extraction_bound_has_both_sides(self):
         # a probability up to 1 + 1e-6 is rounding and is clamped to 1; past it, a bug
         assert probabilities_from_triples(self.pair(1.0 + 5e-7, 0.5), 1.0)[0] == 1.0
@@ -1385,3 +1450,106 @@ class TestProbabilitiesFromTriples:
             if block == lab:
                 chsh, k1, k2 = (namespace[key] for key in ("chsh", "k1", "k2"))
                 assert abs(chsh - max_chsh(k1, k2)[0]) <= 1e-12
+
+
+def reference_readings(j, k, basis, pol, strip, extinction):
+    """Shutter triples (R, M, 3) one setting at a time, from the optics chains
+    and ``chain_power``: K is one per run, shape (R, 2, 2), or per reading."""
+    k = np.broadcast_to(k[:, None] if k.ndim == 3 else k, (len(j), len(pol), 2, 2))
+    out = np.empty((len(j), len(pol), 3))
+    for m, (a, s) in enumerate(zip(pol, strip)):
+        pol_a = polarizer_matrix(polarizer_axis(basis, a), extinction)
+        pol_s = polarizer_matrix(polarizer_axis(basis, s), extinction)
+        test_chain, _ = beamsplitter_split(pol_a)
+        _, aux_chain = beamsplitter_split(pol_a @ pol_s)
+        out_aux = beamsplitter_combine(aux_chain, np.zeros((2, 2)))
+        out_test = beamsplitter_combine(np.zeros((2, 2)), test_chain)
+        for r in range(len(j)):
+            test = chain_power(test_chain, j[r]) / 2.0
+            aux = chain_power(aux_chain, j[r]) / 2.0
+            cross = np.sum((out_aux.conj().T @ out_test) * k[r, m]).real
+            out[r, m] = test + aux + 2.0 * cross, 2.0 * test, 2.0 * aux
+    return out
+
+
+class TestReadingForms:
+    """Each reading is a real quadratic form in a run's moments, built once per
+    setting and read by one product per run."""
+
+    @staticmethod
+    def stacks(runs, jittered):
+        """J of a DOP 0.3 source and its runs - 1 resamples, and K: J itself, or one
+        non-Hermitian K per reading (half of J plus 1% of tr J of complex noise)."""
+        source = ensemble._draw_partially_polarized(0.3, 1000, 3)
+        t = bartlett_factors((3, 715), 1000, runs - 1) if runs > 1 else ()
+        j, k, _ = interferometer._moment_stacks(source.second_moments, 1000, t, NoiseModel(),
+                                                [(3, r) for r in range(runs)], 12)
+        if jittered:
+            rng = np.random.default_rng(4)
+            noise = rng.standard_normal((runs, 12, 2, 2)) + 1j * rng.standard_normal(
+                (runs, 12, 2, 2))
+            k = 0.5 * j[:, None] + 0.01 * np.trace(j, axis1=1, axis2=2).real[:, None, None,
+                                                                             None] * noise
+        return schmidt(source), j, k
+
+    @staticmethod
+    def settings(sd):
+        """12 settings at b = 0.3: three polarizer angles behind each stripping polarizer
+        of l = 1, 2, and each stripping polarizer crossed with a test polarizer."""
+        strips = [f(sd.kappa1, sd.kappa2, 0.3) for f in interferometer._STRIP]
+        pol = [0.1, 0.9, 2.0] * 2 + [s + math.pi / 2.0 for s in strips] * 3
+        return np.array(pol), np.array([strips[0]] * 3 + [strips[1]] * 3 + strips * 3)
+
+    @pytest.mark.parametrize("runs", [1, 17, 33])
+    @pytest.mark.parametrize("extinction", [0.0, 1e-3])
+    @pytest.mark.parametrize("jittered", [False, True], ids=["one-k-per-run", "jittered"])
+    def test_match_the_optics_algebra(self, runs, extinction, jittered):
+        sd, j, k = self.stacks(runs, jittered)
+        pol, strip = self.settings(sd)
+        readings = interferometer._readings(j, k, np.zeros((runs, 12, 3)), basis_of(sd), pol,
+                                            strip, extinction)
+        expected = reference_readings(j, k, basis_of(sd), pol, strip, extinction)
+        traces = np.trace(j, axis1=1, axis2=2).real
+        assert np.all(np.abs(readings - expected) <= 1e-15 * traces[:, None, None])
+
+    @pytest.mark.parametrize("extinction", [0.0, 1e-3])
+    @pytest.mark.parametrize("jittered", [False, True], ids=["one-k-per-run", "jittered"])
+    def test_run_bytes_do_not_depend_on_the_run_count(self, extinction, jittered):
+        sd, j, k = self.stacks(33, jittered)
+        pol, strip = self.settings(sd)
+        full = interferometer._readings(j, k, np.zeros((33, 12, 3)), basis_of(sd), pol, strip,
+                                        extinction)
+        for runs in (1, 17):
+            part = interferometer._readings(j[:runs], k[:runs], np.zeros((runs, 12, 3)),
+                                            basis_of(sd), pol, strip, extinction)
+            assert part.tobytes() == full[:runs].tobytes(), runs
+
+    def test_stripped_outcomes_of_the_default_scan(self, monkeypatch, capsys):
+        # run 0 of the default scan's b = 0 curve (seed 0) reads its dark outcomes, aux at
+        # most 1e-15 of the beam, at a = 0 and a = pi/2 only, as before the readings became
+        # real forms
+        seen = []
+        extract = interferometer.probabilities_from_triples
+        monkeypatch.setattr(interferometer, "probabilities_from_triples",
+                            lambda t, beam: (seen.append((t, beam)), extract(t, beam))[1])
+        assert cli.main(["scan", "--format", "json", "--b-list", "0"]) == 0
+        capsys.readouterr()
+        t, beam = seen[0]
+        stripped = t[0, ..., 2] <= 1e-15 * beam[0]
+        assert np.argwhere(stripped).tolist() == [[0, 1], [0, 2], [45, 0], [45, 3]]
+
+    def test_scan_bytes_at_one_and_two_blas_threads(self):
+        # 17 runs of 360 readings per curve, K one per run (ideal) and one per reading (jitter)
+        code = ("import sys; from wavebell.cli import main\n"
+                "for noise in ('0', '0.05'):\n"
+                "    assert main(['scan', '--format', 'json', '--n', '3000', '--b-list', '0,0.3', "
+                "'--noise-phase', noise]) == 0")
+        out = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(Path(interferometer.__file__).parents[1]),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] == out[1]
