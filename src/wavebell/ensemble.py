@@ -10,6 +10,7 @@ moments are read, they can be drawn from their law without the realizations.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -40,7 +41,27 @@ __all__ = [
 _NORM_TOL = 1e-12
 
 
+def _check_real(name: str, value) -> None:
+    # an array or a complex number would fail inside a comparison or numpy, not here
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real scalar, got {type(value).__name__}")
+    try:
+        float(value)
+    except OverflowError:  # an integer past the float range
+        raise DomainError(f"{name} must lie in the float range") from None
+
+
+def _complex_array(name: str, value) -> np.ndarray:
+    """``value`` as a complex128 array, without a copy when it already is one."""
+    try:
+        return np.asarray(value, dtype=np.complex128)
+    except OverflowError:  # an integer past the float range
+        raise DomainError(f"{name} must lie in the float range") from None
+
+
 def _check_kappas(kappa1: float, kappa2: float) -> None:
+    _check_real("kappa1", kappa1)
+    _check_real("kappa2", kappa2)
     # bounding each weight first keeps its square finite
     if not (0 <= kappa1 <= 2 and 0 <= kappa2 <= 2 and abs(kappa1**2 + kappa2**2 - 1) <= _NORM_TOL):
         raise DomainError(
@@ -48,9 +69,10 @@ def _check_kappas(kappa1: float, kappa2: float) -> None:
 
 
 def _check_integer(name: str, value, least: int) -> None:
-    # a float fails, even 2.0
+    # a float fails, even 2.0; an array is named by its type, not its many-line repr
     if not (isinstance(value, numbers.Integral) and value >= least):
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+        got = repr(value) if isinstance(value, numbers.Number) else type(value).__name__
+        raise DomainError(f"{name} must be an integer >= {least}, got {got}")
 
 
 def _check_seed(seed) -> None:
@@ -70,11 +92,15 @@ def _check_n(n) -> None:
 
 
 def _check_dop(dop: float) -> None:
+    _check_real("dop", dop)
     if not 0.0 <= dop <= 1.0:  # a NaN fails too
         raise DomainError(f"dop must lie in [0, 1], got {dop}")
 
 
 def _check_orthonormal(v1, v2) -> None:
+    if np.shape(v1) != (2,) or np.shape(v2) != (2,):
+        raise DomainError(f"need 2-component vectors, got shapes {np.shape(v1)} and "
+                          f"{np.shape(v2)}")
     off = [float(abs(np.vdot(v1, v1) - 1)), float(abs(np.vdot(v2, v2) - 1)),
            float(abs(np.vdot(v1, v2)))]
     if not all(x <= _NORM_TOL for x in off):  # a NaN fails too
@@ -93,7 +119,7 @@ class FieldEnsemble:
     realizations: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.realizations, dtype=np.complex128)
+        arr = np.ascontiguousarray(_complex_array("realizations", self.realizations))
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise DomainError("realizations must be an (n, 2) complex array")
         if arr.shape[0] < 2:
@@ -123,7 +149,9 @@ class FieldEnsemble:
             g = x.T @ x / self.n
             jxy = complex(g[0, 2] + g[1, 3], g[0, 3] - g[1, 2])
             j = np.array([[g[0, 0] + g[1, 1], jxy], [jxy.conjugate(), g[2, 2] + g[3, 3]]])
-        if not np.isfinite(j).all():  # finite fields whose powers pass the float range
+            power = j[0, 0].real + j[1, 1].real  # tr J, which every reader of J forms
+        # finite fields whose powers pass the float range
+        if not (np.isfinite(j).all() and math.isfinite(power)):
             raise DomainError("second moments overflow: |E|^2 exceeds the float range")
         return j
 
@@ -140,6 +168,8 @@ class StokesVector:
 
     def __post_init__(self):
         s = (self.s0, self.s1, self.s2, self.s3)
+        for name, value in zip(("s0", "s1", "s2", "s3"), s):
+            _check_real(name, value)
         if not (math.isfinite(self.s0) and math.hypot(*s[1:]) <= (1.0 + 1e-10) * self.s0):
             raise DomainError(f"need finite Stokes parameters with |S| <= S0, got {s}")
 
@@ -164,21 +194,30 @@ class SchmidtDecomposition:
         _check_kappas(self.kappa1, self.kappa2)
         if not self.kappa1 >= self.kappa2:
             raise DomainError(f"need kappa1 >= kappa2, got {self.kappa1}, {self.kappa2}")
+        _check_real("intensity", self.intensity)
+        if not 0.0 < self.intensity < math.inf:
+            raise DomainError(f"intensity must be positive and finite, got {self.intensity}")
         for name in ("u1", "u2"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.complex128))
+            object.__setattr__(self, name, _complex_array(name, getattr(self, name)))
         _check_orthonormal(self.u1, self.u2)
 
 
 def inner(f: np.ndarray, g: np.ndarray) -> complex:
-    """Ensemble inner product <f|g> = (1/N) sum_n conj(f_n) g_n."""
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != g.shape:
-        raise DomainError("inner product requires equal-length vectors")
-    return complex(np.vdot(f, g) / f.shape[0])
+    """Ensemble inner product <f|g> = (1/N) sum_n conj(f_n) g_n of two vectors of
+    one length N >= 1; DomainError unless both are such vectors and <f|g> is finite."""
+    f, g = _complex_array("f", f), _complex_array("g", g)
+    if f.ndim != 1 or f.shape != g.shape or f.size == 0:
+        raise DomainError(f"inner product requires two nonempty vectors of one length, "
+                          f"got shapes {f.shape} and {g.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.vdot(f, g) / f.shape[0])
+    if not cmath.isfinite(value):
+        raise DomainError(f"inner product is not finite: {value}")
+    return value
 
 
 def _check_intensity(intensity: float) -> None:
+    _check_real("intensity", intensity)
     # across this range every square of a Stokes parameter or moment stays a normal float
     if not 1e-100 <= intensity <= 1e100:  # a NaN fails too
         raise DomainError(f"intensity must lie in [1e-100, 1e100], got {intensity}")
@@ -332,7 +371,8 @@ def synthesize_schmidt_form(
     _check_intensity(intensity)
     _check_n(n)
     _check_integer("seed", seed, 0)
-    u1, u2 = np.eye(2, dtype=complex) if u1 is None or u2 is None else np.asarray([u1, u2], complex)
+    u1, u2 = np.eye(2, dtype=complex) if u1 is None or u2 is None else (
+        _complex_array("u1", u1), _complex_array("u2", u2))
     _check_orthonormal(u1, u2)
 
     rng = np.random.Generator(np.random.Philox(seed))
@@ -356,17 +396,18 @@ def stokes(j: np.ndarray) -> StokesVector:
     S3 = 2 Im Jxy (right-circular positive).  Raises DomainError unless J is 2x2,
     finite, Hermitian to 1e-10 of its largest entry and PSD (see :class:`StokesVector`).
     """
-    m = np.asarray(j, dtype=np.complex128)
+    m = _complex_array("coherence matrix", j)
     if m.shape != (2, 2):
         raise DomainError("coherence matrix must be 2x2")
     if not (np.isfinite(m).all() and np.abs(m - m.conj().T).max() <= 1e-10 * np.abs(m).max()):
         raise DomainError(f"coherence matrix must be finite and Hermitian, got {m.tolist()}")
-    return StokesVector(
-        s0=float(m[0, 0].real + m[1, 1].real),
-        s1=float(m[0, 0].real - m[1, 1].real),
-        s2=float(2.0 * m[0, 1].real),
-        s3=float(2.0 * m[0, 1].imag),
-    )
+    with np.errstate(over="ignore"):  # StokesVector refuses a parameter that overflows
+        return StokesVector(
+            s0=float(m[0, 0].real + m[1, 1].real),
+            s1=float(m[0, 0].real - m[1, 1].real),
+            s2=float(2.0 * m[0, 1].real),
+            s3=float(2.0 * m[0, 1].imag),
+        )
 
 
 def dop(s: StokesVector) -> float:
@@ -438,46 +479,34 @@ def schmidt_functions(ensemble: FieldEnsemble, sd: SchmidtDecomposition) -> tupl
     the per-realization amplitudes along u_i over sqrt(I) kappa_i, orthonormal
     under the (1/N) inner product to float accuracy in the basis of :func:`schmidt`."""
     r = ensemble.realizations
-    f1 = (r @ sd.u1.conj()) / (math.sqrt(sd.intensity) * sd.kappa1)
-    if sd.kappa2 > 0.0:
-        f2 = (r @ sd.u2.conj()) / (math.sqrt(sd.intensity) * sd.kappa2)
-    else:
-        # Fully polarized field: the second function-space direction never
-        # appears in the data, so pick any unit vector orthogonal to f1.
-        n = ensemble.n
-        f2 = np.zeros(n, dtype=np.complex128)
-        f2[0] = math.sqrt(n)
-        f2 = f2 - inner(f1, f2) * f1
-        if inner(f2, f2).real < 1e-12:
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1 = (r @ sd.u1.conj()) / (math.sqrt(sd.intensity) * sd.kappa1)
+        if sd.kappa2 > 0.0:
+            f2 = (r @ sd.u2.conj()) / (math.sqrt(sd.intensity) * sd.kappa2)
+        else:
+            # Fully polarized field: the second function-space direction never
+            # appears in the data, so pick any unit vector orthogonal to f1, from the
+            # sample where |f1| is least: as <f1|f1> = 1, at least 1 - 1/N of its
+            # squared norm survives the projection, and no digits cancel.
+            n = ensemble.n
             f2 = np.zeros(n, dtype=np.complex128)
-            f2[1] = math.sqrt(n)
+            f2[int(np.argmin(np.abs(f1)))] = math.sqrt(n)
             f2 = f2 - inner(f1, f2) * f1
-        f2 = f2 / math.sqrt(inner(f2, f2).real)
+            f2 = f2 / math.sqrt(inner(f2, f2).real)
+    if not (np.isfinite(f1).all() and np.isfinite(f2).all()):
+        raise DomainError("Schmidt functions overflow: sd is not the Schmidt record of ensemble")
     return f1, f2
 
 
 def tomography(ensemble: FieldEnsemble) -> StokesVector:
-    """Estimate Stokes parameters from six projective intensity measurements.
+    """Stokes parameters of an ensemble: :func:`stokes` of its cached second moments J.
 
-    Classic polarimetry sequence: horizontal/vertical, diagonal/antidiagonal
-    polarizer projections, then a quarter-wave plate at pi/4 followed by
-    horizontal/vertical projections for the circular pair.  Each reading is
-    the mean power behind its element chain, a quadratic form in the cached
-    second moments J, so no projected copy of the realizations is made.  On
-    noiseless elements this reproduces the direct moment computation to
-    rounding.
+    Noiseless polarimetry reads the same vector.  The mean power behind any
+    analyzer is a quadratic form in J, so the six readings H, V (polarizers),
+    D, A (diagonal, antidiagonal) and R, L (H and V behind a quarter-wave
+    plate at pi/4) give S0..S3 as H + V, H - V, D - A and R - L to rounding.
     """
-    from .optics import chain_power, polarizer_matrix as pol, waveplate_matrix
-
-    rt2 = math.sqrt(2.0)
-    h, v = pol(np.array([1.0, 0.0])), pol(np.array([0.0, 1.0]))
-    d, a = pol(np.array([1.0, 1.0]) / rt2), pol(np.array([1.0, -1.0]) / rt2)
-    qwp = waveplate_matrix("quarter", math.pi / 4.0)
-    j = ensemble.second_moments
-    i_h, i_v, i_d, i_a, i_r, i_l = (
-        chain_power(m, j) for m in (h, v, d, a, h @ qwp, v @ qwp)
-    )
-    return StokesVector(s0=i_h + i_v, s1=i_h - i_v, s2=i_d - i_a, s3=i_r - i_l)
+    return stokes(ensemble.second_moments)
 
 
 def _complex_pairs(v: np.ndarray) -> list[list[float]]:

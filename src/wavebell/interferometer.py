@@ -104,9 +104,12 @@ _STRIP = (stripping_angle, stripping_angle_orthogonal)
 _MAX_NOISE = 1e6
 
 # Largest bootstrap resample count.  All runs are read at once, so memory grows with
-# resamples x settings: measured on a 2-core x86-64 host, a resample costs about 1.4 KB
-# and 3 us in a CHSH run (16 settings) and 26 KB and 23 us per 90-point scan curve,
-# so 10**5 resamples take about 0.14 GB and 0.3 s, or 2.6 GB and 2.3 s per curve.
+# resamples x settings.  Measured on a 2-core x86-64 host (numpy 2.4, two BLAS threads)
+# at n = 10**5 and R = 10**3 and 10**4 resamples, as (t(R) - t(0)) / R over the median
+# of 7 calls and as the tracemalloc peak over R: a resample costs about 1.4 KB and
+# 1.7-1.8 us in a CHSH run (16 settings), and 26 KB and 15-21 us per 90-point scan
+# curve.  So 10**5 resamples take about 0.14 GB and 0.2 s, or 2.6 GB and 2.1 s per
+# curve (extrapolated from 10**4).
 _MAX_RESAMPLES = 10**5
 
 # Largest count of (a, b) pairs times runs (1 + resamples) in one call.  At the measured

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import _NORM_TOL, FieldEnsemble, _check_kappas, _check_orthonormal
+from .ensemble import (_NORM_TOL, FieldEnsemble, _check_kappas, _check_orthonormal, _check_real,
+                       _complex_array)
 from .errors import DegenerateFieldError, DomainError
 
 __all__ = [
@@ -51,27 +52,36 @@ class LabBasis:
     v2: np.ndarray
 
     def __post_init__(self):
-        v1 = np.asarray(self.v1, dtype=np.complex128)
-        v2 = np.asarray(self.v2, dtype=np.complex128)
-        if v1.shape != (2,) or v2.shape != (2,):
-            raise DomainError("lab basis vectors must have 2 components")
+        v1, v2 = _complex_array("v1", self.v1), _complex_array("v2", self.v2)
         _check_orthonormal(v1, v2)
         object.__setattr__(self, "v1", v1)
         object.__setattr__(self, "v2", v2)
 
 
 def _check_angles(*angles) -> None:
-    """Raise DomainError unless every angle, a float or an array, is finite."""
-    if not all(np.isfinite(a).all() for a in angles):
+    """Raise DomainError unless every angle, a real number or an array of them, is finite."""
+    if any(np.iscomplexobj(a) for a in angles):
+        raise DomainError("angles must be real")
+    # through float, as an integer past int64 has no isfinite of its own
+    try:
+        finite = all(np.isfinite(np.asarray(a, dtype=float)).all() for a in angles)
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not finite:
         raise DomainError("angles must be finite")
+
+
+def _check_angle(angle) -> None:
+    _check_real("angle", angle)
+    _check_angles(angle)
 
 
 def _axis(v1: np.ndarray, v2: np.ndarray, angle) -> np.ndarray:
     """First vector of the basis (v1, v2) rotated by ``angle``,
     cos(angle) v1 - sin(angle) v2; an array of angles gives one vector per
     angle, shape ``angle.shape + v1.shape``."""
-    angle = np.asarray(angle, dtype=float)[..., None]
     _check_angles(angle)
+    angle = np.asarray(angle, dtype=float)[..., None]
     return np.cos(angle) * v1 - np.sin(angle) * v2
 
 
@@ -87,8 +97,10 @@ def polarizer_matrix(axis: np.ndarray, extinction_ratio: float = 0.0) -> np.ndar
     1e-12, plus sqrt(extinction_ratio) times the projector onto the blocked axis
     (extinction_ratio, in [0, 1], is the leaked power fraction).  A stack
     of axes, shape (..., 2), gives a stack of matrices, shape (..., 2, 2)."""
-    axis = np.atleast_1d(np.asarray(axis, dtype=np.complex128))
-    off = np.max(np.abs((axis.real**2 + axis.imag**2).sum(-1) - 1.0), initial=0.0)  # keeps a NaN
+    axis = np.atleast_1d(_complex_array("axis", axis))
+    # max keeps a NaN, and an overflowed norm is inf: each fails the check
+    with np.errstate(over="ignore"):
+        off = np.max(np.abs((axis.real**2 + axis.imag**2).sum(-1) - 1.0), initial=0.0)
     if axis.shape[-1:] != (2,) or not off <= _NORM_TOL:
         raise DomainError(f"need 2-component unit polarizer axes, got |<axis|axis> - 1| = {off}")
     _check_extinction(extinction_ratio)
@@ -101,7 +113,7 @@ def polarizer_matrix(axis: np.ndarray, extinction_ratio: float = 0.0) -> np.ndar
 
 def reduce_polarizer_angle(angle: float) -> float:
     """Reduce an axis angle to the principal interval (-pi/2, pi/2]."""
-    _check_angles(angle)
+    _check_angle(angle)
     r = math.remainder(angle, math.pi)
     if r <= -math.pi / 2.0:
         r += math.pi
@@ -109,6 +121,7 @@ def reduce_polarizer_angle(angle: float) -> float:
 
 
 def _check_extinction(extinction_ratio: float) -> None:
+    _check_real("extinction_ratio", extinction_ratio)
     if not 0.0 <= extinction_ratio <= 1.0:  # a NaN fails too
         raise DomainError(f"extinction_ratio must lie in [0, 1], got {extinction_ratio}")
 
@@ -134,7 +147,7 @@ def stripping_angle(kappa1: float, kappa2: float, b: float) -> float:
     to 1e-12 with kappa1, kappa2 >= 0 (else DomainError) and kappa2 > 1e-12.
     """
     _check_strippable(kappa1, kappa2)
-    _check_angles(b)
+    _check_angle(b)
     s = math.atan2(kappa1 * math.sin(b), kappa2 * math.cos(b))
     return reduce_polarizer_angle(s)
 
@@ -147,21 +160,32 @@ def stripping_angle_orthogonal(kappa1: float, kappa2: float, b: float) -> float:
     tan(s') = -(kappa1/kappa2) cot(b), reduced to (-pi/2, pi/2].
     """
     _check_strippable(kappa1, kappa2)
-    _check_angles(b)
+    _check_angle(b)
     s = math.atan2(-kappa1 * math.cos(b), kappa2 * math.sin(b))
     return reduce_polarizer_angle(s)
 
 
 def beamsplitter_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """50:50 split into (transmitted, reflected) = (x/sqrt2, i x/sqrt2)."""
+    """50:50 split of a finite complex beam into (transmitted, reflected) =
+    (x/sqrt2, i x/sqrt2)."""
+    x = _complex_array("the beam to split", x)
+    if not np.isfinite(x).all():
+        raise DomainError("the beam to split must be finite")
     return x / _RT2, 1j * x / _RT2
 
 
 def beamsplitter_combine(aux: np.ndarray, test: np.ndarray) -> np.ndarray:
-    """Recombine two beams on a 50:50 splitter: out = (aux + i test)/sqrt2."""
+    """Recombine two beams of one shape on a 50:50 splitter: out = (aux + i test)/sqrt2,
+    which must be finite."""
+    aux, test = _complex_array("aux", aux), _complex_array("test", test)
     if aux.shape != test.shape:
         raise DomainError(f"cannot combine beams of shapes {aux.shape} and {test.shape}")
-    return (aux + 1j * test) / _RT2
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (aux + 1j * test) / _RT2
+    if not np.isfinite(out).all():
+        raise DomainError("the recombined beam is not finite: an input is not, or the sum "
+                          "overflows")
+    return out
 
 
 _RETARDANCE = {"half": math.pi, "quarter": math.pi / 2.0}
@@ -175,7 +199,7 @@ def waveplate_matrix(kind: str, fast_axis_angle: float) -> np.ndarray:
     """
     if kind not in _RETARDANCE:
         raise DomainError(f"waveplate kind must be 'half' or 'quarter', got {kind!r}")
-    _check_angles(fast_axis_angle)
+    _check_angle(fast_axis_angle)
     d = _RETARDANCE[kind]
     c, s = math.cos(fast_axis_angle), math.sin(fast_axis_angle)
     rot = np.array([[c, -s], [s, c]], dtype=np.complex128)
@@ -185,9 +209,11 @@ def waveplate_matrix(kind: str, fast_axis_angle: float) -> np.ndarray:
 
 def apply(m: np.ndarray, ensemble: FieldEnsemble) -> FieldEnsemble:
     """Pass every realization through the 2x2 Jones matrix ``m``: E -> m E."""
-    if np.shape(m) != (2, 2):
-        raise DomainError(f"need a 2x2 Jones matrix, got shape {np.shape(m)}")
-    return FieldEnsemble(ensemble.realizations @ m.T)
+    m = _complex_array("m", m)
+    if m.shape != (2, 2):
+        raise DomainError(f"need a 2x2 Jones matrix, got shape {m.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # FieldEnsemble refuses the inf or NaN
+        return FieldEnsemble(ensemble.realizations @ m.T)
 
 
 def chain_power(m: np.ndarray, moments: np.ndarray) -> float | np.ndarray:
@@ -198,7 +224,8 @@ def chain_power(m: np.ndarray, moments: np.ndarray) -> float | np.ndarray:
     each other and give an array of powers; one chain and one J give a float.
     Other shapes raise DomainError.
     """
-    shapes = np.shape(m), np.shape(moments)
+    m, moments = _complex_array("m", m), _complex_array("moments", moments)
+    shapes = m.shape, moments.shape
     try:
         np.broadcast_shapes(*shapes)
         fits = all(x[-2:] == (2, 2) for x in shapes)
@@ -207,7 +234,11 @@ def chain_power(m: np.ndarray, moments: np.ndarray) -> float | np.ndarray:
     if not fits:
         raise DomainError(f"need 2x2 chains and moments, or stacks of them that broadcast, "
                           f"got shapes {shapes[0]} and {shapes[1]}")
-    x = (m.conj().swapaxes(-1, -2) @ m) * moments
-    # the trailing 2x2 entries summed in the order np.sum takes for one 2x2
-    power = ((x[..., 0, 0] + x[..., 0, 1]) + (x[..., 1, 0] + x[..., 1, 1])).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (m.conj().swapaxes(-1, -2) @ m) * moments
+        # the trailing 2x2 entries summed in the order np.sum takes for one 2x2
+        power = ((x[..., 0, 0] + x[..., 0, 1]) + (x[..., 1, 0] + x[..., 1, 1])).real
+    if not np.isfinite(power).all():
+        raise DomainError("the power behind the chain is not finite: an entry is not, or the "
+                          "power overflows")
     return float(power) if power.ndim == 0 else power

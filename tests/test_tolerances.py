@@ -15,6 +15,7 @@ import pytest
 
 from wavebell import (
     AngleSettings,
+    DegenerateFieldError,
     DomainError,
     FieldEnsemble,
     NoiseModel,
@@ -95,6 +96,25 @@ class TestSchmidtWeights:
                 KAPPA_ENTRY_POINTS[entry](big, 0.6)
 
 
+def test_edge_weights_accepted():
+    # a weight of exactly 0 is in range: (1, 0) everywhere but the stripping angles (fully
+    # polarized), and (0, 1) everywhere but SchmidtDecomposition (which orders the pair)
+    for name, entry in KAPPA_ENTRY_POINTS.items():
+        if not name.startswith("stripping"):
+            entry(1.0, 0.0)
+        if name != "SchmidtDecomposition":
+            entry(0.0, 1.0)
+
+
+def test_fully_polarized_threshold_has_both_sides():
+    # stripping needs kappa2 > 1e-12: 1e-10 strips, 1e-12 and 1e-13 are fully polarized
+    for strip in (stripping_angle, stripping_angle_orthogonal):
+        strip(1.0, 1e-10, 0.3)
+        for kappa2 in (1e-12, 1e-13):
+            with pytest.raises(DegenerateFieldError, match="fully polarized"):
+                strip(1.0, kappa2, 0.3)
+
+
 def test_rounded_weights_rejected_everywhere():
     # (0.750, 0.661) is off by 5.8e-4; the stripping angle once took it
     for entry in KAPPA_ENTRY_POINTS.values():
@@ -106,6 +126,12 @@ def test_nan_weights_name_the_rule():
     for entry in KAPPA_ENTRY_POINTS.values():
         with pytest.raises(DomainError, match=KAPPA_MSG + "nan, nan"):
             entry(math.nan, math.nan)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_schmidt_intensity_positive_and_finite(bad):
+    with pytest.raises(DomainError, match="intensity must be positive and finite"):
+        SchmidtDecomposition(0.8, 0.6, X, Y, bad)
 
 
 def test_weight_order_still_checked():
@@ -132,6 +158,10 @@ class TestOrthonormalPair:
     def test_inside_tolerance_accepted(self, entry, off):
         for pair in lab_pairs(off):
             BASIS_ENTRY_POINTS[entry](*pair)
+
+    def test_at_the_tolerance_accepted(self, entry):
+        # <v1|v2> is exactly 1e-12: the tolerance is inclusive
+        BASIS_ENTRY_POINTS[entry](X, np.array([1e-12, math.sqrt(1.0 - 1e-24)]))
 
     @pytest.mark.parametrize("off", [OUTSIDE, -OUTSIDE])
     def test_outside_tolerance_rejected(self, entry, off):
