@@ -344,14 +344,16 @@ def _a_grid(cfg: dict) -> np.ndarray:
 
 
 def _scan_curves(cfg: dict, a_grid: np.ndarray):
-    """The measured source as {dop, kappa1, kappa2}, and the curves, one per b."""
+    """The measured source as {dop, kappa1, kappa2, method}, and the curves, one per b:
+    every curve reads one source, so they share its method."""
     source = _draw_partially_polarized(cfg["dop"], cfg["n"], cfg["seed"])
     sd = schmidt(source)
     noise = _noise(cfg)
     curves = [scan_correlation(source, sd, b, a_grid, noise=noise, seed=(cfg["seed"], i),
                                resamples=cfg["resamples"])
               for i, b in enumerate(_angle_list(cfg["b_list"]))]
-    return {"dop": dop(tomography(source)), "kappa1": sd.kappa1, "kappa2": sd.kappa2}, curves
+    return {"dop": dop(tomography(source)), "kappa1": sd.kappa1, "kappa2": sd.kappa2,
+            "method": curves[0].method}, curves
 
 
 def cmd_scan(cfg: dict) -> int:
@@ -380,19 +382,11 @@ def cmd_scan(cfg: dict) -> int:
 
 def cmd_chsh(cfg: dict) -> int:
     """run the Bell protocol and report the CHSH value"""
-    settings = None
-    if cfg["settings"] is not None:
-        values = [parse_angle(v) for v in cfg["settings"]]
-        settings = AngleSettings(*values)
-    protocol = ProtocolConfig(
-        dop=cfg["dop"],
-        n=cfg["n"],
-        seed=cfg["seed"],
-        settings=settings,
-        noise=_noise(cfg),
-        resamples=cfg["resamples"],
-    )
-    report = run_bell_protocol(protocol)
+    # None without --settings
+    settings = cfg["settings"] and AngleSettings(*map(parse_angle, cfg["settings"]))
+    report = run_bell_protocol(ProtocolConfig(
+        dop=cfg["dop"], n=cfg["n"], seed=cfg["seed"], settings=settings, noise=_noise(cfg),
+        resamples=cfg["resamples"]))
     if cfg["fmt"] == "json":
         payload = asdict(report)
         payload["config"] = _echo(cfg)

@@ -59,6 +59,16 @@ def _complex_array(name: str, value) -> np.ndarray:
         raise DomainError(f"{name} must lie in the float range") from None
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array, without a copy when it already is one."""
+    if np.iscomplexobj(value):
+        raise DomainError(f"{name} must be real")
+    try:
+        return np.asarray(value, dtype=float)
+    except (OverflowError, TypeError):  # an integer past the float range, or a complex entry
+        raise DomainError(f"{name} must be real and in the float range") from None
+
+
 def _check_kappas(kappa1: float, kappa2: float) -> None:
     _check_real("kappa1", kappa1)
     _check_real("kappa2", kappa2)

@@ -51,9 +51,11 @@ from .ensemble import (
     _check_dop,
     _check_integer,
     _check_n,
+    _check_real,
     _check_seed,
     _check_trace,
     _draw_partially_polarized,
+    _real_array,
     dop,
     schmidt,
     tomography,
@@ -64,6 +66,7 @@ from .optics import (
     beamsplitter_combine,
     beamsplitter_split,
     polarizer_axis,
+    _check_angle,
     _check_extinction,
     polarizer_matrix,
     stripping_angle,
@@ -82,9 +85,13 @@ __all__ = [
     "run_bell_protocol",
 ]
 
-# Below this second Schmidt weight the stripping polarizer would transmit
-# essentially nothing; the protocol falls back to the closed-form path.
-_KAPPA2_FLOOR = 1e-6
+# Below this measured second Schmidt weight every measurement reads the closed form
+# (_measure_runs).  At population moments J = diag(k1^2, k2^2), ideal, the kernel meets
+# the closed form within 1e-10 on the default 12-curve scan grid and at the optimized and
+# the 0.1, 0.7, 0.3, 1.2 chsh settings, and raises nothing, from k2 = 1e-3 (1 - DOP = 2e-6)
+# upward on a quarter-decade grid to 1e-1; at 10**-3.25 it misses by 3.3e-10, and from
+# 1e-4 down a scan pair loses both outcomes to the crossed test (StrippedBeamError).
+_KAPPA2_FLOOR = 1e-3
 
 # Fixed tag separating the bootstrap normals' stream from measurement streams.
 _BOOT_TAG = 715
@@ -139,6 +146,7 @@ class NoiseModel:
         _check_extinction(self.extinction_ratio)
         for name in ("detector_noise", "phase_jitter"):
             v = getattr(self, name)
+            _check_real(name, v)
             if not 0.0 <= v <= _MAX_NOISE:  # a NaN fails too
                 raise DomainError(f"{name} must lie in [0, {_MAX_NOISE:g}], got {v}")
 
@@ -295,8 +303,8 @@ def probabilities_from_triples(triples, beam) -> np.ndarray:
     ------
     DomainError
         If ``triples`` is not of shape (..., 4, 3), ``beam`` does not
-        broadcast to its (...), a reading or I is not finite and >= 0, or I
-        is 0.
+        broadcast to its (...), a reading or I is not real, finite and >= 0,
+        or I is 0.
     ExtractionError
         If a probability exceeds 1 by more than 1e-6, which indicates a
         convention bug rather than rounding; values in (1, 1 + 1e-6] are
@@ -305,7 +313,7 @@ def probabilities_from_triples(triples, beam) -> np.ndarray:
         If both outcomes (k, 1) and (k, 2) of a pair are stripped (as
         kappa2 -> 0): neither has a partner to be recovered from.
     """
-    t, beam = np.asarray(triples, dtype=float), np.asarray(beam, dtype=float)
+    t, beam = _real_array("triples", triples), _real_array("beam", beam)
     if t.shape[-2:] != (4, 3):
         raise DomainError(f"triples must have shape (..., 4, 3), got {t.shape}")
     # a NaN is neither >= 0 nor < inf, and np.min and np.max propagate it
@@ -381,6 +389,8 @@ def measure_intensities(
     the mean and covariance of circular-Gaussian fields of this J (K = J
     without jitter).
     """
+    for angle in (a, s):
+        _check_angle(angle)
     stacks = _moment_stacks(ensemble.second_moments, ensemble.n, (), noise, [_seed_base(seed)], 1)
     t = _readings(*stacks, basis, [a], [s], noise.extinction_ratio)
     return tuple(map(float, t[0, 0]))
@@ -398,6 +408,7 @@ class CorrelationCurve:
     p22: np.ndarray
     c: np.ndarray
     c_err: np.ndarray
+    method: str = "interferometer"
 
 
 def _check_resamples(resamples) -> None:
@@ -407,11 +418,14 @@ def _check_resamples(resamples) -> None:
                           f"got {resamples}")
 
 
-def _measure_runs(ensemble, sd, a, b, noise, base, resamples) -> np.ndarray:
-    """Joint probabilities (1 + resamples, P, 4), ordered p11 .. p22, at the P
-    pairs of the angle arrays ``a, b``: run 0 reads the source, run r its r-th
-    bootstrap resample.  Run r draws the noise of all its 4P readings, in this
-    order, from the one stream base + (r, _NOISE_TAG) (see
+def _measure_runs(ensemble, sd, a, b, noise, base, resamples) -> tuple[str, np.ndarray]:
+    """The method and the joint probabilities (runs, P, 4), ordered p11 .. p22,
+    at the P pairs of the angle arrays ``a, b``.
+
+    With ``sd.kappa2`` at or above ``_KAPPA2_FLOOR`` the method is
+    "interferometer" and there are 1 + resamples runs: run 0 reads the source,
+    run r its r-th bootstrap resample.  Run r draws the noise of all its 4P
+    readings, in this order, from the one stream base + (r, _NOISE_TAG) (see
     :func:`_moment_stacks`), so a reading's noise depends on its position
     among the pairs.  The R resamples draw their Bartlett factors T (see
     ``ensemble._bartlett``) from the stream base + (_BOOT_TAG,), which is not
@@ -419,17 +433,28 @@ def _measure_runs(ensemble, sd, a, b, noise, base, resamples) -> np.ndarray:
     noise model, so P (1 + R) is at most 10**7 (about 2.9 GB), checked before
     anything is drawn.  ``ensemble`` is read only through its
     ``second_moments`` and ``n``.
+
+    Below the floor the method is "closed-form": one run of
+    :func:`joint_probability_kappa` at ``sd``'s weights, since every resample
+    holds the weights and the settings, so its closed form is the source's.
+    A noise model other than the ideal one raises DomainError there.
     """
     _check_resamples(resamples)
     if len(a) * (1 + resamples) > _MAX_PAIR_RUNS:
         raise DomainError(f"{len(a)} (a, b) pairs read in {1 + resamples} runs (1 + "
                           f"resamples) make {len(a) * (1 + resamples)} pair-runs, more than "
                           f"the limit of {_MAX_PAIR_RUNS}: use fewer grid points or resamples")
+    if sd.kappa2 < _KAPPA2_FLOOR:
+        if noise != NoiseModel():
+            raise DomainError(f"kappa2 = {sd.kappa2:.3g} is below the floor {_KAPPA2_FLOOR:g}: "
+                              f"the closed form read there applies no noise model")
+        return "closed-form", joint_probability_kappa(sd.kappa1, sd.kappa2, a[:, None],
+                                                      b[:, None], *np.array(_KL).T)[None]
     t = _bartlett(np.random.default_rng(base + (_BOOT_TAG,)), ensemble.n, resamples) \
         if resamples else ()
     seeds = [base + (r, _NOISE_TAG) for r in range(1 + resamples)]
     stacks = _moment_stacks(ensemble.second_moments, ensemble.n, t, noise, seeds, 4 * len(a))
-    return _probabilities(stacks, sd, a, b, noise.extinction_ratio)
+    return "interferometer", _probabilities(stacks, sd, a, b, noise.extinction_ratio)
 
 
 def scan_correlation(
@@ -448,16 +473,19 @@ def scan_correlation(
     at the source's J, holding the settings fixed, to attach a standard error
     to each point; each resample's J* is reused across the grid.  Grid
     points times (1 + resamples) is at most 10**7, about 2.9 GB: a larger
-    call raises DomainError before anything is allocated.
+    call raises DomainError before anything is allocated.  Below the floor
+    ``_KAPPA2_FLOOR`` of ``sd.kappa2`` the curve reads the closed form (method
+    "closed-form", see ``_measure_runs``), with zero error bars.
     """
-    a_grid = np.asarray(a_grid, dtype=float)
+    a_grid = _real_array("a_grid", a_grid)
     if a_grid.ndim != 1 or a_grid.size < 1:
         raise DomainError("a_grid must be a non-empty 1-d sequence of angles")
-    ps = _measure_runs(ensemble, sd, a_grid, np.full(a_grid.size, float(b)), noise,
-                       _seed_base(seed), resamples)
+    _check_angle(b)
+    method, ps = _measure_runs(ensemble, sd, a_grid, np.full(a_grid.size, float(b)), noise,
+                               _seed_base(seed), resamples)
     c = correlation_sum(np.moveaxis(ps, -1, 0))
-    c_err = np.std(c[1:], axis=0, ddof=1) if resamples else np.zeros(a_grid.size)
-    return CorrelationCurve(a_grid, float(b), *ps[0].T, c=c[0], c_err=c_err)
+    c_err = np.std(c[1:], axis=0, ddof=1) if len(ps) > 1 else np.zeros(a_grid.size)
+    return CorrelationCurve(a_grid, float(b), *ps[0].T, c=c[0], c_err=c_err, method=method)
 
 
 @dataclass(frozen=True)
@@ -537,25 +565,20 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
     probabilities per setting interferometrically, and attach bootstrap
     standard errors.
 
-    A fully polarized source admits no stripping polarizer; in that case
-    the report falls back to closed-form probabilities (method
-    "closed-form") with the separable maximum chsh = 2.
+    Below the floor ``_KAPPA2_FLOOR`` of the measured kappa2 the report
+    reads the closed form (method "closed-form", see ``_measure_runs``), with
+    zero error bars, and a noise model other than the ideal one raises
+    DomainError.
     """
     source = _draw_partially_polarized(config.dop, config.n, config.seed)
     sd = schmidt(source)
-    k1, k2 = sd.kappa1, sd.kappa2
 
-    settings = max_chsh(k1, k2)[1] if config.settings is None else config.settings
+    settings = max_chsh(sd.kappa1, sd.kappa2)[1] if config.settings is None else config.settings
     pairs = settings.pairs()
     a, b = np.array(pairs).T
 
-    if k2 < _KAPPA2_FLOOR:
-        method = "closed-form"
-        runs = joint_probability_kappa(k1, k2, a[:, None], b[:, None], *np.array(_KL).T)[None]
-    else:
-        method = "interferometer"
-        runs = _measure_runs(source, sd, a, b, config.noise, (config.seed,), config.resamples)
-
+    method, runs = _measure_runs(source, sd, a, b, config.noise, (config.seed,),
+                                 config.resamples)
     c = correlation_sum(np.moveaxis(runs, -1, 0))
     values = np.column_stack([chsh_sum(c.T), c])  # per run: chsh, then the four correlations
     errs = np.std(values[1:], axis=0, ddof=1) if len(runs) > 1 else np.zeros(5)
@@ -565,8 +588,8 @@ def run_bell_protocol(config: ProtocolConfig) -> BellReport:
     )
     return BellReport(
         dop=dop(tomography(source)),
-        kappa1=k1,
-        kappa2=k2,
+        kappa1=sd.kappa1,
+        kappa2=sd.kappa2,
         n=config.n,
         seed=config.seed,
         noise=config.noise,

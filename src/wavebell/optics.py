@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import (_NORM_TOL, FieldEnsemble, _check_kappas, _check_orthonormal, _check_real,
-                       _complex_array)
+                       _complex_array, _real_array)
 from .errors import DegenerateFieldError, DomainError
 
 __all__ = [
@@ -60,14 +60,8 @@ class LabBasis:
 
 def _check_angles(*angles) -> None:
     """Raise DomainError unless every angle, a real number or an array of them, is finite."""
-    if any(np.iscomplexobj(a) for a in angles):
-        raise DomainError("angles must be real")
     # through float, as an integer past int64 has no isfinite of its own
-    try:
-        finite = all(np.isfinite(np.asarray(a, dtype=float)).all() for a in angles)
-    except OverflowError:  # an integer past the float range
-        finite = False
-    if not finite:
+    if not all(np.isfinite(_real_array("angles", a)).all() for a in angles):
         raise DomainError("angles must be finite")
 
 

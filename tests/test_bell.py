@@ -341,6 +341,21 @@ class TestLhv:
         with pytest.raises(ModelContractError):
             lhv_correlation(model, 0.0, 0.0, 100, 0)
 
+    # a response may leave [-1, 1] by 1e-9, not more: at that bound and inside it by 1e-10
+    # it passes, past it by 1e-8 it fails, above 1 and below -1
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("excess, ok", [(1e-9, True), (1e-10, True), (1e-8, False)])
+    def test_response_bound_has_both_sides(self, sign, excess, ok):
+        value = sign * (1.0 + excess)
+        model = LhvModel(outcome_a=lambda a, lam: np.full_like(lam, value),
+                         outcome_b=lambda b, lam: np.ones_like(lam),
+                         lambda_sampler=lambda rng, size: rng.uniform(0, 1, size))
+        if ok:
+            assert lhv_correlation(model, 0.0, 0.0, 100, 0) == pytest.approx(value, rel=1e-15)
+        else:
+            with pytest.raises(ModelContractError, match="^outcome_a response left"):
+                lhv_correlation(model, 0.0, 0.0, 100, 0)
+
     @pytest.mark.parametrize("side", ["outcome_a", "outcome_b"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_response_detected(self, side, bad):

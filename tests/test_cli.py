@@ -196,12 +196,30 @@ class TestScan:
                         "--out", str(out)]) == 0
         payload = json.loads((out / "scan_config.json" if fmt == "csv" else out).read_text())
         source = payload["source"]
-        assert list(source) == ["dop", "kappa1", "kappa2"]
+        assert list(source) == ["dop", "kappa1", "kappa2", "method"]
+        assert source["method"] == "interferometer"
         assert np.allclose([source["kappa1"], source["kappa2"]], kappa_from_dop(source["dop"]),
                            rtol=1e-14, atol=0.0)
         sd = schmidt(_draw_partially_polarized(0.3, 500, 4))
         assert (source["kappa1"], source["kappa2"]) == (sd.kappa1, sd.kappa2)
         assert source["dop"] == pytest.approx(0.3, abs=0.1)
+
+    def test_reads_the_closed_form_below_the_floor(self, capsys):
+        # kappa2 ~ 2.2e-7, below the floor of 1e-3: as chsh does, the scan reads the closed
+        # form at the reported weights, and the resamples give zero bars
+        assert run_cli(["scan", "--n", "3000", "--seed", "0", "--dop", "0.9999999999999",
+                        "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        source = payload["source"]
+        assert source["method"] == "closed-form"
+        assert len(payload["curves"]) == 12
+        for curve in payload["curves"]:
+            assert curve["c_err"] == [0.0] * 90
+            closed = bell.joint_probability_kappa(
+                source["kappa1"], source["kappa2"], np.array(curve["a_rad"])[:, None],
+                curve["b_rad"], [1, 1, 2, 2], [1, 2, 1, 2])
+            assert np.array_equal(np.array([curve[k] for k in ("p11", "p12", "p21", "p22")]).T,
+                                  closed)
 
     def test_cost_does_not_grow_with_n(self, capsys):
         # 2**53 realizations, the largest n, cost what 2 do; one past it is refused
@@ -371,6 +389,56 @@ class TestValidate:
         assert "FAIL triple-path-analytic-interferometric" in captured.out
         assert captured.out.count("FAIL ") == 1, captured.out
         assert "validation failed" in captured.err
+
+    ANALYTIC = ("triple-path-analytic-interferometric", "triple-path-analytic-projected",
+                "no-signaling-oracle")
+
+    @pytest.mark.parametrize("check", ANALYTIC)
+    @pytest.mark.parametrize("gap, ok", [(1e-12, True), (1e-11, False)])
+    def test_analytic_tolerance_has_both_sides(self, capsys, monkeypatch, check, gap, ok):
+        # each analytic check holds 1e-12, inclusive: the oracle reads 0 everywhere, and the
+        # one path under test reads exactly ``gap`` off it
+        def oracle(k1, k2, a, b, k, l):
+            p = np.zeros(np.broadcast(a, b, k, l).shape)
+            if check == "no-signaling-oracle" and p.ndim:
+                p[0, 0, 0] = gap
+            return p[()]
+
+        scan = cli.scan_correlation
+
+        def measured(*args):
+            value = gap if check == "triple-path-analytic-interferometric" else 0.0
+            return replace(scan(*args), **{p: np.full(1, value)
+                                           for p in ("p11", "p12", "p21", "p22")})
+
+        monkeypatch.setattr(cli, "joint_probability_kappa", oracle)
+        monkeypatch.setattr(cli, "scan_correlation", measured)
+        monkeypatch.setattr(bell, "joint_probability_projected",
+                            lambda *args: gap if check == "triple-path-analytic-projected" else 0.0)
+        assert run_cli(["validate", "--n", "2000", "--tuples", "2", "--lhv-samples", "1000"]) == 2
+        lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+        assert lines[f"{'PASS' if ok else 'FAIL'} {check}"]
+        others = set(self.ANALYTIC) - {check}
+        assert all(f"PASS {name}" in lines for name in others), lines
+
+    @pytest.mark.parametrize("check", ["triple-path-sampled", "probability-completeness-measured",
+                                       "lhv-bound"])
+    def test_statistical_bounds_are_inclusive(self, capsys, monkeypatch, check):
+        # at n = 1600 and 1600 hidden-variable samples the tolerance 5 / sqrt(n) is 0.125 and
+        # the bound 2 + 5 / sqrt(samples) is 2.125, both exact: a reading at its bound passes
+        scan = cli.scan_correlation
+        if check == "triple-path-sampled":
+            values = [0.375] * 4
+            monkeypatch.setattr(cli, "joint_probability_kappa",
+                                lambda k1, k2, a, b, k, l: np.full(np.broadcast(a, b, k, l).shape,
+                                                                   0.25)[()])
+        else:
+            values = [1.125, 0.0, 0.0, 0.0]
+        monkeypatch.setattr(cli, "scan_correlation", lambda *args: replace(
+            scan(*args), **{p: np.full(1, v) for p, v in zip(("p11", "p12", "p21", "p22"), values)}))
+        monkeypatch.setattr(cli, "lhv_chsh", lambda *args: 2.125)
+        run_cli(["validate", "--n", "1600", "--tuples", "2", "--lhv-samples", "1600"])
+        assert f"PASS {check}: " in capsys.readouterr().out
 
     def test_sampled_sources_follow_the_seed(self, monkeypatch):
         # checks 2 and 3 draw their sources from streams of --seed: no two seeds share one,
@@ -686,11 +754,23 @@ BAD_INPUTS = {
     "config-scan-points-times-runs": lambda tmp: [
         "scan", "--n", "100", "--format", "json", "--b-list", "0", "--config",
         _write_config(tmp, {"a_stop": 0.5, "a_step": 1e-4, "resamples": _MAX_RESAMPLES})],
+    # a fully polarized source reads the closed form, which applies no noise model
+    "chsh-fully-polarized-noise": lambda tmp: ["chsh", "--dop", "1", "--noise-phase", "0.3"],
+    "config-chsh-fully-polarized-noise": lambda tmp: [
+        "chsh", "--config", _write_config(tmp, {"dop": 1, "noise_phase": 0.3})],
+    "scan-fully-polarized-noise": lambda tmp: ["scan", "--dop", "1", "--noise-detector", "1e-4",
+                                               "--format", "json"],
+    "config-scan-fully-polarized-noise": lambda tmp: [
+        "scan", "--format", "json", "--config",
+        _write_config(tmp, {"dop": 1, "noise_detector": 1e-4})],
 }
+_FLOOR = "kappa2 = 0 is below the floor 0.001: the closed form read there applies no noise model"
 # Rows whose one line must also name the limit they cross.
 BAD_INPUT_MESSAGES = {
     "scan-points-times-runs": "make 500005000 pair-runs, more than the limit of 10000000",
     "config-scan-points-times-runs": "make 500005000 pair-runs, more than the limit of 10000000",
+    **{f"{where}{command}-fully-polarized-noise": _FLOOR
+       for where in ("", "config-") for command in ("chsh", "scan")},
 }
 
 
@@ -706,7 +786,7 @@ def test_bad_input_exits_1_with_one_line(tmp_path, case):
     assert len(lines) == 1 and lines[0].startswith("wavebell: error:"), proc.stderr
     assert BAD_INPUT_MESSAGES.get(case, "") in lines[0]
     if case in ("huge-validate-n", "unallocatable-lhv-samples", "lhv-samples-above-bound",
-                "config-lhv-samples-above-bound"):
+                "config-lhv-samples-above-bound") or case.endswith("fully-polarized-noise"):
         assert proc.stdout == ""
 
 
@@ -809,6 +889,25 @@ def test_empty_a_grid_names_the_flags(capsys, a_start, a_stop):
     assert main(["scan", f"--a-start={a_start}", "--a-stop", a_stop, "--format", "json"]) == 1
     err = capsys.readouterr().err
     assert err == "wavebell: error: the a grid from --a-start to --a-stop (exclusive) has no points\n"
+
+
+def test_a_grid_point_bound_is_inclusive(capsys):
+    # 10**4 points, the limit, are read; 10001 are refused before anything is drawn
+    scan = ["scan", "--n", "100", "--resamples", "0", "--b-list", "0.3", "--a-step", "1e-4",
+            "--format", "json"]
+    assert main([*scan, "--a-stop", "1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["curves"][0]["a_rad"]) == 10_000
+    assert main([*scan, "--a-stop", "1.0001"]) == 1
+    assert "more than the limit of 10000" in capsys.readouterr().err
+
+
+# --a-stop is exclusive to 1e-12: a point 1e-13 below it is the end, and one 1e-10 below it
+# is read
+@pytest.mark.parametrize("a_stop, points", [("0.5000000000001", 1), ("0.5000000001", 2)])
+def test_a_stop_is_exclusive_to_1e_12(capsys, a_stop, points):
+    assert main(["scan", "--n", "100", "--resamples", "0", "--b-list", "0.3", "--a-stop", a_stop,
+                 "--a-step", "0.5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["curves"][0]["a_rad"] == [0.0, 0.5][:points]
 
 
 def _json_output(tmp_path, argv):

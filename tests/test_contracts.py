@@ -1,15 +1,18 @@
 """The library keeps the CLI's contract: finite outputs or one domain error.
 
 One property per module, over its ``__all__``: every public name of
-``wavebell.ensemble`` and ``wavebell.optics``, called with in-range values,
+``wavebell.ensemble``, ``wavebell.optics`` and ``wavebell.interferometer``,
+called with in-range values,
 scalars from the CLI fuzz alphabet (0, negatives, NaN, +-inf, 1e+-300,
 subnormals, huge integers up to 10**400, past the float range) and arrays of
 the wrong shape, returns finite values of its documented shape, or raises one
 ``WavebellError`` subclass with a one-line message.  Tier-1 runs with warnings as errors, so a RuntimeWarning
 that escapes fails too.  Arguments of another type (a string or None for an
 array, a float for an ensemble) are outside the contract, so no draw makes
-one.  Realization counts are capped at 10**5, so no draw allocates more than a
-few MB.
+one.  Realization counts are capped at 10**5, resamples at 100 and grids at 100
+points, so no draw allocates more than a few MB.  The result records
+``SettingResult``, ``CorrelationCurve`` and ``BellReport`` hold what they are
+given and check nothing: the functions that return them check their inputs.
 """
 
 import dataclasses
@@ -22,8 +25,9 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis import settings as hypothesis_settings
 
-from wavebell import (FieldEnsemble, LabBasis, SchmidtDecomposition, StokesVector, WavebellError,
-                      ensemble, optics, schmidt, stokes, synthesize_partially_polarized,
+from wavebell import (AngleSettings, FieldEnsemble, LabBasis, NoiseModel, ProtocolConfig,
+                      SchmidtDecomposition, SettingResult, StokesVector, WavebellError, ensemble,
+                      interferometer, optics, schmidt, stokes, synthesize_partially_polarized,
                       synthesize_schmidt_form)
 
 _SUBNORMALS = [5e-324, 1e-310, -2.5e-320]
@@ -132,17 +136,58 @@ _TYPED = {
     "basis": st.sampled_from(_BASES),
 }
 
+_NOISES = [NoiseModel(), NoiseModel(extinction_ratio=1e-3), NoiseModel(detector_noise=1e-4),
+           NoiseModel(phase_jitter=0.3), NoiseModel(1.0, 1e6, 1e6)]
+_SETTINGS = [AngleSettings(0.1, 0.7, 0.3, 1.2), AngleSettings(0.0, 0.0, 0.0, 0.0)]
+# one kernel reading of four outcomes at DOP 0.3, b = 0.3, a = 0.2, and a pair with a stripped
+# outcome
+_TRIPLES = [np.array([[1.2484, 0.6209, 0.6203], [0.5054, 0.6209, 0.3729],
+                      [0.0017, 0.3791, 0.3796], [0.3781, 0.3791, 0.6271]]),
+            np.array([[0.5, 1.0, 0.0], [0.5, 1.0, 0.5], [0.25, 0.0, 1.0], [0.5, 0.0, 1.0]])]
+# The interferometer's own parameters, where a name means something else there; grids of at
+# most 100 points and at most 100 resamples.
+_INTERFEROMETER_GOOD = {
+    "a": _ANGLES,
+    "s": _ANGLES,
+    "a_grid": st.sampled_from([[0.3], _ANGLES, np.linspace(0.0, math.pi, 100)])
+    | st.sampled_from([(1,), (7,), (100,)]).flatmap(_arrays),
+    "triples": st.sampled_from(_TRIPLES) | st.just(np.stack(_TRIPLES))
+    | st.sampled_from([(4, 3), (2, 4, 3)]).flatmap(_arrays),
+    "beam": st.sampled_from([0.5, 1.0, 1e-300, 1e300, np.array([0.5, 1.0])]),
+    "resamples": [0, 10, 100],
+    "detector_noise": [0.0, 1e-4, 0.3, 1e6],
+    "phase_jitter": [0.0, 0.05, 1.0, 1e6],
+    **{name: [0.0, 0.25, 1.0] for name in ("p11", "p12", "p21", "p22", "c", "c_err", "chsh",
+                                          "chsh_err")},
+}
+_INTERFEROMETER_TYPED = {
+    "noise": st.sampled_from(_NOISES),
+    "settings": st.sampled_from([None, *_SETTINGS]),
+    "config": st.builds(ProtocolConfig, dop=st.sampled_from([0.0, 0.3, 1.0 - 1e-6, 1.0]),
+                        n=st.sampled_from([2, 1000, 10**5]), seed=st.integers(0, 3),
+                        settings=st.sampled_from([None, *_SETTINGS]),
+                        noise=st.sampled_from(_NOISES), resamples=st.sampled_from([0, 10, 100])),
+    "probabilities": st.just((SettingResult(0.1, 0.3, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0),) * 4),
+    "method": st.sampled_from(["interferometer", "closed-form"]),
+}
 
-def _strategy(name):
+
+def _strategy(name, module=None):
     """Mostly in-range values, so calls go deep, else the alphabet and wrong shapes."""
-    if name in _TYPED:
+    own = module is interferometer and name in _INTERFEROMETER_GOOD
+    if module is interferometer and name in _INTERFEROMETER_TYPED:
+        return _INTERFEROMETER_TYPED[name]
+    if name in _TYPED and not own:
         return _TYPED[name]
-    good = _GOOD[name]
+    good = (_INTERFEROMETER_GOOD if own else _GOOD)[name]
     good = st.sampled_from(good) if isinstance(good, list) else good
     return st.one_of(good, good, good, _WRONG)
 
 
 def _finite(value) -> bool:
+    # an integer is finite, a seed past the float range included
+    if isinstance(value, (str, int)) or value is None:
+        return True
     if dataclasses.is_dataclass(value):
         return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
     if isinstance(value, dict):
@@ -186,7 +231,19 @@ _SHAPES = {
     "stripping_angle_orthogonal": _in_half_turn,
     "beamsplitter_split": lambda r, a: np.shape(r[0]) == np.shape(r[1]) == np.shape(a["x"]),
     "beamsplitter_combine": lambda r, a: np.shape(r) == np.shape(a["aux"]),
+    "NoiseModel": lambda r, a: isinstance(r, NoiseModel),
+    "ProtocolConfig": lambda r, a: isinstance(r, ProtocolConfig),
+    "measure_intensities": lambda r, a: len(r) == 3 and all(type(v) is float for v in r),
+    "probabilities_from_triples": lambda r, a: r.shape == np.shape(a["triples"])[:-1],
+    "scan_correlation": lambda r, a: r.c.shape == r.c_err.shape == np.shape(a["a_grid"])
+    and r.method in ("interferometer", "closed-form"),
+    "run_bell_protocol": lambda r, a: len(r.probabilities) == 4
+    and r.method in ("interferometer", "closed-form"),
 }
+# The result records hold what they are given.
+_RECORDS = {"SettingResult", "CorrelationCurve", "BellReport"}
+_SHAPES.update({name: lambda r, a: all(getattr(r, k) is v for k, v in a.items())
+                for name in _RECORDS})
 
 
 @st.composite
@@ -197,14 +254,14 @@ def _calls(draw, module):
     kwargs = {}
     for p in inspect.signature(getattr(module, name)).parameters.values():
         if p.default is p.empty or draw(st.integers(0, 2)):
-            kwargs[p.name] = draw(_strategy(p.name))
+            kwargs[p.name] = draw(_strategy(p.name, module))
     return name, kwargs
 
 
 def _keeps_the_contract(module, name, kwargs):
     try:
         result = getattr(module, name)(**kwargs)
-        ok = _finite(result) and _SHAPES[name](result, kwargs)
+        ok = (name in _RECORDS or _finite(result)) and _SHAPES[name](result, kwargs)
     except WavebellError as exc:
         message = str(exc)
         assert message and "\n" not in message, (name, kwargs, message)
@@ -213,11 +270,13 @@ def _keeps_the_contract(module, name, kwargs):
 
 
 def test_every_public_name_has_a_shape_rule():
-    assert set(_SHAPES) == set(ensemble.__all__) | set(optics.__all__)
-    for module in (ensemble, optics):
+    modules = (ensemble, optics, interferometer)
+    assert set(_SHAPES) == {name for module in modules for name in module.__all__}
+    for module in modules:
         for name in module.__all__:
             params = inspect.signature(getattr(module, name)).parameters
-            assert set(params) <= set(_GOOD) | set(_TYPED), name
+            assert set(params) <= set(_GOOD) | set(_TYPED) | set(_INTERFEROMETER_GOOD) \
+                | set(_INTERFEROMETER_TYPED), name
 
 
 # derandomized, as the CLI fuzz property is, so tier-1 reads the same examples every run
@@ -231,6 +290,12 @@ def test_ensemble_keeps_the_contract(call):
 @given(_calls(optics))
 def test_optics_keeps_the_contract(call):
     _keeps_the_contract(optics, *call)
+
+
+@hypothesis_settings(max_examples=400, deadline=None, derandomize=True)
+@given(_calls(interferometer))
+def test_interferometer_keeps_the_contract(call):
+    _keeps_the_contract(interferometer, *call)
 
 
 _UNIT_X, _UNIT_Y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
@@ -291,6 +356,27 @@ FOUND = [
     (optics, "apply", {"m": np.full((2, 2), 10**400, dtype=object), "ensemble": _ENSEMBLES[0]}),
     (optics, "chain_power", {"m": [[10**400, 0], [0, 1]], "moments": np.eye(2)}),
     (optics, "chain_power", {"m": np.eye(2), "moments": np.full((2, 2), -(10**400), dtype=object)}),
+    (optics, "polarizer_axis", {"basis": _BASES[0], "angle": np.array([0.1, 0.2j], dtype=object)}),
+    (interferometer, "NoiseModel", {"detector_noise": np.array([0.1, 0.2])}),
+    (interferometer, "NoiseModel", {"phase_jitter": 0.1 + 0.2j}),
+    (interferometer, "NoiseModel", {"detector_noise": np.array([])}),
+    (interferometer, "probabilities_from_triples", {"triples": _TRIPLES[0] + 0.1j, "beam": 1.0}),
+    (interferometer, "probabilities_from_triples",
+     {"triples": np.full((4, 3), 10**400, dtype=object), "beam": 1.0}),
+    (interferometer, "probabilities_from_triples",
+     {"triples": _TRIPLES[1], "beam": np.array([1.0, 0.5j], dtype=object)}),
+    (interferometer, "scan_correlation", {"ensemble": _ENSEMBLES[0], "sd": _DECOMPOSITIONS[0],
+                                          "b": 0.3 + 0.1j, "a_grid": [0.1]}),
+    (interferometer, "scan_correlation", {"ensemble": _ENSEMBLES[0], "sd": _DECOMPOSITIONS[0],
+                                          "b": np.array([0.1, 0.2]), "a_grid": [0.1]}),
+    (interferometer, "scan_correlation", {"ensemble": _ENSEMBLES[0], "sd": _DECOMPOSITIONS[0],
+                                          "b": 10**400, "a_grid": [0.1]}),
+    (interferometer, "scan_correlation", {"ensemble": _ENSEMBLES[0], "sd": _DECOMPOSITIONS[0],
+                                          "b": 0.3, "a_grid": [0.1, 0.2j]}),
+    (interferometer, "scan_correlation", {"ensemble": _ENSEMBLES[0], "sd": _DECOMPOSITIONS[0],
+                                          "b": 0.3, "a_grid": [0.1, 10**400]}),
+    (interferometer, "measure_intensities", {"ensemble": _ENSEMBLES[0], "a": np.zeros(3),
+                                             "s": 0.3, "basis": _BASES[0]}),
 ]
 
 

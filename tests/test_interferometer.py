@@ -254,6 +254,20 @@ class TestExtractProbability:
         cross = 2.0 * math.sqrt(1.0 + 2e-7)
         assert from_one_triple(((cross + 1.0) / 2.0, 0.0, 1.0)).tolist() == [1.0] * 4
 
+    def test_bound_is_inclusive(self):
+        # 2 I_total - I_aux - I_test = 1 and I_aux chosen so that the extraction reads exactly
+        # 1 + 1e-6, the bound: clamped to 1, not refused
+        triple = (0.624999875000125, 0.0, 0.24999975000025002)
+        assert 1.0 / (4.0 * triple[2]) == 1.0 + 1e-6
+        assert from_one_triple(triple).tolist() == [1.0] * 4
+
+    def test_stripped_test_is_inclusive(self):
+        # an auxiliary reading of exactly 1e-15 of the beam is stripped: the outcome is
+        # recovered from its partner, P_11 = I_test / I - P_12, not read as 2.5e-16
+        lab = (1.2, 1.0, 0.5)  # reads 0.405
+        p = probabilities_from_triples([(0.25, 0.5, 1e-15), lab, lab, lab], 1.0)
+        assert p[0] == pytest.approx(0.5 - 0.405, abs=1e-15)
+
     def test_source_intensity_domain(self):
         with pytest.raises(DomainError, match="^source intensity must be positive$"):
             from_one_triple((1.0, 1.0, 1.0), 0.0)
@@ -376,17 +390,21 @@ class TestTriplePathAgreement:
         assert crossed[2] <= 1e-15  # no light reaches the aux arm, whatever K draws
         assert measured == expected
 
-    def test_pair_with_both_outcomes_stripped_raises(self):
-        # near full polarization (kappa2 ~ 7e-6) one point of the default
-        # 90-point grid at b = 0.3 reads both stripping angles below the
-        # threshold, so the crossed outcome has no partner to recover from
+    def test_pair_with_both_outcomes_stripped_reads_the_closed_form(self):
+        # near full polarization (kappa2 ~ 7e-6) the kernel read one point of the default
+        # 90-point grid at b = 0.3 with both stripping angles below the crossed test
+        # (StrippedBeamError); below the kappa2 floor the scan reads the closed form
         source = synthesize_partially_polarized(1.0 - 1e-10, 1.0, 100_000, 0)
         sd = schmidt(source)
+        assert sd.kappa2 < interferometer._KAPPA2_FLOOR
         grid = np.arange(0.0, math.pi - 1e-12, math.pi / 90.0)
         assert len(grid) == 90
-        with pytest.raises(StrippedBeamError, match="^auxiliary beam extinguished; intensity "
-                                                    "extraction undefined$"):
-            scan_correlation(source, sd, 0.3, grid)
+        curve = scan_correlation(source, sd, 0.3, grid, resamples=10)
+        assert curve.method == "closed-form"
+        closed = joint_probability_kappa(sd.kappa1, sd.kappa2, grid[:, None], 0.3,
+                                         *np.array(interferometer._KL).T)
+        assert np.array_equal(np.stack([curve.p11, curve.p12, curve.p21, curve.p22], -1), closed)
+        assert np.array_equal(curve.c_err, np.zeros(90))
 
     @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(detector_noise=1e-3)],
                              ids=["ideal", "detector"])
@@ -712,7 +730,8 @@ class TestRunBellProtocol:
             lam2 = det / (trace / 2.0 + math.sqrt(trace**2 / 4.0 - det))
             assert rep.kappa2 == pytest.approx(math.sqrt(lam2 / trace), rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("d", [1.0 - 1e-8, 1.0 - 1e-10, 1.0 - 1e-11])
+    # kappa2 about 2.2e-3, 1.4e-3 and 1.2e-3: above the floor of 1e-3, so the kernel reads them
+    @pytest.mark.parametrize("d", [1.0 - 1e-5, 1.0 - 4e-6, 1.0 - 3e-6])
     def test_probabilities_near_full_polarization_are_complete(self, d):
         # the 16 probabilities of four settings sum to 4; the weights from the tomography
         # DOP missed by up to 2e-5 at DOP 1 - 1e-11
@@ -724,22 +743,81 @@ class TestRunBellProtocol:
             total = sum(p.p11 + p.p12 + p.p21 + p.p22 for p in rep.probabilities)
             assert abs(total - 4.0) <= 1e-9
 
-    @pytest.mark.parametrize("d, method", [(1.0 - 8e-12, "interferometer"),
-                                           (1.0 - 5e-13, "closed-form")])
-    def test_kappa2_floor_has_both_sides(self, d, method):
-        # kappa2 = sqrt((1 - DOP) / 2): about 2e-6 is measured, about 5e-7 is below the
-        # floor of 1e-6 and takes the closed form; both meet 2 sqrt(1 + 4 k1^2 k2^2)
-        rep = run_bell_protocol(ProtocolConfig(dop=d, n=10**6, seed=0, resamples=0))
-        assert rep.method == method
-        assert rep.kappa2 == pytest.approx(math.sqrt((1.0 - d) / 2.0), rel=1e-2)
-        bound = 2.0 * math.sqrt(1.0 + 4.0 * (rep.kappa1 * rep.kappa2)**2)
-        assert rep.chsh == pytest.approx(bound, abs=1e-12)
+    @pytest.mark.parametrize("kappa2, method", [(1.05e-3, "interferometer"),
+                                                (0.95e-3, "closed-form")])
+    def test_kappa2_floor_has_both_sides(self, kappa2, method):
+        # sources of kappa2 = sqrt((1 - DOP) / 2) 5% either side of the floor of 1e-3, through
+        # both commands' measurements: below it every reading is the closed form at the
+        # measured weights, above it the kernel meets that closed form within 1e-10
+        d, seed = 1.0 - 2.0 * kappa2**2, 0
+        rep = run_bell_protocol(ProtocolConfig(dop=d, n=10**6, seed=seed, resamples=10))
+        source = ensemble._draw_partially_polarized(d, 10**6, seed)
+        sd = schmidt(source)
+        assert rep.kappa2 == sd.kappa2 == pytest.approx(kappa2, rel=1e-2)
+        a, b = np.array(rep.settings.pairs()).T
+        grid = np.linspace(0.0, math.pi, 90, endpoint=False)
+        curve = scan_correlation(source, sd, 0.3, grid, seed=seed, resamples=10)
+        assert rep.method == curve.method == method
+        kl = np.array(interferometer._KL).T
+        for p, closed in (
+                ([[s.p11, s.p12, s.p21, s.p22] for s in rep.probabilities],
+                 joint_probability_kappa(sd.kappa1, sd.kappa2, a[:, None], b[:, None], *kl)),
+                (np.stack([curve.p11, curve.p12, curve.p21, curve.p22], -1),
+                 joint_probability_kappa(sd.kappa1, sd.kappa2, grid[:, None], 0.3, *kl))):
+            if method == "closed-form":
+                assert np.array_equal(p, closed)
+            else:
+                assert np.abs(np.asarray(p) - closed).max() <= 1e-10
+        bars = [rep.chsh_err, *(s.c_err for s in rep.probabilities), *curve.c_err]
+        assert (max(bars) == 0.0) == (method == "closed-form")
 
-    def test_fully_polarized_fallback(self):
-        rep = run_bell_protocol(ProtocolConfig(dop=1.0, n=1000, seed=34, resamples=0))
+    def test_kernel_meets_the_closed_form_at_the_floor(self):
+        # the floor is the smallest kappa2 from which upward the kernel raises nothing and
+        # meets the closed form within 1e-10, at population moments J = diag(k1^2, k2^2):
+        # on the default 12-curve scan grid and at both chsh settings that set it (ROADMAP
+        # item 9).  A floor of 1e-4 would read StrippedBeamError at b = pi/4.
+        k2 = interferometer._KAPPA2_FLOOR
+        k1 = math.sqrt(1.0 - k2**2)
+        sd = SchmidtDecomposition(k1, k2, np.array([1, 0j]), np.array([0, 1 + 0j]), intensity=1.0)
+        source = ensemble._Moments(np.diag([k1**2, k2**2]).astype(complex), 10**6)
+        grid = np.arange(0.0, math.pi - 1e-12, math.pi / 90.0)
+        kl = np.array(interferometer._KL).T
+        for i in range(12):
+            curve = scan_correlation(source, sd, i * math.pi / 12.0, grid)
+            assert curve.method == "interferometer"
+            p = np.stack([curve.p11, curve.p12, curve.p21, curve.p22], -1)
+            closed = joint_probability_kappa(k1, k2, grid[:, None], curve.b, *kl)
+            assert np.abs(p - closed).max() <= 1e-10, i
+        for settings in (max_chsh(k1, k2)[1], AngleSettings(0.1, 0.7, 0.3, 1.2)):
+            a, b = np.array(settings.pairs()).T
+            method, p = interferometer._measure_runs(source, sd, a, b, NoiseModel(), (0,), 0)
+            closed = joint_probability_kappa(k1, k2, a[:, None], b[:, None], *kl)
+            assert method == "interferometer" and np.abs(p[0] - closed).max() <= 1e-10
+
+    @pytest.mark.parametrize("resamples", [0, 16])
+    def test_fully_polarized_fallback(self, resamples):
+        # every resample holds the weights and the settings, so its closed form is the
+        # source's: the bars are exactly 0
+        rep = run_bell_protocol(ProtocolConfig(dop=1.0, n=1000, seed=34, resamples=resamples))
         assert rep.method == "closed-form"
         assert rep.chsh == pytest.approx(2.0, abs=1e-6)
         assert rep.chsh_err == 0.0
+        assert all(s.c_err == 0.0 for s in rep.probabilities)
+
+    @pytest.mark.parametrize("noise", [NoiseModel(extinction_ratio=1e-3),
+                                       NoiseModel(detector_noise=1e-4),
+                                       NoiseModel(phase_jitter=0.3)],
+                             ids=["extinction", "detector", "jitter"])
+    def test_noise_below_the_floor_is_refused(self, noise):
+        # the closed form applies no noise model, so one below the floor is refused, never
+        # echoed unused
+        message = r"^kappa2 = 0 is below the floor 0\.001: the closed form read there applies " \
+                  r"no noise model$"
+        with pytest.raises(DomainError, match=message):
+            run_bell_protocol(ProtocolConfig(dop=1.0, n=1000, seed=34, noise=noise))
+        source = ensemble._draw_partially_polarized(1.0, 1000, 34)
+        with pytest.raises(DomainError, match=message):
+            scan_correlation(source, schmidt(source), 0.3, [0.1, 0.2], noise)
 
     def test_probabilities_in_range(self):
         rep = run_bell_protocol(ProtocolConfig(dop=0.3, n=5000, seed=35, resamples=0))
@@ -861,7 +939,7 @@ def protocol_reference(cfg, rep):
 
     def chsh_and_correlations(e, run):
         ps = interferometer._measure_runs(e, sd, *np.array(pairs).T, cfg.noise,
-                                          (cfg.seed, run), 0)[0]
+                                          (cfg.seed, run), 0)[1][0]
         c = correlation_sum(ps.T)
         return [chsh_sum(c), *c]
 
